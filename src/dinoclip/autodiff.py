@@ -63,11 +63,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def flat_data(self) -> np.ndarray:
-        """Row-major flat view of the stored values."""
-        return self.data.reshape(-1)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on non-scalar tensor of shape {self.shape}")
@@ -112,13 +107,12 @@ def parameter(data, name: str, dtype=np.float32) -> Tensor:
 class Node:
     """One recorded forward operation."""
 
-    __slots__ = ("op", "inputs", "output", "forward_fn", "backward_fn")
+    __slots__ = ("op", "inputs", "output", "backward_fn")
 
-    def __init__(self, op, inputs, output, forward_fn, backward_fn):
+    def __init__(self, op, inputs, output, backward_fn):
         self.op = op
         self.inputs = inputs
         self.output = output
-        self.forward_fn = forward_fn
         self.backward_fn = backward_fn
 
 
@@ -137,18 +131,6 @@ class Tape:
         assert popped is self
         return False
 
-    def replay(self) -> bool:
-        """Re-run every node from its recorded inputs; True iff all outputs
-        reproduce bit-for-bit."""
-        for node in self.nodes:
-            again = np.asarray(node.forward_fn())
-            stored = node.output.data
-            if again.dtype != stored.dtype or again.shape != stored.shape:
-                return False
-            if again.tobytes() != stored.tobytes():
-                return False
-        return True
-
 
 _TAPE_STACK: list[Tape] = []
 
@@ -165,13 +147,12 @@ def _as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_arr: np.ndarray,
-            forward_fn: Callable[[], np.ndarray],
             backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_arr, requires_grad=requires, dtype=out_arr.dtype)
     tape = _active_tape()
     if tape is not None and requires:
-        tape.nodes.append(Node(op, tuple(inputs), out, forward_fn, backward_fn))
+        tape.nodes.append(Node(op, tuple(inputs), out, backward_fn))
     return out
 
 
@@ -198,7 +179,7 @@ def add(a, b) -> Tensor:
     def backward(g):
         return _unbroadcast(g, ad.shape), _unbroadcast(g, bd.shape)
 
-    return _record("add", (a, b), out, lambda: ad + bd, backward)
+    return _record("add", (a, b), out, backward)
 
 
 def sub(a, b) -> Tensor:
@@ -210,7 +191,7 @@ def sub(a, b) -> Tensor:
     def backward(g):
         return _unbroadcast(g, ad.shape), _unbroadcast(-g, bd.shape)
 
-    return _record("sub", (a, b), out, lambda: ad - bd, backward)
+    return _record("sub", (a, b), out, backward)
 
 
 def mul(a, b) -> Tensor:
@@ -222,7 +203,7 @@ def mul(a, b) -> Tensor:
     def backward(g):
         return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return _record("mul", (a, b), out, lambda: ad * bd, backward)
+    return _record("mul", (a, b), out, backward)
 
 
 def div(a, b) -> Tensor:
@@ -236,35 +217,34 @@ def div(a, b) -> Tensor:
         gb = _unbroadcast(-g * ad / (bd * bd), bd.shape)
         return ga, gb
 
-    return _record("div", (a, b), out, lambda: ad / bd, backward)
+    return _record("div", (a, b), out, backward)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
-    return _record("neg", (a,), -ad, lambda: -ad, lambda g: (-g,))
+    return _record("neg", (a,), -ad, lambda g: (-g,))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
     out = np.exp(ad)
-    return _record("exp", (a,), out, lambda: np.exp(ad), lambda g: (g * out,))
+    return _record("exp", (a,), out, lambda g: (g * out,))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
     out = np.log(ad)
-    return _record("log", (a,), out, lambda: np.log(ad), lambda g: (g / ad,))
+    return _record("log", (a,), out, lambda g: (g / ad,))
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
     out = np.sqrt(ad)
-    return _record("sqrt", (a,), out, lambda: np.sqrt(ad),
-                   lambda g: (g * (0.5 / out),))
+    return _record("sqrt", (a,), out, lambda g: (g * (0.5 / out),))
 
 
 def gelu(a) -> Tensor:
@@ -273,14 +253,11 @@ def gelu(a) -> Tensor:
     ad = a.data
     cdf = 0.5 * (1.0 + _erf(ad * _INV_SQRT2))
 
-    def fwd():
-        return ad * (0.5 * (1.0 + _erf(ad * _INV_SQRT2)))
-
     def backward(g):
         pdf = np.exp(-0.5 * ad * ad) * _INV_SQRT_2PI
         return (g * (cdf + ad * pdf),)
 
-    return _record("gelu", (a,), ad * cdf, fwd, backward)
+    return _record("gelu", (a,), ad * cdf, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +275,7 @@ def sum_(a, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, ad.shape).astype(ad.dtype, copy=True),)
 
-    return _record("sum", (a,), np.asarray(out), lambda: ad.sum(axis=axis, keepdims=keepdims),
-                   backward)
+    return _record("sum", (a,), np.asarray(out), backward)
 
 
 def mean(a, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
@@ -322,7 +298,7 @@ def reshape(a, shape) -> Tensor:
     def backward(g):
         return (g.reshape(ad.shape),)
 
-    return _record("reshape", (a,), out.copy(), lambda: ad.reshape(shape).copy(), backward)
+    return _record("reshape", (a,), out.copy(), backward)
 
 
 def transpose(a, axes: Optional[tuple] = None) -> Tensor:
@@ -337,8 +313,7 @@ def transpose(a, axes: Optional[tuple] = None) -> Tensor:
     def backward(g):
         return (np.transpose(g, inv),)
 
-    return _record("transpose", (a,), np.ascontiguousarray(out),
-                   lambda: np.ascontiguousarray(np.transpose(ad, axes)), backward)
+    return _record("transpose", (a,), np.ascontiguousarray(out), backward)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -354,7 +329,7 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
         return tuple(np.ascontiguousarray(piece)
                      for piece in np.split(g, offsets, axis=axis))
 
-    return _record("concat", ts, out, lambda: np.concatenate(arrays, axis=axis), backward)
+    return _record("concat", ts, out, backward)
 
 
 def take_index(a, index: int, axis: int) -> Tensor:
@@ -370,8 +345,7 @@ def take_index(a, index: int, axis: int) -> Tensor:
         z[tuple(sl)] = g
         return (z,)
 
-    return _record("take_index", (a,), np.ascontiguousarray(out),
-                   lambda: np.ascontiguousarray(np.take(ad, index, axis=axis)), backward)
+    return _record("take_index", (a,), np.ascontiguousarray(out), backward)
 
 
 def gather_rows(table, ids: np.ndarray) -> Tensor:
@@ -390,7 +364,7 @@ def gather_rows(table, ids: np.ndarray) -> Tensor:
         np.add.at(z, idx, g)
         return (z,)
 
-    return _record("gather_rows", (table,), out.copy(), lambda: td[idx].copy(), backward)
+    return _record("gather_rows", (table,), out.copy(), backward)
 
 
 def extract_patches(images, patch: int) -> Tensor:
@@ -403,20 +377,15 @@ def extract_patches(images, patch: int) -> Tensor:
     if s != s2 or s % patch != 0:
         raise ShapeError(f"extract_patches: spatial shape {(s, s2)} not divisible by patch {patch}")
     g_ = s // patch
-
-    def fwd():
-        x = ad.reshape(b, c, g_, patch, g_, patch)
-        x = x.transpose(0, 2, 4, 1, 3, 5)
-        return np.ascontiguousarray(x.reshape(b, g_ * g_, c * patch * patch))
-
-    out = fwd()
+    x = ad.reshape(b, c, g_, patch, g_, patch).transpose(0, 2, 4, 1, 3, 5)
+    out = np.ascontiguousarray(x.reshape(b, g_ * g_, c * patch * patch))
 
     def backward(g):
         x = g.reshape(b, g_, g_, c, patch, patch)
         x = x.transpose(0, 3, 1, 4, 2, 5)
         return (np.ascontiguousarray(x.reshape(b, c, s, s)),)
 
-    return _record("extract_patches", (images,), out, fwd, backward)
+    return _record("extract_patches", (images,), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +418,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: unsupported stacking: {ad.shape} x {bd.shape}")
 
     out = ad @ bd
-    return _record("matmul", (a, b), out, lambda: ad @ bd, backward)
+    return _record("matmul", (a, b), out, backward)
 
 
 def weight_norm_linear(x, direction, scale) -> Tensor:
@@ -483,39 +452,27 @@ def softmax(x, axis: int = -1, temperature: float = 1.0) -> Tensor:
     if temperature <= 0:
         raise DomainError(f"softmax temperature must be positive, got {temperature}")
     x = _as_tensor(x)
-    xd = x.data
-
-    def fwd():
-        z = xd / temperature
-        z = z - z.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=axis, keepdims=True)
-
-    out = fwd()
+    z = x.data / temperature
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
         return ((g - dot) * out / temperature,)
 
-    return _record("softmax", (x,), out, fwd, backward)
+    return _record("softmax", (x,), out, backward)
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     xd = x.data
-
-    def fwd():
-        m = xd.max(axis=axis, keepdims=True)
-        z = xd - m
-        lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-        return z - lse
-
-    out = fwd()
+    z = xd - xd.max(axis=axis, keepdims=True)
+    out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
     def backward(g):
         return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
-    return _record("log_softmax", (x,), out, fwd, backward)
+    return _record("log_softmax", (x,), out, backward)
 
 
 def l2_normalize(x, axis: int = -1) -> Tensor:
@@ -523,11 +480,6 @@ def l2_normalize(x, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     xd = x.data
     eps = NORMALIZE_EPS
-
-    def fwd():
-        n = np.sqrt((xd * xd).sum(axis=axis, keepdims=True))
-        return xd / np.maximum(n, eps)
-
     raw = np.sqrt((xd * xd).sum(axis=axis, keepdims=True))
     n = np.maximum(raw, eps)
     out = xd / n
@@ -540,7 +492,7 @@ def l2_normalize(x, axis: int = -1) -> Tensor:
             grad = np.where(clamped, g / eps, grad)
         return (grad,)
 
-    return _record("l2_normalize", (x,), out, fwd, backward)
+    return _record("l2_normalize", (x,), out, backward)
 
 
 def layer_norm(x, gain, bias) -> Tensor:
@@ -562,12 +514,6 @@ def layer_norm(x, gain, bias) -> Tensor:
     xhat = xc * inv
     out = xhat * gd + bd
 
-    def fwd():
-        m = xd.mean(axis=-1, keepdims=True)
-        c = xd - m
-        v = (c * c).mean(axis=-1, keepdims=True)
-        return (c * (1.0 / np.sqrt(v + eps))) * gd + bd
-
     def backward(g):
         dgain = (g * xhat).reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
@@ -576,7 +522,7 @@ def layer_norm(x, gain, bias) -> Tensor:
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         return dx, dgain, dbias
 
-    return _record("layer_norm", (x, gain, bias), out, fwd, backward)
+    return _record("layer_norm", (x, gain, bias), out, backward)
 
 
 def soft_cross_entropy(target, pred) -> Tensor:
@@ -592,19 +538,14 @@ def soft_cross_entropy(target, pred) -> Tensor:
         raise ShapeError(f"soft_cross_entropy: target {target_arr.shape} vs pred {pd.shape}")
     rows = 1 if pd.ndim < 2 else int(np.prod(pd.shape[:-1]))
     clamp = LOG_CLAMP
-
-    def fwd():
-        pc = np.maximum(pd, clamp)
-        return np.asarray(-(target_arr * np.log(pc)).sum() / rows, dtype=pd.dtype)
-
-    out = fwd()
+    pc = np.maximum(pd, clamp)
+    out = np.asarray(-(target_arr * np.log(pc)).sum() / rows, dtype=pd.dtype)
 
     def backward(g):
-        pc = np.maximum(pd, clamp)
         grad = np.where(pd >= clamp, -target_arr / pc, 0.0) * (g / rows)
         return (grad.astype(pd.dtype, copy=False),)
 
-    return _record("soft_cross_entropy", (pred,), out, fwd, backward)
+    return _record("soft_cross_entropy", (pred,), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -625,19 +566,10 @@ class GradientMap:
         if param.name is not None:
             self._by_name[param.name] = g
 
-    def __contains__(self, param: Tensor) -> bool:
-        return id(param) in self._grads
-
     def __getitem__(self, key) -> Tensor:
         if isinstance(key, Tensor):
             return self._grads[id(key)][1]
         return self._by_name[key]
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
     def items(self) -> Iterable[tuple[Tensor, Tensor]]:
         return (pair for pair in self._grads.values())

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import (CheckpointShapeError, CheckpointTruncationError,
+from .errors import (CheckpointError, CheckpointShapeError, CheckpointTruncationError,
                      CheckpointVersionError)
 
 MAGIC = b"DCKP"
@@ -51,7 +51,11 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"undecodable section or tensor name: {e}") from e
 
 
 def pack_tensors(tensors: dict[str, np.ndarray]) -> bytes:
@@ -94,7 +98,10 @@ def pack_json(obj) -> bytes:
 
 
 def unpack_json(blob: bytes):
-    return json.loads(blob.decode("utf-8"))
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"undecodable JSON section: {e}") from e
 
 
 def write_container(path, sections: list[tuple[str, bytes]]):
@@ -107,7 +114,8 @@ def write_container(path, sections: list[tuple[str, bytes]]):
             f.write(payload)
 
 
-def read_container(path) -> dict[str, bytes]:
+def read_container(path, required: tuple = ()) -> dict[str, bytes]:
+    """Sections by name; every name in ``required`` must be present."""
     with open(path, "rb") as f:
         blob = f.read()
     r = _Reader(blob)
@@ -122,4 +130,7 @@ def read_container(path) -> dict[str, bytes]:
     for _ in range(r.u32()):
         name = r.string()
         sections[name] = r.take(r.u64())
+    missing = [name for name in required if name not in sections]
+    if missing:
+        raise CheckpointError(f"checkpoint lacks sections {missing}")
     return sections

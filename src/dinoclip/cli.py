@@ -12,11 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
-from .data import (LANGUAGE_NAMES, build_translation_prompts, ingest_translations,
-                   load_manifest, read_ppm, save_manifest, split_records,
+from .data import (LANGUAGE_NAMES, ImageCaptionRecord, build_translation_prompts,
+                   ingest_translations, load_manifest, save_manifest, split_records,
                    write_record_file, read_record_file)
-from .encoders import encode_images, resize_bicubic
 from .errors import (CheckpointError, ContractError, DinoClipError, DomainError,
                      NumericError, ShapeError, ValidationError)
 from .evaluation import (LMCAP_DEFAULT_RETRIEVED, ZeroShotTemplate,
@@ -43,11 +41,11 @@ def _load_config(args) -> TrainConfig:
     return cfg
 
 
-def _language_name(code_or_name: str) -> str:
-    if code_or_name in LANGUAGE_NAMES:
-        return LANGUAGE_NAMES[code_or_name]
-    if code_or_name in LANGUAGE_NAMES.values():
-        return code_or_name
+def _language(code_or_name: str) -> tuple[str, str]:
+    """(code, name) for a --language value given as either."""
+    for code, name in LANGUAGE_NAMES.items():
+        if code_or_name in (code, name):
+            return code, name
     raise ValidationError(f"unknown language {code_or_name!r}")
 
 
@@ -120,23 +118,12 @@ def cmd_zero_shot(args) -> int:
     class_names = sorted(class_index.keys())
     template = ZeroShotTemplate(args.template)
 
-    paths, labels = [], []
+    images, labels = [], []
     for ci, name in enumerate(class_names):
         for fn in class_index[name]:
-            paths.append(fn)
+            images.append(ImageCaptionRecord(image_ref=fn, captions={}, split="test"))
             labels.append(ci)
-    from .data import read_ppm
-    from .encoders import resize_bicubic, encode_images
-    from .autodiff import Tensor
-    size = state.student.config.vision.image_size
-    rows = []
-    for p in paths:
-        full = Path(args.data_root) / p if args.data_root else Path(p)
-        img = read_ppm(full)
-        if img.shape[1] != size or img.shape[2] != size:
-            img = resize_bicubic(img, size)
-        rows.append(img)
-    img_emb = encode_images(state.student, Tensor(np.stack(rows))).data
+    img_emb = embed_record_images(state.student, images, data_root=args.data_root)
 
     def encoder(prompt: str):
         return embed_texts(state.student, [prompt])[0]
@@ -176,7 +163,7 @@ def cmd_export_embeddings(args) -> int:
 
 def cmd_build_translation_prompts(args) -> int:
     records = load_manifest(args.manifest)
-    prompts = build_translation_prompts(records, _language_name(args.language))
+    prompts = build_translation_prompts(records, _language(args.language)[1])
     write_record_file(args.out, prompts)
     print(f"wrote {len(prompts)} prompts -> {args.out}")
     return EXIT_OK
@@ -184,12 +171,7 @@ def cmd_build_translation_prompts(args) -> int:
 
 def cmd_ingest_translations(args) -> int:
     records = load_manifest(args.manifest)
-    code = args.language if args.language in LANGUAGE_NAMES else None
-    if code is None:
-        lookup = {v: k for k, v in LANGUAGE_NAMES.items()}
-        code = lookup.get(args.language)
-    if code is None:
-        raise ValidationError(f"unknown language {args.language!r}")
+    code = _language(args.language)[0]
     ingest_translations(records, args.responses, code)
     save_manifest(records, args.out)
     print(f"attached {code!r} translations -> {args.out}")
@@ -197,6 +179,7 @@ def cmd_ingest_translations(args) -> int:
 
 
 def cmd_build_lmcap_prompts(args) -> int:
+    language_name = _language(args.language)[1]
     state = load_checkpoint(args.checkpoint)
     records = load_manifest(args.manifest)
     datastore = split_records(records, "train")
@@ -213,7 +196,7 @@ def cmd_build_lmcap_prompts(args) -> int:
     for row in query_emb:
         top = retrieve_top_k(row, gallery, min(args.k, len(texts)))
         prompts.append(build_lmcap_prompt([texts[i] for i in top],
-                                          _language_name(args.language), fewshot))
+                                          language_name, fewshot))
     write_record_file(args.out, prompts)
     print(f"wrote {len(prompts)} prompts -> {args.out}")
     return EXIT_OK

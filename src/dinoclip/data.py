@@ -10,7 +10,7 @@ execution order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ from scipy.ndimage import gaussian_filter1d
 from .encoders import END_ID, SENTINEL_ID, BYTE_OFFSET, resize_bicubic
 from .errors import (AlignmentError, ContractError, DomainError, ManifestParseError,
                      ValidationError)
-from .objectives import ViewBundle
 from .prng import RandomStream
 
 SUPPORTED_LANGUAGES = ("en", "de", "fr", "es", "zh", "pt", "it", "ru", "ko", "nl")
@@ -78,12 +77,18 @@ class ImageCaptionRecord:
         label = f"record {self.index} (image={self.image_ref!r})"
         if self.split not in VALID_SPLITS:
             raise ValidationError(f"{label}: bad split {self.split!r}")
+        if not isinstance(self.captions, dict):
+            raise ValidationError(f"{label}: captions must be an object mapping "
+                                  "language codes to caption lists")
         if "en" not in self.captions or not self.captions["en"]:
             raise ValidationError(f"{label}: English captions are required")
         n = len(self.captions["en"])
         for lang, texts in self.captions.items():
             if lang not in SUPPORTED_LANGUAGES:
                 raise ValidationError(f"{label}: unknown language {lang!r}")
+            if not isinstance(texts, list):
+                raise ValidationError(f"{label}: captions under {lang!r} must be a list "
+                                      f"of strings, got {type(texts).__name__}")
             if lang != "en" and len(texts) != n:
                 raise ValidationError(f"{label}: {lang} has {len(texts)} captions, "
                                       f"English has {n} (translation must be 1:1)")
@@ -121,6 +126,23 @@ class AugmentationConfig:
 
 
 @dataclass
+class ViewBundle:
+    """Augmented views of one image: >= 2 global crops plus local crops,
+    all at model input size.  global_views[0] feeds the contrastive
+    branch."""
+
+    global_views: list
+    local_views: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if len(self.global_views) < 2:
+            raise ContractError(f"need >= 2 global views, got {len(self.global_views)}")
+
+    def all_views(self) -> list:
+        return list(self.global_views) + list(self.local_views)
+
+
+@dataclass
 class EpochSamplingPolicy:
     mode: str = "english_only"              # or "one_translation"
     seed: int = 0
@@ -147,6 +169,9 @@ def load_manifest(path) -> list[ImageCaptionRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ManifestParseError(line_no, str(e)) from e
+            if not isinstance(obj, dict):
+                raise ManifestParseError(line_no, f"expected a JSON object, "
+                                                  f"got {type(obj).__name__}")
             for key in ("image", "captions", "split"):
                 if key not in obj:
                     raise ManifestParseError(line_no, f"missing field {key!r}")
@@ -236,16 +261,25 @@ def read_ppm(path) -> np.ndarray:
             raise ValidationError(f"{path}: truncated PPM header")
         return raw[start:pos]
 
+    def next_int(field_name):
+        token = next_token()
+        if not token.isdigit():
+            raise ValidationError(f"{path}: PPM {field_name} {token!r} is not an integer")
+        return int(token)
+
     magic = next_token()
     if magic != b"P6":
         raise ValidationError(f"{path}: not a binary PPM (magic {magic!r})")
-    width, height, maxval = (int(next_token()) for _ in range(3))
+    width, height, maxval = (next_int(name) for name in ("width", "height", "maxval"))
+    if width < 1 or height < 1:
+        raise ValidationError(f"{path}: empty PPM ({width}x{height})")
     if maxval != 255:
         raise ValidationError(f"{path}: only 8-bit PPM supported, maxval {maxval}")
     pos += 1  # single whitespace byte after maxval
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height * 3, offset=pos)
-    if pixels.size != width * height * 3:
+    count = width * height * 3
+    if len(raw) - pos < count:
         raise ValidationError(f"{path}: pixel payload truncated")
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=pos)
     img = pixels.reshape(height, width, 3).transpose(2, 0, 1)
     return (img.astype(np.float32) / 255.0)
 
@@ -334,7 +368,7 @@ def make_views(image: np.ndarray, config: AugmentationConfig,
                                         config.local_scale, rng)
             crop = resize_bicubic(crop, config.global_crop_size)
             locals_.append(_augment_view(crop, config, rng))
-    return ViewBundle(global_views=globals_, local_views=locals_, first_global=0)
+    return ViewBundle(global_views=globals_, local_views=locals_)
 
 
 # ---------------------------------------------------------------------------

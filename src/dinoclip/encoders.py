@@ -112,14 +112,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def __setitem__(self, name: str, value: Tensor):
-        if name not in self.tensors:
-            raise ContractError(f"unknown parameter {name!r}")
-        if value.shape != self.tensors[name].shape:
-            raise ShapeError(f"parameter {name!r}: shape {value.shape} vs "
-                             f"{self.tensors[name].shape}")
-        self.tensors[name] = value
-
     def names(self):
         return self.tensors.keys()
 
@@ -130,12 +122,6 @@ class ModelParams:
         return ModelParams(self.config,
                            {k: Tensor(v.data.copy(), requires_grad=v.requires_grad, name=k,
                                       dtype=v.dtype)
-                            for k, v in self.tensors.items()})
-
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(self.config,
-                           {k: Tensor(v.data.astype(dtype), requires_grad=v.requires_grad,
-                                      name=k, dtype=dtype)
                             for k, v in self.tensors.items()})
 
     @property
@@ -262,15 +248,6 @@ def encode_images(params: ModelParams, images: Tensor) -> Tensor:
     x = ad.layer_norm(x, params["vision.ln_f.gain"], params["vision.ln_f.bias"])
     pooled = ad.take_index(x, 0, axis=1)                            # [B, W]
     return ad.matmul(pooled, params["vision.proj"])                 # [B, m]
-
-
-def encode_image(params: ModelParams, image: Tensor) -> Tensor:
-    """Single-image encoder: [3, S, S] -> [m]."""
-    image = image if isinstance(image, Tensor) else Tensor(image)
-    if image.ndim != 3:
-        raise ShapeError(f"encode_image expects [3, S, S], got {image.shape}")
-    batched = ad.reshape(image, (1,) + image.shape)
-    return ad.reshape(encode_images(params, batched), (params.config.embed_dim,))
 
 
 def encode_text(params: ModelParams, token_ids) -> Tensor:

@@ -135,9 +135,10 @@ class ZeroShotTemplate:
 # ranking metrics
 # ---------------------------------------------------------------------------
 
-def _ranked_gallery(row: np.ndarray) -> np.ndarray:
-    """Gallery indices by descending similarity, ascending index on ties."""
-    return np.argsort(-row, kind="stable")
+def _ranked_gallery(values: np.ndarray) -> np.ndarray:
+    """Gallery indices by descending similarity along the last axis,
+    ascending index on ties."""
+    return np.argsort(-values, axis=-1, kind="stable")
 
 
 def recall_at_k(sim, gt: GroundTruth, k: int) -> float:
@@ -148,11 +149,8 @@ def recall_at_k(sim, gt: GroundTruth, k: int) -> float:
     if k > sim.num_gallery:
         raise DomainError(f"k={k} exceeds gallery size {sim.num_gallery}")
     gt.validate(sim.num_queries, sim.num_gallery)
-    hits = 0
-    for q in range(sim.num_queries):
-        top = _ranked_gallery(sim.values[q])[:k]
-        if not gt.correct[q].isdisjoint(top.tolist()):
-            hits += 1
+    top = _ranked_gallery(sim.values)[:, :k].tolist()
+    hits = sum(not gt.correct[q].isdisjoint(row) for q, row in enumerate(top))
     return 100.0 * hits / sim.num_queries
 
 
@@ -280,7 +278,7 @@ def retrieval_report(image_embeddings: np.ndarray, caption_embeddings: np.ndarra
     if len(caption_to_image) != caption_embeddings.shape[0]:
         raise ContractError("caption ownership list does not match caption count")
     i2t_sim = SimilarityMatrix(cosine_matrix(image_embeddings, caption_embeddings))
-    t2i_sim = SimilarityMatrix(cosine_matrix(caption_embeddings, image_embeddings))
+    t2i_sim = SimilarityMatrix(i2t_sim.values.T)
     img_to_caps: dict[int, set] = {i: set() for i in range(n_img)}
     for cap_idx, img_idx in enumerate(caption_to_image):
         img_to_caps[img_idx].add(cap_idx)

@@ -8,7 +8,7 @@ global and local views.  The combined loss is their plain average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +17,9 @@ from .autodiff import Tensor
 from .encoders import ModelParams
 from .errors import ContractError, DomainError, NumericError, ShapeError
 
-DEFAULT_STUDENT_TAU = 0.1
 DEFAULT_TEACHER_TAU = 0.04
 DEFAULT_CENTER_MOMENTUM = 0.9
 DEFAULT_EMA_MOMENTUM = 0.996
-
-DIST_SUM_TOL = 1e-4
 
 
 @dataclass
@@ -76,81 +73,9 @@ def make_teacher(student: ModelParams, **kwargs) -> TeacherState:
     return TeacherState(params=student.clone(), center=np.zeros(k, dtype=np.float32), **kwargs)
 
 
-@dataclass
-class ViewBundle:
-    """Augmented views of one image: >= 2 global crops plus local crops,
-    all at model input size.  global_views[first_global] feeds the
-    contrastive branch."""
-
-    global_views: list
-    local_views: list = field(default_factory=list)
-    first_global: int = 0
-
-    def __post_init__(self):
-        if len(self.global_views) < 2:
-            raise ContractError(f"need >= 2 global views, got {len(self.global_views)}")
-        if not 0 <= self.first_global < len(self.global_views):
-            raise ContractError(f"first_global {self.first_global} out of range")
-
-    @property
-    def total(self) -> int:
-        return len(self.global_views) + len(self.local_views)
-
-    def all_views(self) -> list:
-        return list(self.global_views) + list(self.local_views)
-
-
-@dataclass
-class DistributionSet:
-    """Teacher distributions per global view, student distributions per view.
-
-    Student views are ordered with the global views first, so view index i of
-    the teacher list and of the student list name the same crop.
-    """
-
-    teacher: list   # G tensors of shape [K]
-    student: list   # S tensors of shape [K]
-
-    def __post_init__(self):
-        if len(self.teacher) < 2:
-            raise ContractError(f"need >= 2 teacher (global) views, got {len(self.teacher)}")
-        if len(self.student) < len(self.teacher):
-            raise ContractError("student must cover at least the global views")
-        for name, dists in (("teacher", self.teacher), ("student", self.student)):
-            for d in dists:
-                vals = d.data if isinstance(d, Tensor) else np.asarray(d)
-                if vals.min() < 0 or abs(vals.sum() - 1.0) > DIST_SUM_TOL:
-                    raise ContractError(f"{name} entry is not a distribution "
-                                        f"(sum {vals.sum():.6f}, min {vals.min():.3e})")
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """(a . b) / (||a|| ||b||), eps-guarded; scalar in [-1, 1]."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"cosine_similarity needs equal-length vectors, "
-                         f"got {a.shape} and {b.shape}")
-    return ad.sum_(ad.mul(ad.l2_normalize(a), ad.l2_normalize(b)))
-
-
-def cross_entropy_soft(p_target, p_pred) -> Tensor:
-    """-sum(p_target * log(p_pred)) for two distributions over the same
-    support.  The target is a constant: gradient reaches only p_pred."""
-    pred = p_pred if isinstance(p_pred, Tensor) else Tensor(p_pred)
-    target = p_target.data if isinstance(p_target, Tensor) else np.asarray(p_target)
-    if target.shape != pred.shape:
-        raise ShapeError(f"cross_entropy_soft: lengths disagree: "
-                         f"{target.shape} vs {pred.shape}")
-    for name, vals in (("target", target), ("prediction", pred.data)):
-        if abs(vals.sum() - 1.0) > DIST_SUM_TOL:
-            raise ContractError(f"{name} does not sum to 1 (got {vals.sum():.6f})")
-    return ad.soft_cross_entropy(target, pred)
-
 
 def info_nce_loss(batch: ContrastiveBatch) -> Tensor:
     """Symmetric InfoNCE over the N x N cosine-similarity matrix.
@@ -191,44 +116,14 @@ def teacher_distribution(logits, state: TeacherState) -> Tensor:
     return Tensor(e / e.sum(axis=-1, keepdims=True), dtype=z.dtype)
 
 
-def student_distribution(logits, tau_student: float) -> Tensor:
-    """softmax(z / tau_s); differentiable when logits are on the tape."""
-    if tau_student <= 0:
-        raise DomainError(f"student temperature must be positive, got {tau_student}")
-    logits = logits if isinstance(logits, Tensor) else Tensor(logits)
-    return ad.softmax(logits, axis=-1, temperature=tau_student)
-
-
-def self_distillation_loss(dists: DistributionSet, average_pairs: bool = True) -> Tensor:
-    """Cross entropy from each teacher global view to every other student
-    view, averaged over the summed pairs (raw sum when average_pairs is
-    False).  2 global + 8 local views make 2 * (10 - 1) = 18 pairs."""
-    g = len(dists.teacher)
-    s = len(dists.student)
-    terms = []
-    for ti in range(g):
-        target = dists.teacher[ti]
-        target = target.data if isinstance(target, Tensor) else np.asarray(target)
-        for si in range(s):
-            if si == ti:
-                continue
-            terms.append(ad.soft_cross_entropy(target, dists.student[si]))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    if average_pairs:
-        total = ad.mul(total, 1.0 / len(terms))
-    return total
-
-
-def distillation_pair_count(n_global: int, n_views: int) -> int:
-    return n_global * (n_views - 1)
-
-
 def soft_distillation_terms(teacher_dists, student_dists, average_pairs: bool = True) -> Tensor:
-    """Batched form of self_distillation_loss: entries are [B, K] blocks
-    (teacher blocks constant, student blocks on the tape); each pair term is
-    the batch-mean cross entropy."""
+    """Cross entropy from each teacher global view to every other student
+    view, averaged over the pairs (raw sum when average_pairs is False).
+
+    Entries are [B, K] blocks, teacher blocks constant and student blocks on
+    the tape, with the global views first in the student list; each pair
+    term is the batch-mean cross entropy.  2 global + 8 local views make
+    2 * (10 - 1) = 18 pairs."""
     g, s = len(teacher_dists), len(student_dists)
     if g < 2:
         raise ContractError(f"need >= 2 teacher (global) view blocks, got {g}")

@@ -192,6 +192,9 @@ def init_train_state(config: TrainConfig) -> TrainState:
                       adam=AdamState(student))
 
 
+_SECTIONS = ("config", "counters", "student", "teacher", "center", "adam_m", "adam_v")
+
+
 def save_checkpoint(state: TrainState, path):
     sections = [
         ("config", ckpt.pack_json(state.config.to_dict())),
@@ -221,7 +224,7 @@ def _params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> M
 
 
 def load_checkpoint(path) -> TrainState:
-    sections = ckpt.read_container(path)
+    sections = ckpt.read_container(path, required=_SECTIONS)
     config = TrainConfig.from_dict(ckpt.unpack_json(sections["config"]))
     counters = ckpt.unpack_json(sections["counters"])
     student = _params_from_arrays(config.model, ckpt.unpack_tensors(sections["student"]))

@@ -1,11 +1,15 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from dinoclip import autodiff as ad
+from dinoclip.autodiff import Tensor
 from dinoclip.data import load_manifest
 from dinoclip.encoders import (DinoProjectorConfig, ModelConfig, TextEncoderConfig,
                                VisionEncoderConfig)
+from dinoclip.errors import ContractError
 
 FIXTURE_CAPTIONS_EN = [
     "airport with runways", "dense residential area", "baseball field",
@@ -55,6 +59,60 @@ def write_synthetic_manifest(path, n: int = 16, size: int = 32, languages=("en",
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
     return path
+
+
+# -------------------------------------------------------------------------
+# scalar self-distillation oracle: one [K] distribution per view, one
+# cross-entropy term per (teacher view, other student view) pair
+# -------------------------------------------------------------------------
+
+DIST_SUM_TOL = 1e-4
+
+
+@dataclass
+class DistributionSet:
+    """Teacher distributions per global view, student distributions per view.
+
+    Student views are ordered with the global views first, so view index i of
+    the teacher list and of the student list name the same crop.
+    """
+
+    teacher: list   # G tensors of shape [K]
+    student: list   # S tensors of shape [K]
+
+    def __post_init__(self):
+        if len(self.teacher) < 2:
+            raise ContractError(f"need >= 2 teacher (global) views, got {len(self.teacher)}")
+        if len(self.student) < len(self.teacher):
+            raise ContractError("student must cover at least the global views")
+        for name, dists in (("teacher", self.teacher), ("student", self.student)):
+            for d in dists:
+                vals = d.data if isinstance(d, Tensor) else np.asarray(d)
+                if vals.min() < 0 or abs(vals.sum() - 1.0) > DIST_SUM_TOL:
+                    raise ContractError(f"{name} entry is not a distribution "
+                                        f"(sum {vals.sum():.6f}, min {vals.min():.3e})")
+
+
+def self_distillation_loss(dists: DistributionSet, average_pairs: bool = True) -> Tensor:
+    """Cross entropy from each teacher global view to every other student
+    view, averaged over the summed pairs (raw sum when average_pairs is
+    False)."""
+    terms = []
+    for ti, target in enumerate(dists.teacher):
+        target = target.data if isinstance(target, Tensor) else np.asarray(target)
+        for si, pred in enumerate(dists.student):
+            if si != ti:
+                terms.append(ad.soft_cross_entropy(target, pred))
+    total = terms[0]
+    for t in terms[1:]:
+        total = ad.add(total, t)
+    if average_pairs:
+        total = ad.mul(total, 1.0 / len(terms))
+    return total
+
+
+def distillation_pair_count(n_global: int, n_views: int) -> int:
+    return n_global * (n_views - 1)
 
 
 @pytest.fixture

@@ -22,14 +22,13 @@ from dinoclip.evaluation import (GroundTruth, SimilarityMatrix, ZeroShotTemplate
                                  retrieval_report, retrieve_top_k, split_80_20,
                                  zero_shot_classify)
 from dinoclip.gradcheck import max_gradient_error
-from dinoclip.objectives import (ContrastiveBatch, DistributionSet, combined_loss,
-                                 distillation_pair_count, ema_update, info_nce_loss,
-                                 make_teacher, self_distillation_loss,
-                                 soft_distillation_terms)
+from dinoclip.objectives import (ContrastiveBatch, combined_loss, ema_update,
+                                 info_nce_loss, make_teacher, soft_distillation_terms)
 from dinoclip.trainer import (TrainConfig, embed_record_images, embed_texts,
                               load_checkpoint, save_checkpoint, train)
 
-from conftest import tiny_model_config, write_synthetic_manifest
+from conftest import (DistributionSet, distillation_pair_count, self_distillation_loss,
+                      tiny_model_config, write_synthetic_manifest)
 
 GRAD_TOL = 1e-3
 GRAD_STEP = 1e-4

@@ -120,6 +120,11 @@ def test_soft_cross_entropy_self_is_at_least_entropy():
         assert ad.soft_cross_entropy(p, Tensor(q, dtype=np.float64)).item() >= h - 1e-9
 
 
+def test_soft_cross_entropy_rejects_shape_mismatch():
+    with pytest.raises(ShapeError):
+        ad.soft_cross_entropy(np.array([1.0]), Tensor(np.array([0.5, 0.5])))
+
+
 def test_layer_norm_constant_vector_returns_bias():
     x = Tensor(np.full(6, 3.7, dtype=np.float32))
     gain = Tensor(np.full(6, 2.0, dtype=np.float32))
@@ -182,18 +187,6 @@ def test_gradient_map_lookup_by_name():
     grads = backward(tape, loss, params=[p])
     assert isinstance(grads, GradientMap)
     assert np.array_equal(grads["weights"].data, np.ones(2, dtype=np.float32))
-
-
-def test_tape_replay_is_bit_identical():
-    rng = np.random.default_rng(11)
-    p = parameter(rng.normal(size=(4, 4)).astype(np.float32), "p")
-    x = Tensor(rng.normal(size=(4, 4)).astype(np.float32))
-    with Tape() as tape:
-        h = ad.gelu(ad.matmul(x, p))
-        h = ad.layer_norm(h, Tensor(np.ones(4, dtype=np.float32)),
-                          Tensor(np.zeros(4, dtype=np.float32)))
-        ad.sum_(ad.softmax(h, axis=-1, temperature=0.5))
-    assert tape.replay()
 
 
 def test_ops_outside_tape_record_nothing():

@@ -106,6 +106,23 @@ def test_build_translation_prompts_and_ingest(workdir):
     assert all("fr" in l["captions"] for l in lines)
 
 
+def test_ingest_translations_accepts_language_name(workdir):
+    responses = workdir / "responses.txt"
+    write_record_file(responses, [f"traduction {i}" for i in range(6)])
+    out_manifest = workdir / "manifest_fr.jsonl"
+    rc = main(["ingest-translations", "--manifest", str(workdir / "manifest.jsonl"),
+               "--responses", str(responses), "--language", "French",
+               "--out", str(out_manifest)])
+    assert rc == 0
+    lines = [json.loads(l) for l in out_manifest.read_text().strip().split("\n")]
+    assert [l["captions"]["fr"] for l in lines] == [[f"traduction {i}"] for i in range(6)]
+
+    rc = main(["ingest-translations", "--manifest", str(workdir / "manifest.jsonl"),
+               "--responses", str(responses), "--language", "Klingon",
+               "--out", str(workdir / "x.jsonl")])
+    assert rc == 2
+
+
 def test_ingest_misaligned_responses_exit_code(workdir):
     responses = workdir / "responses.txt"
     write_record_file(responses, ["une seule"])
@@ -167,6 +184,25 @@ def test_zero_shot_command(workdir):
     result = json.loads(out.read_text())
     assert 0.0 <= result["accuracy"] <= 100.0
     assert len(result["predictions"]) == 4
+
+
+def test_zero_shot_truncated_image_is_validation_error(workdir):
+    ckpt = _train(workdir)
+    (workdir / "cut.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes(10))
+    index_path = workdir / "cls.json"
+    index_path.write_text(json.dumps({"river": ["cut.ppm"]}))
+    rc = main(["zero-shot", "--checkpoint", str(ckpt), "--class-index", str(index_path),
+               "--data-root", str(workdir)])
+    assert rc == 2
+
+
+def test_corrupt_checkpoint_is_io_error(workdir):
+    blob = _train(workdir).read_bytes()
+    bad = workdir / "bad.ckpt"
+    bad.write_bytes(blob.replace(b'"batch_size"', b'"batch_size\xff', 1))
+    rc = main(["eval-retrieval", "--checkpoint", str(bad),
+               "--manifest", str(workdir / "manifest.jsonl")])
+    assert rc == 4
 
 
 def test_missing_checkpoint_is_io_error(workdir):

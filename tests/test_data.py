@@ -75,6 +75,31 @@ def test_parse_error_reports_line_number(tmp_path):
         load_manifest(path)
 
 
+_GOOD_LINE = json.dumps({"image": "a.ppm", "captions": {"en": ["x"]}, "split": "train"})
+
+
+@pytest.mark.parametrize("line, error, match", [
+    ("[1, 2]", ManifestParseError, "line 2: expected a JSON object"),
+    ('"just a string"', ManifestParseError, "line 2"),
+    ('{"image": "a.ppm", "captions": ["x"], "split": "train"}', ValidationError,
+     "captions must be an object"),
+    ('{"image": "a.ppm", "captions": 3, "split": "train"}', ValidationError,
+     "captions must be an object"),
+    ('{"image": "a.ppm", "captions": {"en": "abc"}, "split": "train"}', ValidationError,
+     "must be a list"),
+    ('{"image": "a.ppm", "captions": {"en": ["x"], "de": "y"}, "split": "train"}',
+     ValidationError, "must be a list"),
+    ('{"image": "a.ppm", "captions": {"en": ["x", 7]}, "split": "train"}', ValidationError,
+     "empty caption"),
+], ids=["array-line", "string-line", "captions-list", "captions-int", "en-string",
+        "de-string", "non-string-caption"])
+def test_malformed_manifest_lines_raise_documented_errors(tmp_path, line, error, match):
+    path = tmp_path / "m.jsonl"
+    path.write_text(_GOOD_LINE + "\n" + line + "\n")
+    with pytest.raises(error, match=match):
+        load_manifest(path)
+
+
 def test_manifest_round_trip(tmp_path, synthetic_manifest):
     out = tmp_path / "again.jsonl"
     save_manifest(synthetic_manifest, out)
@@ -181,6 +206,20 @@ def test_ppm_rejects_wrong_magic(tmp_path):
         read_ppm(path)
 
 
+@pytest.mark.parametrize("blob", [
+    b"P6\n2 2\n255\n" + bytes(5),          # pixel payload truncated
+    b"P6\n2 two\n255\n" + bytes(12),       # non-integer header field
+    b"P6\n2 -2\n255\n" + bytes(12),        # negative header field
+    b"P6\n2 2\n255",                        # ends right after maxval
+    b"P6\n0 2\n255\n",                     # empty image
+], ids=["truncated", "non-integer", "negative", "ends-after-maxval", "empty"])
+def test_ppm_malformed_raises_validation_error(tmp_path, blob):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(blob)
+    with pytest.raises(ValidationError):
+        read_ppm(path)
+
+
 # -------------------------------------------------------------------------
 # multi-crop augmentation
 # -------------------------------------------------------------------------
@@ -197,7 +236,7 @@ def test_make_views_counts_and_sizes():
     bundle = make_views(img, config, RandomStream(1))
     assert len(bundle.global_views) == 2
     assert len(bundle.local_views) == 8
-    assert bundle.total == 10
+    assert len(bundle.all_views()) == 10
     for view in bundle.all_views():
         assert view.shape == (3, 16, 16)
 

@@ -5,8 +5,7 @@ import pytest
 
 from dinoclip import autodiff as ad
 from dinoclip.autodiff import Tensor
-from dinoclip.encoders import (VisionEncoderConfig, encode_image,
-                               encode_images, encode_text, init_model_params,
+from dinoclip.encoders import (VisionEncoderConfig, encode_images, encode_text, init_model_params,
                                project_dino, resize_bicubic)
 from dinoclip.errors import ContractError, DomainError, ShapeError, VocabularyError
 from dinoclip.gradcheck import check_gradients
@@ -31,24 +30,24 @@ def test_invalid_patch_division_rejected():
 
 
 def test_encode_image_deterministic(params, rng):
-    img = Tensor(rng.random((3, 8, 8), dtype=np.float32))
-    a = encode_image(params, img)
-    b = encode_image(params, img)
+    img = Tensor(rng.random((1, 3, 8, 8), dtype=np.float32))
+    a = encode_images(params, img)
+    b = encode_images(params, img)
     assert np.array_equal(a.data, b.data)
-    assert a.shape == (4,)
+    assert a.shape == (1, 4)
 
 
 def test_encode_image_wrong_size_rejected(params, rng):
     with pytest.raises(ShapeError, match="positional"):
-        encode_image(params, Tensor(rng.random((3, 16, 16), dtype=np.float32)))
+        encode_images(params, Tensor(rng.random((1, 3, 16, 16), dtype=np.float32)))
 
 
 def test_batch_matches_single(params, rng):
     imgs = rng.random((3, 3, 8, 8), dtype=np.float32)
     batch = encode_images(params, Tensor(imgs)).data
     for i in range(3):
-        single = encode_image(params, Tensor(imgs[i])).data
-        assert np.allclose(single, batch[i], atol=1e-6)
+        single = encode_images(params, Tensor(imgs[i:i + 1])).data
+        assert np.allclose(single[0], batch[i], atol=1e-6)
 
 
 def test_init_is_pure_function_of_config_and_seed():

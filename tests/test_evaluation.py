@@ -314,3 +314,33 @@ def test_retrieval_report_multiple_captions_per_image(rng):
     rep = retrieval_report(imgs, caps, owners)
     assert rep.i2t_r1 == 100.0
     assert rep.t2i_r1 == 100.0
+
+
+def _brute_force_recalls(imgs, caps, owners):
+    """Six recalls from pure-Python cosines; exactly equal rows tie exactly."""
+    def unit(v):
+        n = sum(x * x for x in v) ** 0.5
+        return [x / n for x in v]
+
+    img_u = [unit(v) for v in imgs.tolist()]
+    cap_u = [unit(v) for v in caps.tolist()]
+    sim = [[sum(x * y for x, y in zip(a, b)) for b in cap_u] for a in img_u]
+    sim_t = [list(col) for col in zip(*sim)]
+    i2t_gt = {i: {j for j, o in enumerate(owners) if o == i} for i in range(len(imgs))}
+    t2i_gt = {j: {o} for j, o in enumerate(owners)}
+    i2t = tuple(oracle_recall(np.array(sim), i2t_gt, min(k, len(caps))) for k in (1, 5, 10))
+    t2i = tuple(oracle_recall(np.array(sim_t), t2i_gt, min(k, len(imgs))) for k in (1, 5, 10))
+    return i2t + t2i
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_retrieval_report_ties_match_brute_force(seed):
+    """Duplicated image rows and duplicated caption rows make exact ties in
+    both directions; they must break toward the lower index."""
+    rng = np.random.default_rng(seed)
+    imgs = rng.normal(size=(6, 4))[[0, 1, 2, 3, 0, 4, 1, 5, 2]]
+    caps = rng.normal(size=(5, 4))[rng.integers(0, 5, size=20)]
+    caps[:3] = imgs[[0, 4, 6]]
+    owners = list(range(9)) + rng.integers(0, 9, size=11).tolist()
+    report = retrieval_report(imgs, caps, owners)
+    assert report.as_tuple() == _brute_force_recalls(imgs, caps, owners)

@@ -6,41 +6,37 @@ import pytest
 from dinoclip import autodiff as ad
 from dinoclip.autodiff import Tape, Tensor, backward
 from dinoclip.encoders import init_model_params
-from dinoclip.errors import ContractError, DomainError, NumericError, ShapeError
-from dinoclip.objectives import (ContrastiveBatch, DistributionSet,
-                                 combined_loss, cosine_similarity, cross_entropy_soft,
-                                 distillation_pair_count, ema_update, info_nce_loss,
-                                 make_teacher, self_distillation_loss,
-                                 soft_distillation_terms, student_distribution,
+from dinoclip.errors import ContractError, DomainError, NumericError
+from dinoclip.evaluation import cosine_matrix
+from dinoclip.objectives import (ContrastiveBatch, combined_loss, ema_update,
+                                 info_nce_loss, make_teacher, soft_distillation_terms,
                                  teacher_distribution, update_center)
 
-from conftest import tiny_model_config
+from conftest import DistributionSet, self_distillation_loss, tiny_model_config
 
 
 # -------------------------------------------------------------------------
 # cosine similarity
 # -------------------------------------------------------------------------
 
+def _cosine(a, b) -> float:
+    return float(cosine_matrix(np.asarray(a)[None, :], np.asarray(b)[None, :])[0, 0])
+
+
 def test_cosine_self_similarity_is_one(rng):
-    v = Tensor(rng.normal(size=8).astype(np.float32))
-    assert abs(cosine_similarity(v, v).item() - 1.0) < 1e-6
+    v = rng.normal(size=8).astype(np.float32)
+    assert abs(_cosine(v, v) - 1.0) < 1e-6
 
 
 def test_cosine_orthogonal_is_zero():
-    a = Tensor(np.array([1.0, 0.0], dtype=np.float32))
-    b = Tensor(np.array([0.0, 1.0], dtype=np.float32))
-    assert abs(cosine_similarity(a, b).item()) < 1e-7
+    a = np.array([1.0, 0.0], dtype=np.float32)
+    b = np.array([0.0, 1.0], dtype=np.float32)
+    assert abs(_cosine(a, b)) < 1e-7
 
 
 def test_cosine_antipodal_is_minus_one(rng):
-    v = Tensor(rng.normal(size=5).astype(np.float32))
-    neg = Tensor(-v.data)
-    assert abs(cosine_similarity(v, neg).item() + 1.0) < 1e-6
-
-
-def test_cosine_length_mismatch():
-    with pytest.raises(ShapeError):
-        cosine_similarity(Tensor(np.ones(3)), Tensor(np.ones(4)))
+    v = rng.normal(size=5).astype(np.float32)
+    assert abs(_cosine(v, -v) + 1.0) < 1e-6
 
 
 # -------------------------------------------------------------------------
@@ -161,50 +157,58 @@ def test_teacher_distribution_sums_to_one(rng):
         assert abs(dist.data.sum() - 1.0) < 1e-6
 
 
+# The student distribution is softmax(z / tau_s), computed by ad.softmax.
+
 def test_student_distribution_uniform_and_identity(rng):
-    assert np.allclose(student_distribution(Tensor(np.zeros(6)), 0.1).data, 1 / 6,
+    assert np.allclose(ad.softmax(Tensor(np.zeros(6)), temperature=0.1).data, 1 / 6,
                        atol=1e-7)
     z = rng.normal(size=6)
-    a = student_distribution(Tensor(z, dtype=np.float64), 1.0).data
-    b = ad.softmax(Tensor(z, dtype=np.float64)).data
+    a = ad.softmax(Tensor(z / 0.5, dtype=np.float64)).data
+    b = ad.softmax(Tensor(z, dtype=np.float64), temperature=0.5).data
     assert np.allclose(a, b)
 
 
 def test_student_distribution_monotone(rng):
     z = np.sort(rng.normal(size=7))
-    p = student_distribution(Tensor(z, dtype=np.float64), 0.3).data
+    p = ad.softmax(Tensor(z, dtype=np.float64), temperature=0.3).data
     assert (np.diff(p) > 0).all()
 
 
 def test_student_distribution_rejects_bad_temperature():
     with pytest.raises(DomainError):
-        student_distribution(Tensor(np.zeros(3)), 0.0)
+        ad.softmax(Tensor(np.zeros(3)), temperature=0.0)
 
 
 # -------------------------------------------------------------------------
 # self-distillation
 # -------------------------------------------------------------------------
 
-def test_pair_count_formula():
-    assert distillation_pair_count(2, 10) == 18
-    assert distillation_pair_count(2, 3) == 4
+def _blocks(dists):
+    """[K] distributions -> [1, K] float64 blocks for soft_distillation_terms."""
+    return [Tensor(np.asarray(d)[None, :], dtype=np.float64) for d in dists]
+
+
+def test_pair_count_formula(rng):
+    for n_views, pairs in ((10, 18), (3, 4)):
+        teacher = [rng.dirichlet(np.ones(4)) for _ in range(2)]
+        student = _blocks(rng.dirichlet(np.ones(4)) for _ in range(n_views))
+        avg = soft_distillation_terms(_blocks(teacher), student).item()
+        raw = soft_distillation_terms(_blocks(teacher), student, average_pairs=False).item()
+        assert abs(raw - pairs * avg) < 1e-9
 
 
 def test_self_distillation_uniform_equals_log_k():
     k, n_views = 8, 5
     u = np.full(k, 1.0 / k)
-    dists = DistributionSet(teacher=[Tensor(u, dtype=np.float64)] * 2,
-                            student=[Tensor(u, dtype=np.float64)] * n_views)
-    assert abs(self_distillation_loss(dists).item() - np.log(k)) < 1e-6
+    loss = soft_distillation_terms(_blocks([u] * 2), _blocks([u] * n_views))
+    assert abs(loss.item() - np.log(k)) < 1e-6
 
 
 def test_self_distillation_matches_brute_force(rng):
     k, n_views = 6, 4
     teacher = [rng.dirichlet(np.ones(k)) for _ in range(2)]
     student = [rng.dirichlet(np.ones(k)) for _ in range(n_views)]
-    dists = DistributionSet(teacher=[Tensor(t, dtype=np.float64) for t in teacher],
-                            student=[Tensor(s, dtype=np.float64) for s in student])
-    got = self_distillation_loss(dists).item()
+    got = soft_distillation_terms(_blocks(teacher), _blocks(student)).item()
 
     total, pairs = 0.0, 0
     for ti in range(2):
@@ -213,50 +217,39 @@ def test_self_distillation_matches_brute_force(rng):
                 continue
             total += -(teacher[ti] * np.log(np.maximum(student[si], 1e-12))).sum()
             pairs += 1
-    assert pairs == distillation_pair_count(2, n_views)
+    assert pairs == 2 * (n_views - 1)
     assert abs(got - total / pairs) < 1e-6
 
 
 def test_self_distillation_raw_sum_variant(rng):
     k = 5
-    teacher = [rng.dirichlet(np.ones(k)) for _ in range(2)]
-    student = [rng.dirichlet(np.ones(k)) for _ in range(3)]
-    dists = DistributionSet(teacher=[Tensor(t, dtype=np.float64) for t in teacher],
-                            student=[Tensor(s, dtype=np.float64) for s in student])
-    avg = self_distillation_loss(dists, average_pairs=True).item()
-    raw = self_distillation_loss(dists, average_pairs=False).item()
-    assert abs(raw - avg * distillation_pair_count(2, 3)) < 1e-9
+    teacher = _blocks(rng.dirichlet(np.ones(k)) for _ in range(2))
+    student = _blocks(rng.dirichlet(np.ones(k)) for _ in range(3))
+    avg = soft_distillation_terms(teacher, student, average_pairs=True).item()
+    raw = soft_distillation_terms(teacher, student, average_pairs=False).item()
+    assert abs(raw - avg * 4) < 1e-9
 
 
 def test_self_distillation_needs_two_globals():
     u = np.full(4, 0.25)
     with pytest.raises(ContractError):
-        DistributionSet(teacher=[Tensor(u)], student=[Tensor(u)] * 3)
+        soft_distillation_terms(_blocks([u]), _blocks([u] * 3))
 
 
 def test_self_distillation_lower_bound_is_teacher_entropy(rng):
     k = 7
     p = rng.dirichlet(np.ones(k))
     entropy = -(p * np.log(p)).sum()
-    dists = DistributionSet(teacher=[Tensor(p, dtype=np.float64)] * 2,
-                            student=[Tensor(p, dtype=np.float64)] * 4)
-    got = self_distillation_loss(dists).item()
+    got = soft_distillation_terms(_blocks([p] * 2), _blocks([p] * 4)).item()
     assert abs(got - entropy) < 1e-9
     # any other student distribution can only increase the loss
     q = rng.dirichlet(np.ones(k))
-    worse = DistributionSet(teacher=[Tensor(p, dtype=np.float64)] * 2,
-                            student=[Tensor(q, dtype=np.float64)] * 4)
-    assert self_distillation_loss(worse).item() >= got - 1e-12
-
-
-def test_cross_entropy_soft_validates_distributions():
-    with pytest.raises(ContractError):
-        cross_entropy_soft(np.array([0.9, 0.5]), Tensor(np.array([0.5, 0.5])))
-    with pytest.raises(ShapeError):
-        cross_entropy_soft(np.array([1.0]), Tensor(np.array([0.5, 0.5])))
+    worse = soft_distillation_terms(_blocks([p] * 2), _blocks([q] * 4)).item()
+    assert worse >= got - 1e-12
 
 
 def test_batched_terms_match_scalar_form(rng):
+    """The scalar oracle in conftest, averaged over the batch."""
     k, b = 5, 3
     teacher = [rng.dirichlet(np.ones(k), size=b) for _ in range(2)]
     student = [rng.dirichlet(np.ones(k), size=b) for _ in range(4)]
@@ -367,7 +360,7 @@ def test_combined_loss_recomposition(rng):
     nce = info_nce_loss(ContrastiveBatch(u, v, tau=0.1))
     teacher = [rng.dirichlet(np.ones(5)) for _ in range(2)]
     student = [Tensor(rng.dirichlet(np.ones(5)), dtype=np.float64) for _ in range(3)]
-    dist = self_distillation_loss(DistributionSet(teacher=teacher, student=student))
+    dist = soft_distillation_terms(teacher, student)
     got = combined_loss(nce, dist).item()
     assert abs(got - 0.5 * (nce.item() + dist.item())) < 1e-6
 
@@ -386,7 +379,7 @@ def test_teacher_gradient_is_identically_zero(rng):
 
     with Tape() as tape:
         emb = encode_images(student, Tensor(imgs, dtype=np.float64))
-        s_dist = student_distribution(project_dino(student, emb), 1.0)
+        s_dist = ad.softmax(project_dino(student, emb), temperature=1.0)
         loss = combined_loss(
             info_nce_loss(ContrastiveBatch(emb, emb, tau=0.1)),
             ad.soft_cross_entropy(t_dist.data, s_dist))
@@ -418,7 +411,7 @@ def test_contrastive_branch_ignores_local_views(rng):
         s_dists = []
         for view in (g0, g1, local):
             e = encode_images(student, Tensor(view, dtype=np.float64))
-            s_dists.append(student_distribution(project_dino(student, e), 1.0))
+            s_dists.append(ad.softmax(project_dino(student, e), temperature=1.0))
         dist = soft_distillation_terms(t_dists, s_dists)
         return nce.item(), dist.item()
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from dinoclip.autodiff import Tensor
+from dinoclip import checkpoint as ckpt
 from dinoclip.checkpoint import FORMAT_VERSION
 from dinoclip.data import AugmentationConfig, EpochSamplingPolicy, load_manifest
 from dinoclip.encoders import init_model_params
-from dinoclip.errors import (CheckpointShapeError, CheckpointTruncationError,
-                             CheckpointVersionError, ContractError)
+from dinoclip.errors import (CheckpointError, CheckpointShapeError,
+                             CheckpointTruncationError, CheckpointVersionError,
+                             ContractError)
 from dinoclip.trainer import (AdamState, MetricsLog, TrainConfig, adamw_step,
                               embed_record_images, embed_texts, init_train_state,
                               load_checkpoint, lr_schedule, save_checkpoint, train)
@@ -181,6 +183,30 @@ def test_checkpoint_shape_mismatch_detected(tmp_path, tiny_records):
     save_checkpoint(state, path)
     with pytest.raises(CheckpointShapeError):
         load_checkpoint(path)
+
+
+def _rewrite_sections(src, dst, edit):
+    """Re-pack a checkpoint after edit(sections) changes its section dict."""
+    sections = ckpt.read_container(src)
+    edit(sections)
+    ckpt.write_container(dst, list(sections.items()))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda sec: sec.pop("center"),
+    lambda sec: sec.pop("config"),
+    lambda sec: sec.update(config=b"{not json"),
+    lambda sec: sec.update(counters=b"\xff\xfe"),
+    lambda sec: sec.update(student=sec["student"].replace(b"vision.pos", b"vision.p\xffs")),
+], ids=["missing-center", "missing-config", "bad-json", "bad-utf8-json",
+        "bad-utf8-tensor-name"])
+def test_checkpoint_corrupt_section_detected(tmp_path, tiny_records, edit):
+    state, _ = train(tiny_train_config(epochs=1), tiny_records)
+    path, bad = tmp_path / "c.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(state, path)
+    _rewrite_sections(path, bad, edit)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
 
 
 # -------------------------------------------------------------------------
