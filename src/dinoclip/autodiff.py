@@ -72,32 +72,13 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
 
-    # Operator sugar; all routing goes through the module-level ops so the
-    # tape sees everything.
+    # Operator sugar for the encoders; it routes through the module-level
+    # ops so the tape sees everything.
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def parameter(data, name: str, dtype=np.float32) -> Tensor:
@@ -424,7 +405,7 @@ def matmul(a, b) -> Tensor:
 def weight_norm_linear(x, direction, scale) -> Tensor:
     """Linear map whose rows are scale[j] * direction[j] / ||direction[j]||.
 
-    direction: [K, D], scale: [K]; x: [D] or [B, D] -> [K] or [B, K].
+    direction: [K, D], scale: [K]; x: [B, D] -> [B, K].
     Composed from primitives so adjoints come for free.
     """
     direction = _as_tensor(direction)
@@ -438,8 +419,6 @@ def weight_norm_linear(x, direction, scale) -> Tensor:
     norms = sqrt(sum_(mul(direction, direction), axis=1))        # [K]
     coeff = reshape(div(scale, norms), (k, 1))                   # [K, 1]
     w = mul(direction, coeff)                                    # [K, D]
-    if x.ndim == 1:
-        return reshape(matmul(reshape(x, (1, d)), transpose(w)), (k,))
     return matmul(x, transpose(w))
 
 
@@ -532,7 +511,7 @@ def soft_cross_entropy(target, pred) -> Tensor:
     produced it, matching a stop-gradient on the teacher side.
     """
     pred = _as_tensor(pred)
-    target_arr = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=pred.dtype)
+    target_arr = np.asarray(target, dtype=pred.dtype)
     pd = pred.data
     if target_arr.shape != pd.shape:
         raise ShapeError(f"soft_cross_entropy: target {target_arr.shape} vs pred {pd.shape}")
@@ -571,18 +550,12 @@ class GradientMap:
             return self._grads[id(key)][1]
         return self._by_name[key]
 
-    def items(self) -> Iterable[tuple[Tensor, Tensor]]:
-        return (pair for pair in self._grads.values())
 
-    def __len__(self):
-        return len(self._grads)
-
-
-def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor] = ()) -> GradientMap:
+def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor]) -> GradientMap:
     """Reverse sweep over the tape, seeding d(loss) = 1.
 
-    Every tensor in ``params`` is guaranteed a (possibly zero) gradient of
-    matching shape in the result.
+    The result holds a gradient for every tensor in ``params`` and no
+    other; one that the loss does not reach gets zeros of matching shape.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -600,15 +573,7 @@ def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor] = ()) -> Gradien
             grads[id(t)] = g if acc is None else acc + g
 
     out = GradientMap()
-    seen = set()
     for p in params:
-        seen.add(id(p))
         g = grads.get(id(p))
         out._put(p, g if g is not None else np.zeros_like(p.data))
-    # leaves that carried gradient but were not listed explicitly
-    for node in tape.nodes:
-        for t in node.inputs:
-            if t.requires_grad and id(t) in grads and id(t) not in seen:
-                seen.add(id(t))
-                out._put(t, grads[id(t)])
     return out

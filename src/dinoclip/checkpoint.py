@@ -9,7 +9,9 @@ distinct error kinds before any state is built.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -105,13 +107,23 @@ def unpack_json(blob: bytes):
 
 
 def write_container(path, sections: list[tuple[str, bytes]]):
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(sections)))
-        for name, payload in sections:
-            f.write(_pack_str(name))
-            f.write(struct.pack("<Q", len(payload)))
-            f.write(payload)
+    """Write to a temporary file beside ``path``, sync it, then rename it
+    into place, so a write that fails midway leaves any old file intact."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", FORMAT_VERSION, len(sections)))
+            for name, payload in sections:
+                f.write(_pack_str(name))
+                f.write(struct.pack("<Q", len(payload)))
+                f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_container(path, required: tuple = ()) -> dict[str, bytes]:

@@ -49,6 +49,27 @@ def _language(code_or_name: str) -> tuple[str, str]:
     raise ValidationError(f"unknown language {code_or_name!r}")
 
 
+def _read_class_index(path, split: str = None) -> dict[str, list[str]]:
+    """Class name -> non-empty list of image paths, from a JSON object; with
+    ``split``, a make-splits output file yields that split's index."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            index = json.load(f)
+        except ValueError as e:
+            raise ValidationError(f"{path}: not a JSON class index: {e}") from e
+    if split is not None and isinstance(index, dict) and split in index:
+        index = index[split]
+    if not isinstance(index, dict) or not index:
+        raise ValidationError(f"{path}: class index must be a non-empty object of "
+                              "class name to image paths")
+    for name, files in index.items():
+        if not (isinstance(files, list) and files
+                and all(isinstance(fn, str) and fn for fn in files)):
+            raise ValidationError(f"{path}: class {name!r} needs a non-empty list of "
+                                  "path strings")
+    return index
+
+
 def cmd_train(args) -> int:
     records = load_manifest(args.manifest)
     if args.checkpoint:
@@ -110,11 +131,8 @@ def cmd_eval_retrieval(args) -> int:
 
 
 def cmd_zero_shot(args) -> int:
+    class_index = _read_class_index(args.class_index, split="test")
     state = load_checkpoint(args.checkpoint)
-    with open(args.class_index, "r", encoding="utf-8") as f:
-        class_index = json.load(f)
-    if isinstance(class_index, dict) and "test" in class_index:
-        class_index = class_index["test"]
     class_names = sorted(class_index.keys())
     template = ZeroShotTemplate(args.template)
 
@@ -203,8 +221,7 @@ def cmd_build_lmcap_prompts(args) -> int:
 
 
 def cmd_make_splits(args) -> int:
-    with open(args.class_index, "r", encoding="utf-8") as f:
-        class_index = json.load(f)
+    class_index = _read_class_index(args.class_index)
     train_set, test_set = split_80_20(class_index, seed=args.seed if args.seed is not None else 42)
     Path(args.out).write_text(json.dumps({"train": train_set, "test": test_set},
                                          indent=2, sort_keys=True), encoding="utf-8")

@@ -10,7 +10,7 @@ execution order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,9 @@ class ImageCaptionRecord:
 
     def validate(self):
         label = f"record {self.index} (image={self.image_ref!r})"
+        if not _is_image_ref(self.image_ref):
+            raise ValidationError(f"{label}: image must be a non-empty path string or "
+                                  '{"synthetic": {"seed": int, "size": int}}')
         if self.split not in VALID_SPLITS:
             raise ValidationError(f"{label}: bad split {self.split!r}")
         if not isinstance(self.captions, dict):
@@ -100,6 +103,16 @@ class ImageCaptionRecord:
         return sorted(self.captions.keys())
 
 
+def _is_image_ref(ref) -> bool:
+    if isinstance(ref, str):
+        return bool(ref)
+    if not isinstance(ref, dict) or set(ref) != {"synthetic"}:
+        return False
+    desc = ref["synthetic"]
+    return (isinstance(desc, dict) and set(desc) == {"seed", "size"}
+            and all(type(v) is int for v in desc.values()) and desc["size"] >= 1)
+
+
 @dataclass
 class AugmentationConfig:
     global_crop_size: int = 32
@@ -123,23 +136,6 @@ class AugmentationConfig:
         for lo, hi in (self.global_scale, self.local_scale):
             if not 0.0 < lo <= hi <= 1.0:
                 raise DomainError(f"bad crop scale range ({lo}, {hi})")
-
-
-@dataclass
-class ViewBundle:
-    """Augmented views of one image: >= 2 global crops plus local crops,
-    all at model input size.  global_views[0] feeds the contrastive
-    branch."""
-
-    global_views: list
-    local_views: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.global_views) < 2:
-            raise ContractError(f"need >= 2 global views, got {len(self.global_views)}")
-
-    def all_views(self) -> list:
-        return list(self.global_views) + list(self.local_views)
 
 
 @dataclass
@@ -284,21 +280,11 @@ def read_ppm(path) -> np.ndarray:
     return (img.astype(np.float32) / 255.0)
 
 
-def write_ppm(path, image: np.ndarray):
-    """[3, H, W] floats in [0, 1] to binary PPM."""
-    arr = np.clip(np.asarray(image), 0.0, 1.0)
-    c, h, w = arr.shape
-    data = (arr * 255.0).round().astype(np.uint8).transpose(1, 2, 0)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
-
-
 def load_record_image(record: ImageCaptionRecord, root=None) -> np.ndarray:
     ref = record.image_ref
-    if isinstance(ref, dict) and "synthetic" in ref:
+    if isinstance(ref, dict):
         desc = ref["synthetic"]
-        return synthetic_image(int(desc["seed"]), int(desc["size"]))
+        return synthetic_image(desc["seed"], desc["size"])
     path = Path(ref)
     if root is not None and not path.is_absolute():
         path = Path(root) / path
@@ -345,10 +331,11 @@ def _augment_view(view: np.ndarray, config: AugmentationConfig,
 
 
 def make_views(image: np.ndarray, config: AugmentationConfig,
-               stream: RandomStream) -> ViewBundle:
+               stream: RandomStream) -> np.ndarray:
     """Two global crops plus n_local local crops (bicubic-upscaled to the
-    global size), each with per-view jitter/blur/solarize draws.  View 0 is
-    the designated first global view."""
+    global size), each with per-view jitter/blur/solarize draws, as one
+    [2 + n_local, 3, S, S] float32 array with the globals first.  View 0
+    feeds the contrastive branch."""
     image = np.asarray(image, dtype=np.float32)
     if image.ndim != 3:
         raise ContractError(f"expected [3, H, W] image, got shape {image.shape}")
@@ -356,19 +343,18 @@ def make_views(image: np.ndarray, config: AugmentationConfig,
     if min(h, w) < config.local_crop_size:
         raise ContractError(f"image {h}x{w} smaller than local crop size "
                             f"{config.local_crop_size}")
-    globals_, locals_ = [], []
+    views = []
     for view_idx in range(2 + config.n_local):
         rng = stream.substream(_TAG_VIEWS, view_idx)
         if view_idx < 2:
             crop = _random_resized_crop(image, config.global_crop_size,
                                         config.global_scale, rng)
-            globals_.append(_augment_view(crop, config, rng))
         else:
             crop = _random_resized_crop(image, config.local_crop_size,
                                         config.local_scale, rng)
             crop = resize_bicubic(crop, config.global_crop_size)
-            locals_.append(_augment_view(crop, config, rng))
-    return ViewBundle(global_views=globals_, local_views=locals_)
+        views.append(_augment_view(crop, config, rng))
+    return np.stack(views)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +367,6 @@ def tokenize(text: str, max_length: int = 64) -> list[int]:
         raise DomainError(f"max_length must be >= 2, got {max_length}")
     payload = text.encode("utf-8")[: max_length - 2]
     return [SENTINEL_ID] + [BYTE_OFFSET + b for b in payload] + [END_ID]
-
-
-def detokenize(ids) -> str:
-    """Inverse of tokenize below the truncation limit (specials dropped)."""
-    payload = bytes(i - BYTE_OFFSET for i in ids if i >= BYTE_OFFSET)
-    return payload.decode("utf-8", errors="replace")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .prng import RandomStream
 
 # Byte-level tokenizer constants: ids below 256 are reserved for specials,
 # raw bytes live at 256 + b.
-PAD_ID = 0
 SENTINEL_ID = 1
 END_ID = 2
 BYTE_OFFSET = 256
@@ -232,7 +231,6 @@ def _transformer(params: ModelParams, prefix: str, x: Tensor, depth: int,
 def encode_images(params: ModelParams, images: Tensor) -> Tensor:
     """Batch image encoder: [B, 3, S, S] -> [B, m] class-token embeddings."""
     cfg = params.config.vision
-    images = images if isinstance(images, Tensor) else Tensor(images)
     if images.ndim != 4 or images.shape[1] != 3:
         raise ShapeError(f"encode_images expects [B, 3, S, S], got {images.shape}")
     if images.shape[2] != cfg.image_size or images.shape[3] != cfg.image_size:
@@ -276,24 +274,16 @@ def encode_text(params: ModelParams, token_ids) -> Tensor:
 
 def project_dino(params: ModelParams, embedding: Tensor) -> Tensor:
     """Distillation head: 3-layer MLP, l2 normalization, weight-normalized
-    output layer with K dimensions.  Accepts [m] or [B, m]."""
+    output layer: [B, m] -> [B, K]."""
     cfg = params.config
-    embedding = embedding if isinstance(embedding, Tensor) else Tensor(embedding)
-    if embedding.shape[-1] != cfg.embed_dim:
-        raise ShapeError(f"project_dino expects last dim {cfg.embed_dim}, "
+    if embedding.ndim != 2 or embedding.shape[1] != cfg.embed_dim:
+        raise ShapeError(f"project_dino expects [B, {cfg.embed_dim}], "
                          f"got {embedding.shape}")
-    h = ad.gelu(ad.matmul(_as_rows(embedding), params["dino.w1"]) + params["dino.b1"])
+    h = ad.gelu(ad.matmul(embedding, params["dino.w1"]) + params["dino.b1"])
     h = ad.gelu(ad.matmul(h, params["dino.w2"]) + params["dino.b2"])
     h = ad.matmul(h, params["dino.w3"]) + params["dino.b3"]
     h = ad.l2_normalize(h, axis=-1)
-    logits = ad.weight_norm_linear(h, params["dino.last_dir"], params["dino.last_scale"])
-    if embedding.ndim == 1:
-        return ad.reshape(logits, (cfg.dino.output_dim,))
-    return logits
-
-
-def _as_rows(x: Tensor) -> Tensor:
-    return ad.reshape(x, (1, x.shape[0])) if x.ndim == 1 else x
+    return ad.weight_norm_linear(h, params["dino.last_dir"], params["dino.last_scale"])
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +312,14 @@ def _resize_axis_weights(src: int, dst: int):
     return taps, weights
 
 
-def resize_bicubic(image, target: int):
+def resize_bicubic(arr: np.ndarray, target: int) -> np.ndarray:
     """Separable Catmull-Rom resize of [C, s, s] to [C, target, target].
 
     Edge-clamped sampling; forward-only (sits on the data path, before the
-    differentiated graph).  Accepts a Tensor or ndarray and returns the same
-    kind.
+    differentiated graph).
     """
     if target < 1:
         raise DomainError(f"resize target must be >= 1, got {target}")
-    is_tensor = isinstance(image, Tensor)
-    arr = image.data if is_tensor else np.asarray(image)
     if arr.ndim != 3:
         raise ShapeError(f"resize_bicubic expects [C, H, W], got shape {arr.shape}")
     c, h, w = arr.shape
@@ -345,5 +332,4 @@ def resize_bicubic(image, target: int):
     work = rows.sum(axis=2)                                         # [C, t, W]
     taps_w, w_w = _resize_axis_weights(w, target)
     cols = work[:, :, taps_w] * w_w[None, None, :, :]               # [C, t, t, 4]
-    out = cols.sum(axis=3).astype(arr.dtype)
-    return Tensor(out, dtype=arr.dtype) if is_tensor else out
+    return cols.sum(axis=3).astype(arr.dtype)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ContractError, DomainError, ValidationError
 from .prng import SplitMix64, fisher_yates, stable_hash
 
@@ -24,7 +23,6 @@ LMCAP_TEMPLATE = ("You are an intelligent image captioning bot tasked with descr
                   "{captions}. A creative short caption that can describe this image "
                   "in {language} is:")
 
-LMCAP_DEFAULT_FEWSHOT = 6   # N
 LMCAP_DEFAULT_RETRIEVED = 4  # K
 
 
@@ -35,8 +33,7 @@ class SimilarityMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values.data if isinstance(self.values, Tensor)
-                                 else self.values, dtype=np.float64)
+        self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ContractError(f"similarity matrix must be 2-D, got {self.values.shape}")
         if self.values.size and (self.values.min() < -1.0 - 1e-5
@@ -50,10 +47,6 @@ class SimilarityMatrix:
     @property
     def num_gallery(self) -> int:
         return self.values.shape[1]
-
-
-def _as_similarity(sim) -> SimilarityMatrix:
-    return sim if isinstance(sim, SimilarityMatrix) else SimilarityMatrix(sim)
 
 
 @dataclass
@@ -141,9 +134,8 @@ def _ranked_gallery(values: np.ndarray) -> np.ndarray:
     return np.argsort(-values, axis=-1, kind="stable")
 
 
-def recall_at_k(sim, gt: GroundTruth, k: int) -> float:
+def recall_at_k(sim: SimilarityMatrix, gt: GroundTruth, k: int) -> float:
     """Percentage of queries whose top-k ranking contains a correct item."""
-    sim = _as_similarity(sim)
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     if k > sim.num_gallery:
@@ -165,12 +157,11 @@ def mean_recall(six_values) -> float:
     return sum(vals) / 6.0
 
 
-def retrieve_top_k(query_embedding, gallery_embeddings, k: int) -> list[int]:
+def retrieve_top_k(query_embedding: np.ndarray, gallery_embeddings: np.ndarray,
+                   k: int) -> list[int]:
     """Top-k gallery indices by cosine similarity to the query."""
-    q = np.asarray(query_embedding.data if isinstance(query_embedding, Tensor)
-                   else query_embedding, dtype=np.float64)
-    g = np.asarray(gallery_embeddings.data if isinstance(gallery_embeddings, Tensor)
-                   else gallery_embeddings, dtype=np.float64)
+    q = np.asarray(query_embedding, dtype=np.float64)
+    g = np.asarray(gallery_embeddings, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] == 0:
         raise ContractError(f"gallery must be a non-empty [G, m] matrix, got {g.shape}")
     if q.shape != (g.shape[1],):
@@ -190,25 +181,19 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(an @ bn.T, -1.0, 1.0)
 
 
-def zero_shot_classify(image_embeddings, class_names: list[str],
+def zero_shot_classify(image_embeddings: np.ndarray, class_names: list[str],
                        template: ZeroShotTemplate, text_encoder) -> list[int]:
     """Predict the class whose prompt embedding is most cosine-similar to
     each image embedding; ties break toward the lower class index.
 
-    text_encoder maps a prompt string to a 1-D embedding.
+    text_encoder maps a prompt string to a 1-D embedding array.
     """
     if not class_names:
         raise ContractError("zero-shot classification needs at least one class")
-    imgs = np.asarray(image_embeddings.data if isinstance(image_embeddings, Tensor)
-                      else image_embeddings, dtype=np.float64)
+    imgs = np.asarray(image_embeddings, dtype=np.float64)
     if imgs.ndim != 2:
         raise ContractError(f"image embeddings must be [Q, m], got {imgs.shape}")
-    prompts = [template.expand(name) for name in class_names]
-    class_vecs = []
-    for p in prompts:
-        v = text_encoder(p)
-        class_vecs.append(np.asarray(v.data if isinstance(v, Tensor) else v,
-                                     dtype=np.float64))
+    class_vecs = [text_encoder(template.expand(name)) for name in class_names]
     sims = cosine_matrix(imgs, np.stack(class_vecs))
     # argmax returns the first (lowest-index) maximum, which is the tie rule
     return [int(np.argmax(row)) for row in sims]
@@ -254,12 +239,6 @@ def build_lmcap_prompt(retrieved_captions: list[str], language_name: str,
     block.  Retrieved captions appear quoted and comma-joined, in retrieval
     order."""
     return "".join(fewshot_blocks) + format_lmcap_block(retrieved_captions, language_name)
-
-
-def format_lmcap_example(retrieved_captions: list[str], language_name: str,
-                         completion: str) -> str:
-    """One few-shot block: the query template with its answer appended."""
-    return format_lmcap_block(retrieved_captions, language_name) + f" {completion}\n\n"
 
 
 # ---------------------------------------------------------------------------

@@ -100,28 +100,27 @@ def info_nce_loss(batch: ContrastiveBatch) -> Tensor:
     return ad.mul(ad.add(t2i, i2t), 0.5)
 
 
-def teacher_distribution(logits, state: TeacherState) -> Tensor:
+def teacher_distribution(z: np.ndarray, state: TeacherState) -> np.ndarray:
     """Centered and sharpened teacher output: softmax((z - c) / tau_t).
 
-    Pure value computation (the teacher never joins the tape); accepts [K]
-    or a stacked [B, K] logit block.
+    Pure value computation (the teacher never joins the tape) over a [B, K]
+    logit block.
     """
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     k = state.center.shape[0]
     if z.shape[-1] != k:
         raise ShapeError(f"teacher logits last dim {z.shape} vs center ({k},)")
     shifted = (z - state.center.astype(z.dtype)) / state.tau_teacher
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return Tensor(e / e.sum(axis=-1, keepdims=True), dtype=z.dtype)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def soft_distillation_terms(teacher_dists, student_dists, average_pairs: bool = True) -> Tensor:
     """Cross entropy from each teacher global view to every other student
     view, averaged over the pairs (raw sum when average_pairs is False).
 
-    Entries are [B, K] blocks, teacher blocks constant and student blocks on
-    the tape, with the global views first in the student list; each pair
+    Entries are [B, K] blocks, teacher blocks plain arrays and student blocks
+    on the tape, with the global views first in the student list; each pair
     term is the batch-mean cross entropy.  2 global + 8 local views make
     2 * (10 - 1) = 18 pairs."""
     g, s = len(teacher_dists), len(student_dists)
@@ -131,7 +130,6 @@ def soft_distillation_terms(teacher_dists, student_dists, average_pairs: bool = 
     count = 0
     for ti in range(g):
         target = teacher_dists[ti]
-        target = target.data if isinstance(target, Tensor) else np.asarray(target)
         for si in range(s):
             if si == ti:
                 continue
@@ -177,10 +175,8 @@ def ema_update(teacher: TeacherState, student: ModelParams) -> TeacherState:
     return teacher
 
 
-def update_center(state: TeacherState, teacher_logits_batch) -> TeacherState:
+def update_center(state: TeacherState, z: np.ndarray) -> TeacherState:
     """c <- momentum * c + (1 - momentum) * batch mean of teacher logits."""
-    z = (teacher_logits_batch.data if isinstance(teacher_logits_batch, Tensor)
-         else np.asarray(teacher_logits_batch))
     if z.ndim != 2 or z.shape[0] < 1:
         raise ContractError(f"need a non-empty [B, K] logit batch, got shape {z.shape}")
     if z.shape[1] != state.center.shape[0]:

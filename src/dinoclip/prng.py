@@ -9,8 +9,6 @@ across runs, platforms, and any parallel execution order.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -110,12 +108,6 @@ class RandomStream:
         with np.errstate(over="ignore"):
             states = np.uint64(self._key) + idx * np.uint64(GAMMA)
         return (_mix64_array(states) >> np.uint64(11)) * 2.0**-53
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller (two uniforms per call)."""
-        u1 = max(self.uniform(), 2.0**-53)
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def truncated_normals(self, n: int, std: float = 1.0, bound: float = 2.0) -> np.ndarray:
         """n normals with |z| <= bound (in std units), via vectorized rejection."""

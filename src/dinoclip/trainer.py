@@ -19,7 +19,8 @@ from .data import (AugmentationConfig, EpochSamplingPolicy, load_record_image,
 from .encoders import (DinoProjectorConfig, ModelConfig, ModelParams,
                        TextEncoderConfig, VisionEncoderConfig, encode_images,
                        encode_text, init_model_params, project_dino, resize_bicubic)
-from .errors import CheckpointShapeError, ContractError, DomainError, NumericError
+from .errors import (CheckpointError, CheckpointShapeError, ContractError, DomainError,
+                     NumericError)
 from .objectives import (ContrastiveBatch, TeacherState, combined_loss, ema_update,
                          info_nce_loss, make_teacher, soft_distillation_terms,
                          teacher_distribution, update_center)
@@ -193,20 +194,20 @@ def init_train_state(config: TrainConfig) -> TrainState:
 
 
 _SECTIONS = ("config", "counters", "student", "teacher", "center", "adam_m", "adam_v")
+_COUNTERS = ("step", "next_epoch", "adam_t")
 
 
 def save_checkpoint(state: TrainState, path):
-    sections = [
-        ("config", ckpt.pack_json(state.config.to_dict())),
-        ("counters", ckpt.pack_json({"step": state.step, "next_epoch": state.next_epoch,
-                                     "adam_t": state.adam.t})),
-        ("student", ckpt.pack_tensors({k: v.data for k, v in state.student.items()})),
-        ("teacher", ckpt.pack_tensors({k: v.data for k, v in state.teacher.params.items()})),
-        ("center", ckpt.pack_tensors({"center": state.teacher.center})),
-        ("adam_m", ckpt.pack_tensors(state.adam.m)),
-        ("adam_v", ckpt.pack_tensors(state.adam.v)),
-    ]
-    ckpt.write_container(path, sections)
+    payloads = (
+        ckpt.pack_json(state.config.to_dict()),
+        ckpt.pack_json(dict(zip(_COUNTERS, (state.step, state.next_epoch, state.adam.t)))),
+        ckpt.pack_tensors({k: v.data for k, v in state.student.items()}),
+        ckpt.pack_tensors({k: v.data for k, v in state.teacher.params.items()}),
+        ckpt.pack_tensors({"center": state.teacher.center}),
+        ckpt.pack_tensors(state.adam.m),
+        ckpt.pack_tensors(state.adam.v),
+    )
+    ckpt.write_container(path, list(zip(_SECTIONS, payloads)))
 
 
 def _params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
@@ -227,6 +228,9 @@ def load_checkpoint(path) -> TrainState:
     sections = ckpt.read_container(path, required=_SECTIONS)
     config = TrainConfig.from_dict(ckpt.unpack_json(sections["config"]))
     counters = ckpt.unpack_json(sections["counters"])
+    if not isinstance(counters, dict) or any(type(counters.get(k)) is not int
+                                             for k in _COUNTERS):
+        raise CheckpointError(f"counters section needs integer {_COUNTERS}, got {counters!r}")
     student = _params_from_arrays(config.model, ckpt.unpack_tensors(sections["student"]))
     teacher_params = _params_from_arrays(config.model, ckpt.unpack_tensors(sections["teacher"]))
     center = ckpt.unpack_tensors(sections["center"])["center"]
@@ -318,17 +322,15 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
             lr = lr_schedule(state.step, total_steps, warmup_steps, config.learning_rate)
 
             captions = [sample_caption(rec, epoch, policy) for rec in batch]
-            bundles = []
+            views = []
             for rec in batch:
                 img = image_cache.get(rec.index)
                 if img is None:
                     img = image_cache.setdefault(rec.index,
                                                  load_record_image(rec, root=data_root))
                 stream = RandomStream(config.seed, epoch, rec.index)
-                bundles.append(make_views(img, aug, stream))
-
-            view_batches = [Tensor(np.stack([b.all_views()[v] for b in bundles]))
-                            for v in range(2 + aug.n_local)]
+                views.append(make_views(img, aug, stream))
+            view_batches = [Tensor(v) for v in np.stack(views, axis=1)]  # [B, 3, S, S] each
 
             teacher_dists, teacher_logit_rows, teacher_entropy = None, None, None
             if distill:
@@ -336,8 +338,7 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
                                          encode_images(state.teacher.params,
                                                        view_batches[g])).data
                             for g in range(2)]
-                teacher_dists = [teacher_distribution(z, state.teacher).data
-                                 for z in t_logits]
+                teacher_dists = [teacher_distribution(z, state.teacher) for z in t_logits]
                 teacher_logit_rows = np.concatenate(t_logits, axis=0)
                 teacher_entropy = _entropy(np.concatenate(teacher_dists,
                                                           axis=0).mean(axis=0))

@@ -7,9 +7,10 @@ import pytest
 from dinoclip import autodiff as ad
 from dinoclip.autodiff import Tensor
 from dinoclip.data import load_manifest
-from dinoclip.encoders import (DinoProjectorConfig, ModelConfig, TextEncoderConfig,
-                               VisionEncoderConfig)
+from dinoclip.encoders import (BYTE_OFFSET, DinoProjectorConfig, ModelConfig,
+                               TextEncoderConfig, VisionEncoderConfig)
 from dinoclip.errors import ContractError
+from dinoclip.evaluation import format_lmcap_block
 
 FIXTURE_CAPTIONS_EN = [
     "airport with runways", "dense residential area", "baseball field",
@@ -59,6 +60,28 @@ def write_synthetic_manifest(path, n: int = 16, size: int = 32, languages=("en",
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
     return path
+
+
+def write_ppm(path, image: np.ndarray):
+    """[3, H, W] floats in [0, 1] to binary PPM."""
+    arr = np.clip(np.asarray(image), 0.0, 1.0)
+    c, h, w = arr.shape
+    data = (arr * 255.0).round().astype(np.uint8).transpose(1, 2, 0)
+    with open(path, "wb") as f:
+        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        f.write(data.tobytes())
+
+
+def detokenize(ids) -> str:
+    """Inverse of tokenize below the truncation limit (specials dropped)."""
+    payload = bytes(i - BYTE_OFFSET for i in ids if i >= BYTE_OFFSET)
+    return payload.decode("utf-8", errors="replace")
+
+
+def format_lmcap_example(retrieved_captions: list[str], language_name: str,
+                         completion: str) -> str:
+    """One few-shot block: the query template with its answer appended."""
+    return format_lmcap_block(retrieved_captions, language_name) + f" {completion}\n\n"
 
 
 # -------------------------------------------------------------------------

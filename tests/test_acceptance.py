@@ -18,17 +18,16 @@ from dinoclip.encoders import (DinoProjectorConfig, ModelConfig, ModelParams,
                                project_dino, _parameter_spec)
 from dinoclip.evaluation import (GroundTruth, SimilarityMatrix, ZeroShotTemplate,
                                  build_lmcap_prompt, cosine_matrix, format_lmcap_block,
-                                 format_lmcap_example, mean_recall, recall_at_k,
-                                 retrieval_report, retrieve_top_k, split_80_20,
-                                 zero_shot_classify)
-from dinoclip.gradcheck import max_gradient_error
+                                 mean_recall, recall_at_k, retrieval_report,
+                                 retrieve_top_k, split_80_20, zero_shot_classify)
 from dinoclip.objectives import (ContrastiveBatch, combined_loss, ema_update,
                                  info_nce_loss, make_teacher, soft_distillation_terms)
 from dinoclip.trainer import (TrainConfig, embed_record_images, embed_texts,
                               load_checkpoint, save_checkpoint, train)
 
-from conftest import (DistributionSet, distillation_pair_count, self_distillation_loss,
-                      tiny_model_config, write_synthetic_manifest)
+from conftest import (DistributionSet, distillation_pair_count, format_lmcap_example,
+                      self_distillation_loss, tiny_model_config, write_synthetic_manifest)
+from gradcheck import max_gradient_error
 
 GRAD_TOL = 1e-3
 GRAD_STEP = 1e-4

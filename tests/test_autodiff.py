@@ -6,7 +6,8 @@ import pytest
 from dinoclip import autodiff as ad
 from dinoclip.autodiff import GradientMap, Tape, Tensor, backward, parameter
 from dinoclip.errors import ContractError, DomainError, ShapeError
-from dinoclip.gradcheck import check_gradients, max_gradient_error
+
+from gradcheck import check_gradients, max_gradient_error
 
 # -------------------------------------------------------------------------
 # value semantics
@@ -161,7 +162,6 @@ def test_backward_disconnected_parameter_gets_zero():
         loss = ad.sum_(p)
     grads = backward(tape, loss, params=[p, q])
     assert np.array_equal(grads[q].data, np.zeros(3, dtype=np.float32))
-    assert len(grads) == 2
 
 
 def test_backward_rejects_nonscalar_loss():
@@ -169,7 +169,7 @@ def test_backward_rejects_nonscalar_loss():
     with Tape() as tape:
         out = ad.mul(p, 2.0)
     with pytest.raises(ContractError):
-        backward(tape, out)
+        backward(tape, out, params=[p])
 
 
 def test_backward_accumulates_reused_operand():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from dinoclip.cli import main
-from dinoclip.data import read_record_file, write_ppm, write_record_file
+from dinoclip.data import read_record_file, write_record_file
 from dinoclip.trainer import TrainConfig
 
-from conftest import write_synthetic_manifest
+from conftest import write_ppm, write_synthetic_manifest
 from test_trainer import tiny_train_config
 
 
@@ -194,6 +194,29 @@ def test_zero_shot_truncated_image_is_validation_error(workdir):
     rc = main(["zero-shot", "--checkpoint", str(ckpt), "--class-index", str(index_path),
                "--data-root", str(workdir)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("index", [
+    {}, {"river": "cut.ppm"}, {"river": []}, {"river": ["a.ppm", 3]}, ["a.ppm"],
+    {"test": {}},
+], ids=["empty", "string-value", "empty-list", "non-string-path", "array", "empty-test"])
+def test_zero_shot_bad_class_index_is_validation_error(workdir, capsys, index):
+    ckpt = _train(workdir)
+    index_path = workdir / "cls.json"
+    index_path.write_text(json.dumps(index))
+    rc = main(["zero-shot", "--checkpoint", str(ckpt), "--class-index", str(index_path),
+               "--data-root", str(workdir)])
+    assert rc == 2
+    assert "class" in capsys.readouterr().err
+
+
+def test_make_splits_bad_class_index_is_validation_error(workdir):
+    index_path = workdir / "classes.json"
+    index_path.write_text(json.dumps({"river": "abc.ppm"}))
+    rc = main(["make-splits", "--class-index", str(index_path),
+               "--out", str(workdir / "splits.json")])
+    assert rc == 2
+    assert not (workdir / "splits.json").exists()
 
 
 def test_corrupt_checkpoint_is_io_error(workdir):

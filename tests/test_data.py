@@ -9,17 +9,16 @@ from scipy.stats import chisquare
 
 from dinoclip.data import (AugmentationConfig, EpochSamplingPolicy, CaptionRecord,
                            ImageCaptionRecord, build_translation_prompt,
-                           build_translation_prompts, detokenize,
-                           ingest_translations, load_manifest, make_views,
-                           read_ppm, read_record_file, sample_caption,
-                           save_manifest, synthetic_image, tokenize,
-                           write_ppm, write_record_file)
+                           build_translation_prompts, ingest_translations,
+                           load_manifest, make_views, read_ppm, read_record_file,
+                           sample_caption, save_manifest, synthetic_image, tokenize,
+                           write_record_file)
 from dinoclip.encoders import END_ID, SENTINEL_ID, BYTE_OFFSET
 from dinoclip.errors import (AlignmentError, ContractError, DomainError,
                              ManifestParseError, ValidationError)
 from dinoclip.prng import RandomStream
 
-from conftest import write_synthetic_manifest
+from conftest import detokenize, write_ppm, write_synthetic_manifest
 
 
 # -------------------------------------------------------------------------
@@ -91,8 +90,26 @@ _GOOD_LINE = json.dumps({"image": "a.ppm", "captions": {"en": ["x"]}, "split": "
      ValidationError, "must be a list"),
     ('{"image": "a.ppm", "captions": {"en": ["x", 7]}, "split": "train"}', ValidationError,
      "empty caption"),
+    ('{"image": 5, "captions": {"en": ["x"]}, "split": "train"}', ValidationError,
+     "image must be"),
+    ('{"image": "", "captions": {"en": ["x"]}, "split": "train"}', ValidationError,
+     "image must be"),
+    ('{"image": null, "captions": {"en": ["x"]}, "split": "train"}', ValidationError,
+     "image must be"),
+    ('{"image": {"path": "a.ppm"}, "captions": {"en": ["x"]}, "split": "train"}',
+     ValidationError, "image must be"),
+    ('{"image": {"synthetic": {"seed": 1}}, "captions": {"en": ["x"]}, "split": "train"}',
+     ValidationError, "image must be"),
+    ('{"image": {"synthetic": {"seed": 1.5, "size": 8}}, "captions": {"en": ["x"]}, '
+     '"split": "train"}', ValidationError, "image must be"),
+    ('{"image": {"synthetic": {"seed": 1, "size": "8"}}, "captions": {"en": ["x"]}, '
+     '"split": "train"}', ValidationError, "image must be"),
+    ('{"image": {"synthetic": [1, 8]}, "captions": {"en": ["x"]}, "split": "train"}',
+     ValidationError, "image must be"),
 ], ids=["array-line", "string-line", "captions-list", "captions-int", "en-string",
-        "de-string", "non-string-caption"])
+        "de-string", "non-string-caption", "image-int", "image-empty", "image-null",
+        "image-other-object", "synthetic-no-size", "synthetic-float-seed",
+        "synthetic-string-size", "synthetic-list"])
 def test_malformed_manifest_lines_raise_documented_errors(tmp_path, line, error, match):
     path = tmp_path / "m.jsonl"
     path.write_text(_GOOD_LINE + "\n" + line + "\n")
@@ -233,20 +250,17 @@ def _plain_config(**kwargs):
 def test_make_views_counts_and_sizes():
     img = synthetic_image(0, 24)
     config = _plain_config()
-    bundle = make_views(img, config, RandomStream(1))
-    assert len(bundle.global_views) == 2
-    assert len(bundle.local_views) == 8
-    assert len(bundle.all_views()) == 10
-    for view in bundle.all_views():
-        assert view.shape == (3, 16, 16)
+    views = make_views(img, config, RandomStream(1))
+    assert views.shape == (10, 3, 16, 16)
+    assert views.dtype == np.float32
 
 
 def test_make_views_augmentation_off_reproduces_input():
     img = synthetic_image(3, 16).astype(np.float32)
     config = _plain_config(jitter_strength=0.0, blur_prob=0.0, solarize_prob=0.0,
                            global_scale=(1.0, 1.0))
-    bundle = make_views(img, config, RandomStream(4))
-    for view in bundle.global_views:
+    views = make_views(img, config, RandomStream(4))
+    for view in views[:2]:
         assert np.allclose(view, img, atol=1e-6)
 
 
@@ -255,20 +269,17 @@ def test_make_views_deterministic():
     config = _plain_config()
     a = make_views(img, config, RandomStream(42, 7))
     b = make_views(img, config, RandomStream(42, 7))
-    for va, vb in zip(a.all_views(), b.all_views()):
-        assert np.array_equal(va, vb)
+    assert np.array_equal(a, b)
     c = make_views(img, config, RandomStream(42, 8))
-    assert any(not np.array_equal(va, vc)
-               for va, vc in zip(a.all_views(), c.all_views()))
+    assert any(not np.array_equal(va, vc) for va, vc in zip(a, c))
 
 
 def test_make_views_output_range():
     config = _plain_config(jitter_strength=1.0, blur_prob=1.0, solarize_prob=1.0)
     for seed in range(5):
         img = synthetic_image(seed, 24)
-        bundle = make_views(img, config, RandomStream(seed))
-        for view in bundle.all_views():
-            assert view.min() >= 0.0 and view.max() <= 1.0
+        views = make_views(img, config, RandomStream(seed))
+        assert views.min() >= 0.0 and views.max() <= 1.0
 
 
 def test_make_views_rejects_too_small_images():

@@ -8,9 +8,9 @@ from dinoclip.autodiff import Tensor
 from dinoclip.encoders import (VisionEncoderConfig, encode_images, encode_text, init_model_params,
                                project_dino, resize_bicubic)
 from dinoclip.errors import ContractError, DomainError, ShapeError, VocabularyError
-from dinoclip.gradcheck import check_gradients
 
 from conftest import tiny_model_config
+from gradcheck import check_gradients
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +89,8 @@ def test_encode_text_overlong_is_callers_problem(params):
 
 
 def test_project_dino_output_length(params, rng):
-    out = project_dino(params, Tensor(rng.normal(size=4).astype(np.float32)))
-    assert out.shape == (8,)
+    out = project_dino(params, Tensor(rng.normal(size=(1, 4)).astype(np.float32)))
+    assert out.shape == (1, 8)
 
 
 def test_project_dino_bottleneck_scale_invariance(params, rng):

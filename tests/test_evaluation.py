@@ -6,9 +6,11 @@ import pytest
 from dinoclip.errors import ContractError, DomainError, ValidationError
 from dinoclip.evaluation import (GroundTruth, RetrievalReport, SimilarityMatrix,
                                  ZeroShotTemplate, build_lmcap_prompt, cosine_matrix,
-                                 format_lmcap_block, format_lmcap_example, mean_recall,
-                                 recall_at_k, retrieval_report, retrieve_top_k,
-                                 split_80_20, zero_shot_classify)
+                                 format_lmcap_block, mean_recall, recall_at_k,
+                                 retrieval_report, retrieve_top_k, split_80_20,
+                                 zero_shot_classify)
+
+from conftest import format_lmcap_example
 
 
 # -------------------------------------------------------------------------

@@ -138,23 +138,23 @@ def _teacher_state(k=8, **kwargs):
 def test_teacher_distribution_centered_out_is_uniform(rng):
     state = _teacher_state()
     state.center = rng.normal(size=8).astype(np.float32)
-    dist = teacher_distribution(Tensor(state.center.copy()), state)
-    assert np.allclose(dist.data, 1.0 / 8, atol=1e-6)
+    dist = teacher_distribution(state.center.copy(), state)
+    assert np.allclose(dist, 1.0 / 8, atol=1e-6)
 
 
 def test_teacher_distribution_sharpening_concentrates(rng):
     state = _teacher_state(tau_teacher=0.005)
     logits = 0.01 * rng.normal(size=8).astype(np.float32)
     logits[3] = logits.max() + 0.2            # gap / tau_t = 40 >> 10
-    dist = teacher_distribution(Tensor(logits), state)
-    assert dist.data[np.argmax(logits)] > 0.99
+    dist = teacher_distribution(logits, state)
+    assert dist[np.argmax(logits)] > 0.99
 
 
 def test_teacher_distribution_sums_to_one(rng):
     state = _teacher_state()
     for _ in range(10):
-        dist = teacher_distribution(Tensor(rng.normal(size=8).astype(np.float32)), state)
-        assert abs(dist.data.sum() - 1.0) < 1e-6
+        dist = teacher_distribution(rng.normal(size=8).astype(np.float32), state)
+        assert abs(dist.sum() - 1.0) < 1e-6
 
 
 # The student distribution is softmax(z / tau_s), computed by ad.softmax.
@@ -183,24 +183,29 @@ def test_student_distribution_rejects_bad_temperature():
 # self-distillation
 # -------------------------------------------------------------------------
 
+def _rows(dists):
+    """[K] distributions -> [1, K] float64 teacher blocks for soft_distillation_terms."""
+    return [np.asarray(d, dtype=np.float64)[None, :] for d in dists]
+
+
 def _blocks(dists):
-    """[K] distributions -> [1, K] float64 blocks for soft_distillation_terms."""
-    return [Tensor(np.asarray(d)[None, :], dtype=np.float64) for d in dists]
+    """[K] distributions -> [1, K] float64 student blocks (tensors)."""
+    return [Tensor(r, dtype=np.float64) for r in _rows(dists)]
 
 
 def test_pair_count_formula(rng):
     for n_views, pairs in ((10, 18), (3, 4)):
         teacher = [rng.dirichlet(np.ones(4)) for _ in range(2)]
         student = _blocks(rng.dirichlet(np.ones(4)) for _ in range(n_views))
-        avg = soft_distillation_terms(_blocks(teacher), student).item()
-        raw = soft_distillation_terms(_blocks(teacher), student, average_pairs=False).item()
+        avg = soft_distillation_terms(_rows(teacher), student).item()
+        raw = soft_distillation_terms(_rows(teacher), student, average_pairs=False).item()
         assert abs(raw - pairs * avg) < 1e-9
 
 
 def test_self_distillation_uniform_equals_log_k():
     k, n_views = 8, 5
     u = np.full(k, 1.0 / k)
-    loss = soft_distillation_terms(_blocks([u] * 2), _blocks([u] * n_views))
+    loss = soft_distillation_terms(_rows([u] * 2), _blocks([u] * n_views))
     assert abs(loss.item() - np.log(k)) < 1e-6
 
 
@@ -208,7 +213,7 @@ def test_self_distillation_matches_brute_force(rng):
     k, n_views = 6, 4
     teacher = [rng.dirichlet(np.ones(k)) for _ in range(2)]
     student = [rng.dirichlet(np.ones(k)) for _ in range(n_views)]
-    got = soft_distillation_terms(_blocks(teacher), _blocks(student)).item()
+    got = soft_distillation_terms(_rows(teacher), _blocks(student)).item()
 
     total, pairs = 0.0, 0
     for ti in range(2):
@@ -223,7 +228,7 @@ def test_self_distillation_matches_brute_force(rng):
 
 def test_self_distillation_raw_sum_variant(rng):
     k = 5
-    teacher = _blocks(rng.dirichlet(np.ones(k)) for _ in range(2))
+    teacher = _rows(rng.dirichlet(np.ones(k)) for _ in range(2))
     student = _blocks(rng.dirichlet(np.ones(k)) for _ in range(3))
     avg = soft_distillation_terms(teacher, student, average_pairs=True).item()
     raw = soft_distillation_terms(teacher, student, average_pairs=False).item()
@@ -233,18 +238,18 @@ def test_self_distillation_raw_sum_variant(rng):
 def test_self_distillation_needs_two_globals():
     u = np.full(4, 0.25)
     with pytest.raises(ContractError):
-        soft_distillation_terms(_blocks([u]), _blocks([u] * 3))
+        soft_distillation_terms(_rows([u]), _blocks([u] * 3))
 
 
 def test_self_distillation_lower_bound_is_teacher_entropy(rng):
     k = 7
     p = rng.dirichlet(np.ones(k))
     entropy = -(p * np.log(p)).sum()
-    got = soft_distillation_terms(_blocks([p] * 2), _blocks([p] * 4)).item()
+    got = soft_distillation_terms(_rows([p] * 2), _blocks([p] * 4)).item()
     assert abs(got - entropy) < 1e-9
     # any other student distribution can only increase the loss
     q = rng.dirichlet(np.ones(k))
-    worse = soft_distillation_terms(_blocks([p] * 2), _blocks([q] * 4)).item()
+    worse = soft_distillation_terms(_rows([p] * 2), _blocks([q] * 4)).item()
     assert worse >= got - 1e-12
 
 
@@ -375,14 +380,14 @@ def test_teacher_gradient_is_identically_zero(rng):
     from dinoclip.encoders import encode_images, project_dino
     t_logits = project_dino(teacher.params,
                             encode_images(teacher.params, Tensor(imgs, dtype=np.float64)))
-    t_dist = teacher_distribution(t_logits, teacher)
+    t_dist = teacher_distribution(t_logits.data, teacher)
 
     with Tape() as tape:
         emb = encode_images(student, Tensor(imgs, dtype=np.float64))
         s_dist = ad.softmax(project_dino(student, emb), temperature=1.0)
         loss = combined_loss(
             info_nce_loss(ContrastiveBatch(emb, emb, tau=0.1)),
-            ad.soft_cross_entropy(t_dist.data, s_dist))
+            ad.soft_cross_entropy(t_dist, s_dist))
     grads = backward(tape, loss, params=list(teacher.params.tensors.values()))
     for name, t in teacher.params.items():
         assert np.array_equal(grads[t].data, np.zeros_like(t.data)), name
@@ -403,8 +408,8 @@ def test_contrastive_branch_ignores_local_views(rng):
     def losses(local):
         t_dists = [teacher_distribution(
             project_dino(teacher.params,
-                         encode_images(teacher.params, Tensor(g, dtype=np.float64))),
-            teacher).data for g in (g0, g1)]
+                         encode_images(teacher.params, Tensor(g, dtype=np.float64))).data,
+            teacher) for g in (g0, g1)]
         emb0 = encode_images(student, Tensor(g0, dtype=np.float64))
         nce = info_nce_loss(ContrastiveBatch(Tensor(texts, dtype=np.float64), emb0,
                                              tau=0.1))

@@ -198,8 +198,9 @@ def _rewrite_sections(src, dst, edit):
     lambda sec: sec.update(config=b"{not json"),
     lambda sec: sec.update(counters=b"\xff\xfe"),
     lambda sec: sec.update(student=sec["student"].replace(b"vision.pos", b"vision.p\xffs")),
+    lambda sec: sec.update(counters=b"{}"),
 ], ids=["missing-center", "missing-config", "bad-json", "bad-utf8-json",
-        "bad-utf8-tensor-name"])
+        "bad-utf8-tensor-name", "counters-without-keys"])
 def test_checkpoint_corrupt_section_detected(tmp_path, tiny_records, edit):
     state, _ = train(tiny_train_config(epochs=1), tiny_records)
     path, bad = tmp_path / "c.ckpt", tmp_path / "bad.ckpt"
@@ -207,6 +208,19 @@ def test_checkpoint_corrupt_section_detected(tmp_path, tiny_records, edit):
     _rewrite_sections(path, bad, edit)
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
+
+
+def test_checkpoint_write_failing_midway_keeps_old_file(tmp_path, tiny_records):
+    state, _ = train(tiny_train_config(epochs=1), tiny_records)
+    (tmp_path / "ckpt").mkdir()
+    path = tmp_path / "ckpt" / "c.ckpt"
+    save_checkpoint(state, path)
+    before = path.read_bytes()
+    # the second payload is not bytes, so the write fails after the first section
+    with pytest.raises(TypeError):
+        ckpt.write_container(path, [("config", b"{}" * 1000), ("counters", object())])
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == ["c.ckpt"]
 
 
 # -------------------------------------------------------------------------
