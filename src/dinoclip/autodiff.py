@@ -11,6 +11,7 @@ the gradient.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,8 +24,10 @@ LOG_CLAMP = 1e-12
 NORMALIZE_EPS = 1e-12
 LAYER_NORM_EPS = 1e-5
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not NumPy float64 scalars: under NumPy's scalar promotion
+# (NEP 50) a float64 scalar would turn a float32 operand into float64.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:

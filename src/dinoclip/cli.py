@@ -32,7 +32,11 @@ EXIT_IO = 4
 def _load_config(args) -> TrainConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            cfg = TrainConfig.from_dict(json.load(f))
+            try:
+                obj = json.load(f)
+            except ValueError as e:
+                raise ValidationError(f"{args.config}: not a JSON config: {e}") from e
+        cfg = TrainConfig.from_dict(obj)
     else:
         cfg = TrainConfig()
     if args.seed is not None:

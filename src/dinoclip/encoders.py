@@ -7,6 +7,7 @@ expressible through the configs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .prng import RandomStream
 
 # Byte-level tokenizer constants: ids below 256 are reserved for specials,
 # raw bytes live at 256 + b.
+PAD_ID = 0
 SENTINEL_ID = 1
 END_ID = 2
 BYTE_OFFSET = 256
@@ -202,8 +204,11 @@ def init_model_params(config: ModelConfig, seed: int, dtype=np.float32) -> Model
 # ---------------------------------------------------------------------------
 
 def _transformer(params: ModelParams, prefix: str, x: Tensor, depth: int,
-                 heads: int) -> Tensor:
-    """Pre-norm transformer over x: [B, T, W] -> [B, T, W]."""
+                 heads: int, mask: Tensor = None) -> Tensor:
+    """Pre-norm transformer over x: [B, T, W] -> [B, T, W].
+
+    ``mask`` ([B, 1, 1, T] of 0 / -inf) is added to the attention logits, so
+    a key at -inf gets zero weight from every query."""
     b, t, w = x.shape
     hd = w // heads
     scale = 1.0 / np.sqrt(hd)
@@ -217,7 +222,10 @@ def _transformer(params: ModelParams, prefix: str, x: Tensor, depth: int,
         q = head_split(ad.matmul(h, params[f"{blk}.attn.wq"]) + params[f"{blk}.attn.bq"])
         k = head_split(ad.matmul(h, params[f"{blk}.attn.wk"]) + params[f"{blk}.attn.bk"])
         v = head_split(ad.matmul(h, params[f"{blk}.attn.wv"]) + params[f"{blk}.attn.bv"])
-        scores = ad.softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * scale, axis=-1)
+        logits = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * scale
+        if mask is not None:
+            logits = logits + mask
+        scores = ad.softmax(logits, axis=-1)
         attn = ad.reshape(ad.transpose(ad.matmul(scores, v), (0, 2, 1, 3)), (b, t, w))
         x = x + ad.matmul(attn, params[f"{blk}.attn.wo"]) + params[f"{blk}.attn.bo"]
 
@@ -248,28 +256,48 @@ def encode_images(params: ModelParams, images: Tensor) -> Tensor:
     return ad.matmul(pooled, params["vision.proj"])                 # [B, m]
 
 
-def encode_text(params: ModelParams, token_ids) -> Tensor:
-    """Token id sequence -> [m] embedding, pooled at the position-0 sentinel."""
+def encode_text(params: ModelParams, token_lists) -> Tensor:
+    """Batch text encoder: B token id sequences -> [B, m] embeddings, pooled
+    at the position-0 sentinel.
+
+    Shorter sequences are padded with PAD_ID to the longest and their padded
+    keys masked out of every attention softmax, so padding changes a row only
+    by float roundoff.  The projection runs on every position before pooling,
+    so that no matmul has a single row and a row does not depend on the
+    batch size: sequences of one length encoded together give the same bits
+    as each encoded alone.
+    """
     cfg = params.config.text
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size < 1:
-        raise ContractError(f"token sequence must be non-empty and 1-D, got shape {ids.shape}")
-    if ids.size > cfg.max_length:
-        raise ContractError(f"sequence length {ids.size} exceeds max_length "
-                            f"{cfg.max_length}; truncate before encoding")
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+    seqs = [np.asarray(ids, dtype=np.int64) for ids in token_lists]
+    if not seqs:
+        raise ContractError("encode_text needs at least one token sequence")
+    for ids in seqs:
+        if ids.ndim != 1 or ids.size < 1:
+            raise ContractError(f"token sequence must be non-empty and 1-D, "
+                                f"got shape {ids.shape}")
+        if ids.size > cfg.max_length:
+            raise ContractError(f"sequence length {ids.size} exceeds max_length "
+                                f"{cfg.max_length}; truncate before encoding")
+    flat = np.concatenate(seqs)
+    if flat.min() < 0 or flat.max() >= cfg.vocab_size:
         raise VocabularyError(f"token id out of range [0, {cfg.vocab_size}): "
-                              f"{int(ids.min())}..{int(ids.max())}")
-    t = ids.size
-    tok = ad.gather_rows(params["text.tok_embed"], ids)             # [T, W]
+                              f"{int(flat.min())}..{int(flat.max())}")
+    lengths = np.array([ids.size for ids in seqs])
+    b, t = len(seqs), int(lengths.max())
+    padded = np.full((b, t), PAD_ID, dtype=np.int64)
+    for row, ids in zip(padded, seqs):
+        row[:ids.size] = ids
+    tok = ad.gather_rows(params["text.tok_embed"], padded.reshape(-1))    # [B*T, W]
     # slice positional rows via gather so the gradient lands on the used rows
     pos_rows = ad.gather_rows(params["text.pos"], np.arange(t, dtype=np.int64))
-    x = ad.reshape(tok + pos_rows, (1, t, cfg.width))
-    x = _transformer(params, "text", x, cfg.depth, cfg.heads)
+    x = ad.reshape(tok, (b, t, cfg.width)) + pos_rows
+    mask = None
+    if lengths.min() < t:
+        is_pad = np.arange(t)[None, :] >= lengths[:, None]                # [B, T]
+        mask = Tensor(np.where(is_pad, -np.inf, 0.0).reshape(b, 1, 1, t), dtype=x.dtype)
+    x = _transformer(params, "text", x, cfg.depth, cfg.heads, mask)
     x = ad.layer_norm(x, params["text.ln_f.gain"], params["text.ln_f.bias"])
-    pooled = ad.take_index(ad.take_index(x, 0, axis=0), 0, axis=0)  # [W]
-    return ad.reshape(ad.matmul(ad.reshape(pooled, (1, cfg.width)), params["text.proj"]),
-                      (params.config.embed_dim,))
+    return ad.take_index(ad.matmul(x, params["text.proj"]), 0, axis=1)    # [B, m]
 
 
 def project_dino(params: ModelParams, embedding: Tensor) -> Tensor:
@@ -299,9 +327,13 @@ def _catmull_rom(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _resize_axis_weights(src: int, dst: int):
     """Sample positions and 4-tap Catmull-Rom weights for one axis,
-    edge-clamped."""
+    edge-clamped.
+
+    Cached per (src, dst): the pairs in use are the crop sides times the few
+    output sizes, and every caller shares the read-only result."""
     coords = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
     base = np.floor(coords).astype(np.int64)
     frac = coords - base
@@ -309,6 +341,8 @@ def _resize_axis_weights(src: int, dst: int):
     weights = _catmull_rom(np.stack([frac + 1, frac, frac - 1, frac - 2], axis=1))
     weights /= weights.sum(axis=1, keepdims=True)
     taps = np.clip(taps, 0, src - 1)
+    taps.flags.writeable = False
+    weights.flags.writeable = False
     return taps, weights
 
 

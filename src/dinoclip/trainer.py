@@ -16,11 +16,10 @@ from . import checkpoint as ckpt
 from .autodiff import Tape, Tensor, backward
 from .data import (AugmentationConfig, EpochSamplingPolicy, load_record_image,
                    make_views, sample_caption, tokenize)
-from .encoders import (DinoProjectorConfig, ModelConfig, ModelParams,
-                       TextEncoderConfig, VisionEncoderConfig, encode_images,
-                       encode_text, init_model_params, project_dino, resize_bicubic)
+from .encoders import (ModelConfig, ModelParams, encode_images, encode_text,
+                       init_model_params, project_dino, resize_bicubic)
 from .errors import (CheckpointError, CheckpointShapeError, ContractError, DomainError,
-                     NumericError)
+                     NumericError, ValidationError)
 from .objectives import (ContrastiveBatch, TeacherState, combined_loss, ema_update,
                          info_nce_loss, make_teacher, soft_distillation_terms,
                          teacher_distribution, update_center)
@@ -71,21 +70,48 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        obj = dict(obj)
-        obj["betas"] = tuple(obj.get("betas", (0.9, 0.98)))
-        obj["sampling"] = EpochSamplingPolicy(**obj.get("sampling", {}))
-        aug = dict(obj.get("augmentation", {}))
-        for key in ("global_scale", "local_scale"):
-            if key in aug:
-                aug[key] = tuple(aug[key])
-        obj["augmentation"] = AugmentationConfig(**aug)
-        model = obj.get("model", {})
-        obj["model"] = ModelConfig(
-            vision=VisionEncoderConfig(**model.get("vision", {})),
-            text=TextEncoderConfig(**model.get("text", {})),
-            dino=DinoProjectorConfig(**model.get("dino", {})),
-        )
-        return cls(**obj)
+        """Inverse of to_dict; an unknown or ill-typed field, at any level,
+        raises ValidationError."""
+        return _dataclass_from_dict(cls, obj, "config")
+
+
+def _dataclass_from_dict(cls, obj, where: str):
+    """Build a config dataclass from parsed JSON, type-checking each field
+    against its default: bool, int, float (ints accepted), str, a tuple of
+    numbers of the default's length, or a nested config dataclass."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be an object, got {type(obj).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise ValidationError(f"{where}: unknown field(s) {unknown}")
+    kwargs = {}
+    for name, value in obj.items():
+        f = fields[name]
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        path = f"{where}.{name}"
+        if dataclasses.is_dataclass(default):
+            kwargs[name] = _dataclass_from_dict(type(default), value, path)
+            continue
+        if isinstance(default, tuple):
+            ok = (isinstance(value, (list, tuple)) and len(value) == len(default)
+                  and all(_is_number(v) for v in value))
+            value = tuple(float(v) for v in value) if ok else value
+        elif isinstance(default, float):
+            ok = _is_number(value)
+            value = float(value) if ok else value
+        else:
+            # exact type: bool is a subclass of int, and neither may stand for the other
+            ok = type(value) is type(default)
+        if not ok:
+            raise ValidationError(f"{path}: expected {type(default).__name__} like "
+                                  f"{default!r}, got {value!r}")
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +252,20 @@ def _params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> M
 
 def load_checkpoint(path) -> TrainState:
     sections = ckpt.read_container(path, required=_SECTIONS)
-    config = TrainConfig.from_dict(ckpt.unpack_json(sections["config"]))
+    try:
+        config = TrainConfig.from_dict(ckpt.unpack_json(sections["config"]))
+    except (ValidationError, DomainError) as e:
+        raise CheckpointError(f"config section: {e}") from e
     counters = ckpt.unpack_json(sections["counters"])
     if not isinstance(counters, dict) or any(type(counters.get(k)) is not int
                                              for k in _COUNTERS):
         raise CheckpointError(f"counters section needs integer {_COUNTERS}, got {counters!r}")
     student = _params_from_arrays(config.model, ckpt.unpack_tensors(sections["student"]))
     teacher_params = _params_from_arrays(config.model, ckpt.unpack_tensors(sections["teacher"]))
-    center = ckpt.unpack_tensors(sections["center"])["center"]
+    center = ckpt.unpack_tensors(sections["center"]).get("center")
+    if center is None or center.shape != (config.model.dino.output_dim,):
+        raise CheckpointError(f"center section needs a 'center' tensor of shape "
+                              f"({config.model.dino.output_dim},)")
     teacher = TeacherState(params=teacher_params, center=center,
                            ema_momentum=config.ema_momentum,
                            tau_teacher=config.tau_teacher,
@@ -264,8 +296,20 @@ def embed_record_images(params: ModelParams, records, data_root=None) -> np.ndar
 
 
 def embed_texts(params: ModelParams, texts: list[str]) -> np.ndarray:
+    """[N, m] caption embeddings in input order, in the encoder's dtype.
+
+    Texts of one token length are encoded together, unpadded, so each row is
+    bit-identical to the text embedded alone, whatever else is in the list.
+    """
     max_len = params.config.text.max_length
-    return np.stack([encode_text(params, tokenize(t, max_len)).data for t in texts])
+    token_lists = [tokenize(t, max_len) for t in texts]
+    by_length: dict[int, list[int]] = {}
+    for i, ids in enumerate(token_lists):
+        by_length.setdefault(len(ids), []).append(i)
+    out = np.empty((len(texts), params.config.embed_dim), dtype=params["text.proj"].dtype)
+    for rows in by_length.values():
+        out[rows] = encode_text(params, [token_lists[i] for i in rows]).data
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +388,7 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
                                                           axis=0).mean(axis=0))
 
             with Tape() as tape:
-                text_emb = [encode_text(state.student, tokenize(c.text, max_len))
-                            for c in captions]
-                u = ad.concat([ad.reshape(e, (1, e.shape[0])) for e in text_emb], axis=0)
+                u = encode_text(state.student, [tokenize(c.text, max_len) for c in captions])
                 v_first = encode_images(state.student, view_batches[0])
                 tau = ad.exp(state.student.log_tau)
                 loss_nce = info_nce_loss(ContrastiveBatch(captions=u, images=v_first,

@@ -7,6 +7,7 @@ import pytest
 from dinoclip import autodiff as ad
 from dinoclip.autodiff import Tensor
 from dinoclip.data import load_manifest
+from dinoclip import encoders
 from dinoclip.encoders import (BYTE_OFFSET, DinoProjectorConfig, ModelConfig,
                                TextEncoderConfig, VisionEncoderConfig)
 from dinoclip.errors import ContractError
@@ -70,6 +71,12 @@ def write_ppm(path, image: np.ndarray):
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(data.tobytes())
+
+
+def encode_text(params, token_ids) -> Tensor:
+    """One token id sequence -> [m] embedding: the library's batch encoder on
+    a batch of one."""
+    return ad.reshape(encoders.encode_text(params, [token_ids]), (params.config.embed_dim,))
 
 
 def detokenize(ids) -> str:

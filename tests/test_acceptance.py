@@ -14,8 +14,8 @@ from dinoclip.autodiff import Tensor
 from dinoclip.data import (AugmentationConfig, EpochSamplingPolicy,
                            build_translation_prompt, load_manifest)
 from dinoclip.encoders import (DinoProjectorConfig, ModelConfig, ModelParams,
-                               encode_images, encode_text, init_model_params,
-                               project_dino, _parameter_spec)
+                               encode_images, init_model_params, project_dino,
+                               _parameter_spec)
 from dinoclip.evaluation import (GroundTruth, SimilarityMatrix, ZeroShotTemplate,
                                  build_lmcap_prompt, cosine_matrix, format_lmcap_block,
                                  mean_recall, recall_at_k, retrieval_report,
@@ -25,8 +25,9 @@ from dinoclip.objectives import (ContrastiveBatch, combined_loss, ema_update,
 from dinoclip.trainer import (TrainConfig, embed_record_images, embed_texts,
                               load_checkpoint, save_checkpoint, train)
 
-from conftest import (DistributionSet, distillation_pair_count, format_lmcap_example,
-                      self_distillation_loss, tiny_model_config, write_synthetic_manifest)
+from conftest import (DistributionSet, distillation_pair_count, encode_text,
+                      format_lmcap_example, self_distillation_loss, tiny_model_config,
+                      write_synthetic_manifest)
 from gradcheck import max_gradient_error
 
 GRAD_TOL = 1e-3

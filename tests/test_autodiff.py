@@ -138,6 +138,16 @@ def test_gelu_zero_fixed_point():
     assert ad.gelu(Tensor(np.zeros(3, dtype=np.float32))).data.tolist() == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_keeps_input_dtype(dtype):
+    x = Tensor(np.linspace(-3, 3, 7), requires_grad=True, dtype=dtype)
+    with Tape() as tape:
+        y = ad.gelu(x)
+        loss = ad.sum_(y)
+    assert y.dtype == dtype
+    assert backward(tape, loss, params=[x])[x].dtype == dtype
+
+
 def test_rank_limit_enforced():
     with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 2, 2, 2, 2)))

@@ -10,7 +10,7 @@ from dinoclip.data import read_record_file, write_record_file
 from dinoclip.trainer import TrainConfig
 
 from conftest import write_ppm, write_synthetic_manifest
-from test_trainer import tiny_train_config
+from test_trainer import set_config_field, tiny_train_config
 
 
 @pytest.fixture
@@ -239,6 +239,37 @@ def test_bad_manifest_is_validation_error(workdir):
     bad.write_text("{not json\n")
     rc = main(["train", "--config", str(workdir / "config.json"),
                "--manifest", str(bad), "--out", str(workdir / "x.ckpt")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("path,value", [
+    (("foo",), 1),
+    (("betas",), [0.9]),
+    (("sampling", "include_english"), "yes"),
+    (("augmentation", "n_local"), "2"),
+    (("model", "vision", "foo"), 1),
+    (("model", "text", "heads"), 2.0),
+    (("model", "dino", "output_dim"), True),
+    ((), [1, 2]),
+], ids=["unknown-top", "short-tuple", "sampling-bool", "augmentation-int",
+        "vision-unknown", "text-int", "dino-bool", "not-object"])
+def test_train_bad_config_is_validation_error(workdir, capsys, path, value):
+    obj = json.loads((workdir / "config.json").read_text())
+    obj = set_config_field(obj, path, value) if path else value
+    bad = workdir / "bad_config.json"
+    bad.write_text(json.dumps(obj))
+    rc = main(["train", "--config", str(bad), "--manifest", str(workdir / "manifest.jsonl"),
+               "--out", str(workdir / "x.ckpt")])
+    assert rc == 2
+    assert "config" in capsys.readouterr().err
+    assert not (workdir / "x.ckpt").exists()
+
+
+def test_train_config_not_json_is_validation_error(workdir):
+    bad = workdir / "bad_config.json"
+    bad.write_text("{not json")
+    rc = main(["train", "--config", str(bad), "--manifest", str(workdir / "manifest.jsonl"),
+               "--out", str(workdir / "x.ckpt")])
     assert rc == 2
 
 

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from dinoclip import autodiff as ad
+from dinoclip import encoders
 from dinoclip.autodiff import Tensor
-from dinoclip.encoders import (VisionEncoderConfig, encode_images, encode_text, init_model_params,
-                               project_dino, resize_bicubic)
+from dinoclip.data import AugmentationConfig, make_views
+from dinoclip.encoders import (PAD_ID, ModelParams, VisionEncoderConfig, encode_images,
+                               encode_text, init_model_params, project_dino, resize_bicubic)
 from dinoclip.errors import ContractError, DomainError, ShapeError, VocabularyError
+from dinoclip.prng import RandomStream
 
 from conftest import tiny_model_config
 from gradcheck import check_gradients
@@ -62,30 +65,77 @@ def test_init_is_pure_function_of_config_and_seed():
 
 def test_encode_text_empty_caption_valid(params):
     # sentinel + end is the empty caption
-    emb = encode_text(params, [1, 2])
-    assert emb.shape == (4,)
-    assert np.isfinite(emb.data).all()
+    emb = encode_text(params, [[1, 2]])
+    assert emb.shape == (1, 4)
+    assert np.isfinite(emb.data[0]).all()
 
 
 def test_encode_text_deterministic(params):
     ids = [1, 5, 9, 11, 2]
-    assert np.array_equal(encode_text(params, ids).data, encode_text(params, ids).data)
+    assert np.array_equal(encode_text(params, [ids]).data[0],
+                          encode_text(params, [ids]).data[0])
 
 
 def test_encode_text_single_token_difference_changes_embedding(params):
-    a = encode_text(params, [1, 5, 9, 2])
-    b = encode_text(params, [1, 5, 10, 2])
-    assert not np.allclose(a.data, b.data)
+    a = encode_text(params, [[1, 5, 9, 2]])
+    b = encode_text(params, [[1, 5, 10, 2]])
+    assert not np.allclose(a.data[0], b.data[0])
 
 
 def test_encode_text_vocabulary_error(params):
     with pytest.raises(VocabularyError):
-        encode_text(params, [1, 512, 2])
+        encode_text(params, [[1, 512, 2]])
 
 
 def test_encode_text_overlong_is_callers_problem(params):
     with pytest.raises(ContractError, match="truncate"):
-        encode_text(params, [1, 3, 4, 5, 6, 7, 2])  # max_length is 6
+        encode_text(params, [[1, 3, 4, 5, 6, 7, 2]])  # max_length is 6
+
+
+# -------------------------------------------------------------------------
+# padded, masked text batches
+# -------------------------------------------------------------------------
+
+MIXED_LENGTHS = [[1, 5, 9, 2], [1, 7, 2], [1, 3, 11, 4, 6, 2], [1, 2]]
+
+
+def test_encode_text_padded_rows_match_batch_of_one(params):
+    batch = encode_text(params, MIXED_LENGTHS).data
+    assert batch.shape == (len(MIXED_LENGTHS), 4)
+    for i, ids in enumerate(MIXED_LENGTHS):
+        single = encode_text(params, [ids]).data[0]
+        assert np.abs(batch[i] - single).max() <= 1e-6, i
+
+
+def test_encode_text_masked_gradients_match_finite_differences(rng):
+    cfg = tiny_model_config(vocab=16)
+    base = init_model_params(cfg, seed=6, dtype=np.float64)
+    weights = rng.normal(size=(len(MIXED_LENGTHS), 4))
+    probed = ("text.tok_embed", "text.pos", "text.blocks.0.attn.wk",
+              "text.blocks.0.attn.wq", "text.proj")
+
+    def probe(tensors):
+        merged = {k: Tensor(v.data, name=k, dtype=np.float64) for k, v in base.items()}
+        merged.update(tensors)
+        emb = encode_text(ModelParams(cfg, merged), MIXED_LENGTHS)
+        return ad.sum_(ad.mul(emb, weights))
+
+    arrays = {k: 0.5 * rng.normal(size=base[k].shape) for k in probed}
+    check_gradients(probe, arrays)
+
+
+def test_encode_text_pad_row_gets_zero_gradient(params):
+    """Padded positions are masked out of attention, so nothing flows back
+    to them: the pad id's embedding row gets exactly zero gradient."""
+    tensors = {k: Tensor(v.data, requires_grad=True, name=k) for k, v in params.items()}
+    with ad.Tape() as tape:
+        emb = encode_text(ModelParams(params.config, tensors), MIXED_LENGTHS)
+        loss = ad.sum_(ad.mul(emb, emb))
+    grads = ad.backward(tape, loss, params=tensors.values())
+    g = grads["text.tok_embed"].data
+    assert PAD_ID not in {i for ids in MIXED_LENGTHS for i in ids}
+    assert np.array_equal(g[PAD_ID], np.zeros_like(g[PAD_ID]))
+    assert np.abs(g[1]).max() > 0  # the sentinel row, used by every sequence
 
 
 def test_project_dino_output_length(params, rng):
@@ -203,3 +253,25 @@ def test_resize_ramp_reproduced_at_interior_points():
 def test_resize_rejects_bad_target(rng):
     with pytest.raises(DomainError):
         resize_bicubic(rng.random((3, 4, 4)), 0)
+
+
+def test_resize_taps_cached_read_only():
+    taps, weights = encoders._resize_axis_weights(7, 4)
+    again = encoders._resize_axis_weights(7, 4)
+    assert again[0] is taps and again[1] is weights
+    for arr in (taps, weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+
+
+def test_resize_cached_taps_bit_identical_to_uncached(monkeypatch, rng):
+    img = rng.random((3, 12, 12), dtype=np.float32)
+    aug = AugmentationConfig(global_crop_size=8, local_crop_size=4, n_local=3)
+    cached = [resize_bicubic(img, t) for t in (5, 8, 16)]
+    cached_views = make_views(img, aug, RandomStream(4, 0, 1))
+    monkeypatch.setattr(encoders, "_resize_axis_weights",
+                        encoders._resize_axis_weights.__wrapped__)
+    for t, out in zip((5, 8, 16), cached):
+        assert np.array_equal(resize_bicubic(img, t), out)
+    assert np.array_equal(make_views(img, aug, RandomStream(4, 0, 1)), cached_views)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from dinoclip.autodiff import Tensor
 from dinoclip import checkpoint as ckpt
+from dinoclip import trainer
+from dinoclip.autodiff import Tensor, backward
 from dinoclip.checkpoint import FORMAT_VERSION
 from dinoclip.data import AugmentationConfig, EpochSamplingPolicy, load_manifest
-from dinoclip.encoders import init_model_params
+from dinoclip.encoders import ModelConfig, init_model_params
 from dinoclip.errors import (CheckpointError, CheckpointShapeError,
                              CheckpointTruncationError, CheckpointVersionError,
                              ContractError)
@@ -192,6 +193,20 @@ def _rewrite_sections(src, dst, edit):
     ckpt.write_container(dst, list(sections.items()))
 
 
+def set_config_field(obj: dict, path: tuple, value) -> dict:
+    """Set the field at ``path`` (keys from the top) of a config dict."""
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+def _config_with(blob, path, value):
+    """A packed config section with the field at ``path`` set to ``value``."""
+    return ckpt.pack_json(set_config_field(ckpt.unpack_json(blob), path, value))
+
+
 @pytest.mark.parametrize("edit", [
     lambda sec: sec.pop("center"),
     lambda sec: sec.pop("config"),
@@ -199,8 +214,16 @@ def _rewrite_sections(src, dst, edit):
     lambda sec: sec.update(counters=b"\xff\xfe"),
     lambda sec: sec.update(student=sec["student"].replace(b"vision.pos", b"vision.p\xffs")),
     lambda sec: sec.update(counters=b"{}"),
+    lambda sec: sec.update(config=b'{"foo": 1}'),
+    lambda sec: sec.update(config=_config_with(sec["config"], ("batch_size",), "4")),
+    lambda sec: sec.update(config=_config_with(sec["config"], ("model", "text", "depth"), 0.5)),
+    lambda sec: sec.update(config=_config_with(sec["config"], ("augmentation", "n_local"), -1)),
+    lambda sec: sec.update(center=ckpt.pack_tensors({"centre": np.zeros(8, np.float32)})),
+    lambda sec: sec.update(center=ckpt.pack_tensors({"center": np.zeros(3, np.float32)})),
 ], ids=["missing-center", "missing-config", "bad-json", "bad-utf8-json",
-        "bad-utf8-tensor-name", "counters-without-keys"])
+        "bad-utf8-tensor-name", "counters-without-keys", "config-unknown-field",
+        "config-ill-typed", "config-nested-ill-typed", "config-out-of-domain",
+        "center-misnamed", "center-wrong-shape"])
 def test_checkpoint_corrupt_section_detected(tmp_path, tiny_records, edit):
     state, _ = train(tiny_train_config(epochs=1), tiny_records)
     path, bad = tmp_path / "c.ckpt", tmp_path / "bad.ckpt"
@@ -307,6 +330,38 @@ def test_frozen_teacher_with_unit_momenta(tiny_records):
 def test_train_batch_too_large_rejected(tiny_records):
     with pytest.raises(ContractError, match="batch_size"):
         train(tiny_train_config(batch_size=64), tiny_records)
+
+
+def test_training_step_stays_float32(tiny_records, monkeypatch):
+    """One combined-loss step of a float32 model records only float32 tape
+    nodes and yields float32 gradients."""
+    seen = []
+
+    def spy(tape, loss, params):
+        params = list(params)
+        grads = backward(tape, loss, params=params)
+        seen.append(({t.dtype for n in tape.nodes for t in (n.output, *n.inputs)},
+                     {grads[p].dtype for p in params}))
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", spy)
+    train(tiny_train_config(epochs=1), tiny_records)
+    assert len(seen) == 1
+    node_dtypes, grad_dtypes = seen[0]
+    assert node_dtypes == {np.dtype(np.float32)}
+    assert grad_dtypes == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("model", [tiny_model_config(), ModelConfig()], ids=["tiny", "default"])
+def test_embed_texts_rows_equal_each_text_alone(model):
+    """Texts of shared and of distinct token lengths; each row is bit-equal
+    to the text embedded on its own."""
+    params = init_model_params(model, seed=1)
+    texts = ["ab", "cd", "a", "", "xyz", "ef", "a photo of a river", "a photo of a field"]
+    rows = embed_texts(params, texts)
+    assert rows.dtype == np.float32
+    for i, text in enumerate(texts):
+        assert np.array_equal(rows[i], embed_texts(params, [text])[0]), text
 
 
 def test_embedding_helpers_shapes(tiny_records):
