@@ -331,11 +331,13 @@ def _augment_view(view: np.ndarray, config: AugmentationConfig,
 
 
 def make_views(image: np.ndarray, config: AugmentationConfig,
-               stream: RandomStream) -> np.ndarray:
-    """Two global crops plus n_local local crops (bicubic-upscaled to the
-    global size), each with per-view jitter/blur/solarize draws, as one
-    [2 + n_local, 3, S, S] float32 array with the globals first.  View 0
-    feeds the contrastive branch."""
+               stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """Two global crops at the global size and n_local local crops at their
+    own (smaller) size, each with per-view jitter/blur/solarize draws.
+
+    Returns (globals [2, 3, G, G], locals [n_local, 3, L, L]), float32;
+    locals is empty when n_local is 0.  Global view 0 feeds the
+    contrastive branch."""
     image = np.asarray(image, dtype=np.float32)
     if image.ndim != 3:
         raise ContractError(f"expected [3, H, W] image, got shape {image.shape}")
@@ -352,9 +354,11 @@ def make_views(image: np.ndarray, config: AugmentationConfig,
         else:
             crop = _random_resized_crop(image, config.local_crop_size,
                                         config.local_scale, rng)
-            crop = resize_bicubic(crop, config.global_crop_size)
         views.append(_augment_view(crop, config, rng))
-    return np.stack(views)
+    size = config.local_crop_size
+    local = np.stack(views[2:]) if config.n_local else np.empty((0, 3, size, size),
+                                                                dtype=np.float32)
+    return np.stack(views[:2]), local
 
 
 # ---------------------------------------------------------------------------

@@ -237,23 +237,43 @@ def _transformer(params: ModelParams, prefix: str, x: Tensor, depth: int,
 
 
 def encode_images(params: ModelParams, images: Tensor) -> Tensor:
-    """Batch image encoder: [B, 3, S, S] -> [B, m] class-token embeddings."""
+    """Batch image encoder: [B, 3, S, S] -> [B, m] class-token embeddings.
+
+    S is the configured image_size or any smaller multiple of the patch
+    size.  Below image_size the patch positional embeddings are the bicubic
+    resize of the configured grid (as DINO interpolates them for its local
+    crops) and the class position is used as is."""
     cfg = params.config.vision
-    if images.ndim != 4 or images.shape[1] != 3:
+    if images.ndim != 4 or images.shape[1] != 3 or images.shape[2] != images.shape[3]:
         raise ShapeError(f"encode_images expects [B, 3, S, S], got {images.shape}")
-    if images.shape[2] != cfg.image_size or images.shape[3] != cfg.image_size:
-        raise ShapeError(f"input spatial size {images.shape[2:]}"
-                         f" does not match configured {cfg.image_size}"
-                         " (positional embeddings are fixed-size)")
+    size = images.shape[2]
+    if size % cfg.patch_size != 0 or not cfg.patch_size <= size <= cfg.image_size:
+        raise ShapeError(f"input spatial size {size} must be a multiple of the patch "
+                         f"size {cfg.patch_size} no larger than the configured "
+                         f"{cfg.image_size} (the positional embeddings' grid)")
     b = images.shape[0]
+    pos = params["vision.pos"]
+    if size != cfg.image_size:
+        pos = _interpolated_positions(pos, cfg.image_size // cfg.patch_size,
+                                      size // cfg.patch_size)
     patches = ad.extract_patches(images, cfg.patch_size)            # [B, P, 3p^2]
     tokens = ad.matmul(patches, params["vision.patch_embed.w"]) + params["vision.patch_embed.b"]
     cls = Tensor(np.zeros((b, 1, cfg.width), dtype=images.dtype)) + params["vision.cls"]
-    x = ad.concat([cls, tokens], axis=1) + params["vision.pos"]
+    x = ad.concat([cls, tokens], axis=1) + pos
     x = _transformer(params, "vision", x, cfg.depth, cfg.heads)
     x = ad.layer_norm(x, params["vision.ln_f.gain"], params["vision.ln_f.bias"])
     pooled = ad.take_index(x, 0, axis=1)                            # [B, W]
     return ad.matmul(pooled, params["vision.proj"])                 # [B, m]
+
+
+def _interpolated_positions(pos: Tensor, src: int, dst: int) -> Tensor:
+    """Positional rows for a dst x dst patch grid from [1 + src^2, W] rows
+    of a src x src grid: the class row as is, then the patch rows through
+    the constant bicubic resize matrix."""
+    cls_row = ad.gather_rows(pos, np.zeros(1, dtype=np.int64))
+    patch_rows = ad.gather_rows(pos, np.arange(1, src * src + 1, dtype=np.int64))
+    resized = ad.matmul(_position_resize_matrix(src, dst), patch_rows)   # [dst^2, W]
+    return ad.concat([cls_row, resized], axis=0)
 
 
 def encode_text(params: ModelParams, token_lists) -> Tensor:
@@ -344,6 +364,20 @@ def _resize_axis_weights(src: int, dst: int):
     taps.flags.writeable = False
     weights.flags.writeable = False
     return taps, weights
+
+
+@functools.lru_cache(maxsize=None)
+def _position_resize_matrix(src: int, dst: int) -> np.ndarray:
+    """[dst^2, src^2] matrix mapping a src x src grid of rows in raster order
+    to its bicubic resize: the Kronecker product of the per-axis Catmull-Rom
+    weights of resize_bicubic, scattered densely.  Cached and read-only like
+    the taps."""
+    taps, weights = _resize_axis_weights(src, dst)
+    axis = np.zeros((dst, src))
+    np.add.at(axis, (np.arange(dst)[:, None], taps), weights)
+    out = np.kron(axis, axis)
+    out.flags.writeable = False
+    return out
 
 
 def resize_bicubic(arr: np.ndarray, target: int) -> np.ndarray:

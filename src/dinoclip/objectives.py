@@ -115,30 +115,28 @@ def teacher_distribution(z: np.ndarray, state: TeacherState) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def soft_distillation_terms(teacher_dists, student_dists, average_pairs: bool = True) -> Tensor:
-    """Cross entropy from each teacher global view to every other student
-    view, averaged over the pairs (raw sum when average_pairs is False).
+def soft_distillation_terms(teacher_dists, student_probs: Tensor,
+                            average_pairs: bool = True) -> Tensor:
+    """Cross entropy from each of the two teacher global views to every
+    other student view, averaged over the pairs (raw sum when average_pairs
+    is False).
 
-    Entries are [B, K] blocks, teacher blocks plain arrays and student blocks
-    on the tape, with the global views first in the student list; each pair
-    term is the batch-mean cross entropy.  2 global + 8 local views make
-    2 * (10 - 1) = 18 pairs."""
-    g, s = len(teacher_dists), len(student_dists)
-    if g < 2:
-        raise ContractError(f"need >= 2 teacher (global) view blocks, got {g}")
-    total = None
-    count = 0
-    for ti in range(g):
-        target = teacher_dists[ti]
-        for si in range(s):
-            if si == ti:
-                continue
-            term = ad.soft_cross_entropy(target, student_dists[si])
-            total = term if total is None else ad.add(total, term)
-            count += 1
-    if average_pairs:
-        total = ad.mul(total, 1.0 / count)
-    return total
+    ``teacher_dists`` holds the two global views' plain [B, K] blocks;
+    ``student_probs`` is one view-major [V * B, K] tensor on the tape, the
+    two global views first.  Each pair term is the batch-mean cross
+    entropy, which is linear in its target, so student view v takes the
+    sum of the teacher views other than v as target (T1 for view 0, T0 for
+    view 1, T0 + T1 for every local view) and one cross entropy over all
+    V * B rows, scaled by V, is the sum over the 2 * (V - 1) pairs:
+    2 global + 8 local views make 18."""
+    if len(teacher_dists) != 2:
+        raise ContractError(f"need 2 teacher (global) view blocks, got {len(teacher_dists)}")
+    t0, t1 = (np.asarray(t) for t in teacher_dists)
+    v = student_probs.shape[0] // t0.shape[0]
+    # a row count that is not V >= 2 views of B fails the shape check here
+    ce = ad.soft_cross_entropy(np.concatenate([t1, t0] + [t0 + t1] * (v - 2)),
+                               student_probs)                         # sum / (V * B)
+    return ad.mul(ce, v / (2 * (v - 1)) if average_pairs else float(v))
 
 
 def combined_loss(contrastive, distillation) -> Tensor:

@@ -62,8 +62,13 @@ class TrainConfig:
                               f"epochs {self.epochs}")
         if self.loss_mode not in ("combined", "infonce_only"):
             raise DomainError(f"unknown loss_mode {self.loss_mode!r}")
-        if self.augmentation.global_crop_size != self.model.vision.image_size:
+        aug, patch = self.augmentation, self.model.vision.patch_size
+        if aug.global_crop_size != self.model.vision.image_size:
             raise DomainError("global crop size must equal the model input size")
+        if aug.local_crop_size % patch != 0 or aug.local_crop_size > aug.global_crop_size:
+            raise DomainError(f"local crop size {aug.local_crop_size} must be a multiple "
+                              f"of the patch size {patch} no larger than the global "
+                              f"crop size {aug.global_crop_size}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -271,8 +276,12 @@ def load_checkpoint(path) -> TrainState:
                            tau_teacher=config.tau_teacher,
                            center_momentum=config.center_momentum)
     adam = AdamState(student)
-    adam.m = ckpt.unpack_tensors(sections["adam_m"])
-    adam.v = ckpt.unpack_tensors(sections["adam_v"])
+    adam.m, adam.v = (ckpt.unpack_tensors(sections[n]) for n in ("adam_m", "adam_v"))
+    for name, moments in (("adam_m", adam.m), ("adam_v", adam.v)):
+        if set(moments) != set(student.names()) or any(
+                moments[k].shape != p.shape for k, p in student.items()):
+            raise CheckpointError(f"{name} section does not match the parameter tree "
+                                  "(names and shapes)")
     adam.t = counters["adam_t"]
     return TrainState(config=config, student=student, teacher=teacher, adam=adam,
                       step=counters["step"], next_epoch=counters["next_epoch"])
@@ -374,33 +383,37 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
                                                  load_record_image(rec, root=data_root))
                 stream = RandomStream(config.seed, epoch, rec.index)
                 views.append(make_views(img, aug, stream))
-            view_batches = [Tensor(v) for v in np.stack(views, axis=1)]  # [B, 3, S, S] each
+            # view-major batches: row v * B + i is view v of record i
+            globals_, locals_ = (np.stack(v, axis=1).reshape(-1, *v[0].shape[1:])
+                                 for v in zip(*views))
+            b = len(batch)
 
-            teacher_dists, teacher_logit_rows, teacher_entropy = None, None, None
+            teacher_entropy = None
             if distill:
-                t_logits = [project_dino(state.teacher.params,
-                                         encode_images(state.teacher.params,
-                                                       view_batches[g])).data
-                            for g in range(2)]
-                teacher_dists = [teacher_distribution(z, state.teacher) for z in t_logits]
-                teacher_logit_rows = np.concatenate(t_logits, axis=0)
-                teacher_entropy = _entropy(np.concatenate(teacher_dists,
-                                                          axis=0).mean(axis=0))
+                teacher_logits = project_dino(state.teacher.params,
+                                              encode_images(state.teacher.params,
+                                                            Tensor(globals_))).data
+                dists = teacher_distribution(teacher_logits, state.teacher)   # [2B, K]
+                teacher_dists = dists.reshape(2, b, -1)
+                teacher_entropy = _entropy(dists.mean(axis=0))
 
             with Tape() as tape:
                 u = encode_text(state.student, [tokenize(c.text, max_len) for c in captions])
-                v_first = encode_images(state.student, view_batches[0])
                 tau = ad.exp(state.student.log_tau)
+                if distill:
+                    emb = encode_images(state.student, Tensor(globals_))      # [2B, m]
+                    v_first = ad.gather_rows(emb, np.arange(b))
+                    if len(locals_):
+                        emb = ad.concat([emb, encode_images(state.student,
+                                                            Tensor(locals_))])
+                else:
+                    v_first = encode_images(state.student, Tensor(globals_[:b]))
                 loss_nce = info_nce_loss(ContrastiveBatch(captions=u, images=v_first,
                                                           tau=tau))
                 if distill:
-                    student_dists = []
-                    for vi, vb in enumerate(view_batches):
-                        emb = v_first if vi == 0 else encode_images(state.student, vb)
-                        logits = project_dino(state.student, emb)
-                        student_dists.append(ad.softmax(logits, axis=-1,
-                                                        temperature=config.tau_student))
-                    loss_dist = soft_distillation_terms(teacher_dists, student_dists,
+                    probs = ad.softmax(project_dino(state.student, emb), axis=-1,
+                                       temperature=config.tau_student)
+                    loss_dist = soft_distillation_terms(teacher_dists, probs,
                                                         config.average_pairs)
                     loss = combined_loss(loss_nce, loss_dist)
                 else:
@@ -421,7 +434,7 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
 
             if distill:
                 ema_update(state.teacher, state.student)
-                update_center(state.teacher, teacher_logit_rows)
+                update_center(state.teacher, teacher_logits)
 
             state.step += 1
             metrics.append(step=state.step, epoch=epoch,

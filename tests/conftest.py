@@ -7,7 +7,7 @@ import pytest
 from dinoclip import autodiff as ad
 from dinoclip.autodiff import Tensor
 from dinoclip.data import load_manifest
-from dinoclip import encoders
+from dinoclip import encoders, objectives
 from dinoclip.encoders import (BYTE_OFFSET, DinoProjectorConfig, ModelConfig,
                                TextEncoderConfig, VisionEncoderConfig)
 from dinoclip.errors import ContractError
@@ -77,6 +77,13 @@ def encode_text(params, token_ids) -> Tensor:
     """One token id sequence -> [m] embedding: the library's batch encoder on
     a batch of one."""
     return ad.reshape(encoders.encode_text(params, [token_ids]), (params.config.embed_dim,))
+
+
+def soft_distillation_terms(teacher_dists, student_blocks, average_pairs: bool = True):
+    """Per-view [B, K] student blocks, global views first -> the library's
+    distillation term on their view-major concatenation."""
+    return objectives.soft_distillation_terms(teacher_dists, ad.concat(student_blocks, axis=0),
+                                              average_pairs)
 
 
 def detokenize(ids) -> str:

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from dinoclip import checkpoint as ckpt
 from dinoclip.cli import main
 from dinoclip.data import read_record_file, write_record_file
 from dinoclip.trainer import TrainConfig
 
 from conftest import write_ppm, write_synthetic_manifest
-from test_trainer import set_config_field, tiny_train_config
+from test_trainer import set_config_field, tensors_with, tiny_train_config
 
 
 @pytest.fixture
@@ -262,6 +263,34 @@ def test_train_bad_config_is_validation_error(workdir, capsys, path, value):
                "--out", str(workdir / "x.ckpt")])
     assert rc == 2
     assert "config" in capsys.readouterr().err
+    assert not (workdir / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("local", [6, 2, 12], ids=["not-patch-multiple",
+                                                    "below-patch", "above-global"])
+def test_train_bad_local_crop_size_is_validation_error(workdir, capsys, local):
+    """The tiny model has 4 px patches and 8 px global crops."""
+    obj = json.loads((workdir / "config.json").read_text())
+    bad = workdir / "bad_config.json"
+    bad.write_text(json.dumps(set_config_field(obj, ("augmentation", "local_crop_size"),
+                                               local)))
+    rc = main(["train", "--config", str(bad), "--manifest", str(workdir / "manifest.jsonl"),
+               "--out", str(workdir / "x.ckpt")])
+    assert rc == 2
+    assert "local crop size" in capsys.readouterr().err
+    assert not (workdir / "x.ckpt").exists()
+
+
+def test_train_resume_from_mismatched_adam_moments_is_io_error(workdir, capsys):
+    """A checkpoint whose adam_m lacks a parameter is refused at load."""
+    sections = ckpt.read_container(_train(workdir))
+    sections["adam_m"] = tensors_with(sections["adam_m"], "log_tau", None)
+    bad = workdir / "bad.ckpt"
+    ckpt.write_container(bad, list(sections.items()))
+    rc = main(["train", "--checkpoint", str(bad), "--manifest",
+               str(workdir / "manifest.jsonl"), "--out", str(workdir / "x.ckpt")])
+    assert rc == 4
+    assert "adam_m" in capsys.readouterr().err
     assert not (workdir / "x.ckpt").exists()
 
 

@@ -13,7 +13,7 @@ from dinoclip.data import (AugmentationConfig, EpochSamplingPolicy, CaptionRecor
                            load_manifest, make_views, read_ppm, read_record_file,
                            sample_caption, save_manifest, synthetic_image, tokenize,
                            write_record_file)
-from dinoclip.encoders import END_ID, SENTINEL_ID, BYTE_OFFSET
+from dinoclip.encoders import END_ID, SENTINEL_ID, BYTE_OFFSET, resize_bicubic
 from dinoclip.errors import (AlignmentError, ContractError, DomainError,
                              ManifestParseError, ValidationError)
 from dinoclip.prng import RandomStream
@@ -249,19 +249,26 @@ def _plain_config(**kwargs):
 
 def test_make_views_counts_and_sizes():
     img = synthetic_image(0, 24)
-    config = _plain_config()
-    views = make_views(img, config, RandomStream(1))
-    assert views.shape == (10, 3, 16, 16)
-    assert views.dtype == np.float32
+    globals_, locals_ = make_views(img, _plain_config(), RandomStream(1))
+    assert globals_.shape == (2, 3, 16, 16)
+    assert locals_.shape == (8, 3, 8, 8)
+    assert globals_.dtype == locals_.dtype == np.float32
+    _, none = make_views(img, _plain_config(n_local=0), RandomStream(1))
+    assert none.shape == (0, 3, 8, 8) and none.dtype == np.float32
 
 
 def test_make_views_augmentation_off_reproduces_input():
+    """Without augmentation, full-image crops are the image itself (globals)
+    and its bicubic resize to the local size, clipped (locals, not upscaled
+    back)."""
     img = synthetic_image(3, 16).astype(np.float32)
     config = _plain_config(jitter_strength=0.0, blur_prob=0.0, solarize_prob=0.0,
-                           global_scale=(1.0, 1.0))
-    views = make_views(img, config, RandomStream(4))
-    for view in views[:2]:
+                           global_scale=(1.0, 1.0), local_scale=(1.0, 1.0))
+    globals_, locals_ = make_views(img, config, RandomStream(4))
+    for view in globals_:
         assert np.allclose(view, img, atol=1e-6)
+    for view in locals_:
+        assert np.allclose(view, np.clip(resize_bicubic(img, 8), 0.0, 1.0), atol=1e-6)
 
 
 def test_make_views_deterministic():
@@ -269,17 +276,18 @@ def test_make_views_deterministic():
     config = _plain_config()
     a = make_views(img, config, RandomStream(42, 7))
     b = make_views(img, config, RandomStream(42, 7))
-    assert np.array_equal(a, b)
+    assert all(np.array_equal(va, vb) for va, vb in zip(a, b))
     c = make_views(img, config, RandomStream(42, 8))
-    assert any(not np.array_equal(va, vc) for va, vc in zip(a, c))
+    for va, vc in zip(a, c):
+        assert any(not np.array_equal(x, y) for x, y in zip(va, vc))
 
 
 def test_make_views_output_range():
     config = _plain_config(jitter_strength=1.0, blur_prob=1.0, solarize_prob=1.0)
     for seed in range(5):
         img = synthetic_image(seed, 24)
-        views = make_views(img, config, RandomStream(seed))
-        assert views.min() >= 0.0 and views.max() <= 1.0
+        for views in make_views(img, config, RandomStream(seed)):
+            assert views.min() >= 0.0 and views.max() <= 1.0
 
 
 def test_make_views_rejects_too_small_images():

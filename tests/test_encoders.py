@@ -1,5 +1,7 @@
 """Encoder stacks: shapes, determinism, seeded init, projector, resize."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,8 +43,15 @@ def test_encode_image_deterministic(params, rng):
 
 
 def test_encode_image_wrong_size_rejected(params, rng):
-    with pytest.raises(ShapeError, match="positional"):
-        encode_images(params, Tensor(rng.random((1, 3, 16, 16), dtype=np.float32)))
+    """Sizes that are not a patch multiple, or exceed the configured size,
+    are rejected; a smaller patch multiple encodes."""
+    for size in (16, 12, 6, 2):
+        with pytest.raises(ShapeError, match="positional"):
+            encode_images(params, Tensor(rng.random((1, 3, size, size), dtype=np.float32)))
+    with pytest.raises(ShapeError):
+        encode_images(params, Tensor(rng.random((1, 3, 8, 4), dtype=np.float32)))
+    assert encode_images(params, Tensor(rng.random((2, 3, 4, 4), dtype=np.float32))).shape \
+        == (2, 4)
 
 
 def test_batch_matches_single(params, rng):
@@ -274,4 +283,56 @@ def test_resize_cached_taps_bit_identical_to_uncached(monkeypatch, rng):
                         encoders._resize_axis_weights.__wrapped__)
     for t, out in zip((5, 8, 16), cached):
         assert np.array_equal(resize_bicubic(img, t), out)
-    assert np.array_equal(make_views(img, aug, RandomStream(4, 0, 1)), cached_views)
+    uncached_views = make_views(img, aug, RandomStream(4, 0, 1))
+    assert all(np.array_equal(a, b) for a, b in zip(uncached_views, cached_views))
+
+
+# -------------------------------------------------------------------------
+# inputs below the configured size: interpolated positional embeddings
+# -------------------------------------------------------------------------
+
+def _grid_config(image_size: int):
+    """The tiny config with a 4 px patch grid of image_size / 4 per side."""
+    return dataclasses.replace(tiny_model_config(), vision=VisionEncoderConfig(
+        image_size=image_size, patch_size=4, width=8, depth=1, heads=2, embed_dim=4))
+
+
+@pytest.mark.parametrize("dst", [1, 2, 3])
+def test_interpolated_positions_equal_bicubic_resize_of_grid(rng, dst):
+    """Patch rows: resize_bicubic of the [W, g, g] position grid to 1e-12 in
+    float64; the class row is passed through unchanged."""
+    g, w = 4, 8
+    pos = rng.normal(size=(1 + g * g, w))
+    rows = encoders._interpolated_positions(Tensor(pos, dtype=np.float64), g, dst).data
+    grid = pos[1:].T.reshape(w, g, g)
+    expected = resize_bicubic(grid, dst).reshape(w, dst * dst).T
+    assert rows.shape == (1 + dst * dst, w)
+    assert np.array_equal(rows[0], pos[0])
+    assert np.abs(rows[1:] - expected).max() <= 1e-12
+
+
+def test_position_resize_matrix_same_size_is_identity():
+    for g in (2, 3, 4):
+        m = encoders._position_resize_matrix(g, g)
+        assert np.array_equal(m, np.eye(g * g))
+    again = encoders._position_resize_matrix(4, 2)
+    assert again is encoders._position_resize_matrix(4, 2) and not again.flags.writeable
+
+
+def test_encode_images_reduced_size_gradients_match_finite_differences(rng):
+    """A 3 x 3 position grid encoding 2 x 2 patch inputs: gradients reach
+    vision.pos through the resize matrix, and the class token and patch
+    embedding as before."""
+    cfg = _grid_config(12)
+    base = init_model_params(cfg, seed=3, dtype=np.float64)
+    img = Tensor(rng.random((2, 3, 8, 8)), dtype=np.float64)
+    weights = rng.normal(size=(2, 4))
+    probed = ("vision.pos", "vision.cls", "vision.patch_embed.w")
+
+    def probe(tensors):
+        merged = {k: Tensor(v.data, name=k, dtype=np.float64) for k, v in base.items()}
+        merged.update(tensors)
+        return ad.sum_(ad.mul(encode_images(ModelParams(cfg, merged), img), weights))
+
+    arrays = {k: 0.5 * rng.normal(size=base[k].shape) for k in probed}
+    check_gradients(probe, arrays)

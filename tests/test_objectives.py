@@ -188,15 +188,16 @@ def _rows(dists):
     return [np.asarray(d, dtype=np.float64)[None, :] for d in dists]
 
 
-def _blocks(dists):
-    """[K] distributions -> [1, K] float64 student blocks (tensors)."""
-    return [Tensor(r, dtype=np.float64) for r in _rows(dists)]
+def _stacked(dists):
+    """[K] distributions, one per view -> one view-major [V, K] float64
+    student tensor (batch 1) for soft_distillation_terms."""
+    return Tensor(np.concatenate(_rows(dists)), dtype=np.float64)
 
 
 def test_pair_count_formula(rng):
     for n_views, pairs in ((10, 18), (3, 4)):
         teacher = [rng.dirichlet(np.ones(4)) for _ in range(2)]
-        student = _blocks(rng.dirichlet(np.ones(4)) for _ in range(n_views))
+        student = _stacked(rng.dirichlet(np.ones(4)) for _ in range(n_views))
         avg = soft_distillation_terms(_rows(teacher), student).item()
         raw = soft_distillation_terms(_rows(teacher), student, average_pairs=False).item()
         assert abs(raw - pairs * avg) < 1e-9
@@ -205,7 +206,7 @@ def test_pair_count_formula(rng):
 def test_self_distillation_uniform_equals_log_k():
     k, n_views = 8, 5
     u = np.full(k, 1.0 / k)
-    loss = soft_distillation_terms(_rows([u] * 2), _blocks([u] * n_views))
+    loss = soft_distillation_terms(_rows([u] * 2), _stacked([u] * n_views))
     assert abs(loss.item() - np.log(k)) < 1e-6
 
 
@@ -213,7 +214,7 @@ def test_self_distillation_matches_brute_force(rng):
     k, n_views = 6, 4
     teacher = [rng.dirichlet(np.ones(k)) for _ in range(2)]
     student = [rng.dirichlet(np.ones(k)) for _ in range(n_views)]
-    got = soft_distillation_terms(_rows(teacher), _blocks(student)).item()
+    got = soft_distillation_terms(_rows(teacher), _stacked(student)).item()
 
     total, pairs = 0.0, 0
     for ti in range(2):
@@ -229,7 +230,7 @@ def test_self_distillation_matches_brute_force(rng):
 def test_self_distillation_raw_sum_variant(rng):
     k = 5
     teacher = _rows(rng.dirichlet(np.ones(k)) for _ in range(2))
-    student = _blocks(rng.dirichlet(np.ones(k)) for _ in range(3))
+    student = _stacked(rng.dirichlet(np.ones(k)) for _ in range(3))
     avg = soft_distillation_terms(teacher, student, average_pairs=True).item()
     raw = soft_distillation_terms(teacher, student, average_pairs=False).item()
     assert abs(raw - avg * 4) < 1e-9
@@ -238,18 +239,18 @@ def test_self_distillation_raw_sum_variant(rng):
 def test_self_distillation_needs_two_globals():
     u = np.full(4, 0.25)
     with pytest.raises(ContractError):
-        soft_distillation_terms(_rows([u]), _blocks([u] * 3))
+        soft_distillation_terms(_rows([u]), _stacked([u] * 3))
 
 
 def test_self_distillation_lower_bound_is_teacher_entropy(rng):
     k = 7
     p = rng.dirichlet(np.ones(k))
     entropy = -(p * np.log(p)).sum()
-    got = soft_distillation_terms(_rows([p] * 2), _blocks([p] * 4)).item()
+    got = soft_distillation_terms(_rows([p] * 2), _stacked([p] * 4)).item()
     assert abs(got - entropy) < 1e-9
     # any other student distribution can only increase the loss
     q = rng.dirichlet(np.ones(k))
-    worse = soft_distillation_terms(_rows([p] * 2), _blocks([q] * 4)).item()
+    worse = soft_distillation_terms(_rows([p] * 2), _stacked([q] * 4)).item()
     assert worse >= got - 1e-12
 
 
@@ -258,8 +259,8 @@ def test_batched_terms_match_scalar_form(rng):
     k, b = 5, 3
     teacher = [rng.dirichlet(np.ones(k), size=b) for _ in range(2)]
     student = [rng.dirichlet(np.ones(k), size=b) for _ in range(4)]
-    batched = soft_distillation_terms(teacher, [Tensor(s, dtype=np.float64)
-                                                for s in student]).item()
+    batched = soft_distillation_terms(teacher, Tensor(np.concatenate(student),
+                                                      dtype=np.float64)).item()
     per_item = []
     for i in range(b):
         dists = DistributionSet(teacher=[Tensor(t[i], dtype=np.float64) for t in teacher],
@@ -363,8 +364,8 @@ def test_combined_loss_recomposition(rng):
     u = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
     v = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
     nce = info_nce_loss(ContrastiveBatch(u, v, tau=0.1))
-    teacher = [rng.dirichlet(np.ones(5)) for _ in range(2)]
-    student = [Tensor(rng.dirichlet(np.ones(5)), dtype=np.float64) for _ in range(3)]
+    teacher = _rows(rng.dirichlet(np.ones(5)) for _ in range(2))
+    student = _stacked(rng.dirichlet(np.ones(5)) for _ in range(3))
     dist = soft_distillation_terms(teacher, student)
     got = combined_loss(nce, dist).item()
     assert abs(got - 0.5 * (nce.item() + dist.item())) < 1e-6
@@ -399,24 +400,20 @@ def test_contrastive_branch_ignores_local_views(rng):
     teacher = make_teacher(student)
     from dinoclip.encoders import encode_images, project_dino
 
-    g0 = rng.random((2, 3, 8, 8))
-    g1 = rng.random((2, 3, 8, 8))
-    local_a = rng.random((2, 3, 8, 8))
-    local_b = local_a + 0.05 * rng.random((2, 3, 8, 8))
+    globals_ = Tensor(rng.random((4, 3, 8, 8)), dtype=np.float64)   # 2 views of 2
+    local_a = rng.random((2, 3, 4, 4))
+    local_b = local_a + 0.05 * rng.random((2, 3, 4, 4))
     texts = rng.normal(size=(2, 4))
 
     def losses(local):
-        t_dists = [teacher_distribution(
-            project_dino(teacher.params,
-                         encode_images(teacher.params, Tensor(g, dtype=np.float64))).data,
-            teacher) for g in (g0, g1)]
-        emb0 = encode_images(student, Tensor(g0, dtype=np.float64))
-        nce = info_nce_loss(ContrastiveBatch(Tensor(texts, dtype=np.float64), emb0,
-                                             tau=0.1))
-        s_dists = []
-        for view in (g0, g1, local):
-            e = encode_images(student, Tensor(view, dtype=np.float64))
-            s_dists.append(ad.softmax(project_dino(student, e), temperature=1.0))
+        t_dists = teacher_distribution(
+            project_dino(teacher.params, encode_images(teacher.params, globals_)).data,
+            teacher).reshape(2, 2, -1)
+        emb = encode_images(student, globals_)
+        nce = info_nce_loss(ContrastiveBatch(Tensor(texts, dtype=np.float64),
+                                             ad.gather_rows(emb, np.arange(2)), tau=0.1))
+        emb = ad.concat([emb, encode_images(student, Tensor(local, dtype=np.float64))])
+        s_dists = ad.softmax(project_dino(student, emb), temperature=1.0)
         dist = soft_distillation_terms(t_dists, s_dists)
         return nce.item(), dist.item()
 

@@ -3,20 +3,25 @@
 import numpy as np
 import pytest
 
+from dinoclip import autodiff as ad
 from dinoclip import checkpoint as ckpt
 from dinoclip import trainer
 from dinoclip.autodiff import Tensor, backward
 from dinoclip.checkpoint import FORMAT_VERSION
 from dinoclip.data import AugmentationConfig, EpochSamplingPolicy, load_manifest
-from dinoclip.encoders import ModelConfig, init_model_params
+from dinoclip.encoders import (ModelConfig, ModelParams, encode_images, init_model_params,
+                               project_dino)
 from dinoclip.errors import (CheckpointError, CheckpointShapeError,
                              CheckpointTruncationError, CheckpointVersionError,
                              ContractError)
+from dinoclip.objectives import soft_distillation_terms
 from dinoclip.trainer import (AdamState, MetricsLog, TrainConfig, adamw_step,
                               embed_record_images, embed_texts, init_train_state,
                               load_checkpoint, lr_schedule, save_checkpoint, train)
 
-from conftest import tiny_model_config, write_synthetic_manifest
+from conftest import (DistributionSet, self_distillation_loss, tiny_model_config,
+                      write_synthetic_manifest)
+from gradcheck import reverse_mode_gradients
 
 
 def tiny_train_config(**overrides) -> TrainConfig:
@@ -207,6 +212,15 @@ def _config_with(blob, path, value):
     return ckpt.pack_json(set_config_field(ckpt.unpack_json(blob), path, value))
 
 
+def tensors_with(blob, name, value):
+    """A packed tensor section with ``name`` set to ``value`` (None drops it)."""
+    tensors = ckpt.unpack_tensors(blob)
+    tensors.pop(name)
+    if value is not None:
+        tensors[name] = value
+    return ckpt.pack_tensors(tensors)
+
+
 @pytest.mark.parametrize("edit", [
     lambda sec: sec.pop("center"),
     lambda sec: sec.pop("config"),
@@ -220,10 +234,14 @@ def _config_with(blob, path, value):
     lambda sec: sec.update(config=_config_with(sec["config"], ("augmentation", "n_local"), -1)),
     lambda sec: sec.update(center=ckpt.pack_tensors({"centre": np.zeros(8, np.float32)})),
     lambda sec: sec.update(center=ckpt.pack_tensors({"center": np.zeros(3, np.float32)})),
+    lambda sec: sec.update(adam_m=tensors_with(sec["adam_m"], "log_tau", None)),
+    lambda sec: sec.update(adam_v=tensors_with(sec["adam_v"], "vision.proj",
+                                                np.zeros((4, 8), np.float32))),
 ], ids=["missing-center", "missing-config", "bad-json", "bad-utf8-json",
         "bad-utf8-tensor-name", "counters-without-keys", "config-unknown-field",
         "config-ill-typed", "config-nested-ill-typed", "config-out-of-domain",
-        "center-misnamed", "center-wrong-shape"])
+        "center-misnamed", "center-wrong-shape", "adam_m-missing-name",
+        "adam_v-wrong-shape"])
 def test_checkpoint_corrupt_section_detected(tmp_path, tiny_records, edit):
     state, _ = train(tiny_train_config(epochs=1), tiny_records)
     path, bad = tmp_path / "c.ckpt", tmp_path / "bad.ckpt"
@@ -350,6 +368,79 @@ def test_training_step_stays_float32(tiny_records, monkeypatch):
     node_dtypes, grad_dtypes = seen[0]
     assert node_dtypes == {np.dtype(np.float32)}
     assert grad_dtypes == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("loss_mode,images,heads,cross_entropies", [
+    ("combined", [(8, 3, 8, 8), (8, 3, 8, 8), (4, 3, 4, 4)], [(8, 4), (12, 4)], 1),
+    ("infonce_only", [(4, 3, 8, 8)], [], 0),
+])
+def test_training_step_batches_views_by_resolution(tiny_records, monkeypatch, loss_mode,
+                                                   images, heads, cross_entropies):
+    """Batch 4, 2 global views at 8 px and 1 local at 4 px: the teacher
+    encodes the view-major globals once, the student once per resolution,
+    each side makes one head call, and the tape holds one cross entropy."""
+    calls = {"images": [], "heads": [], "ops": []}
+
+    def spy(fn, key):
+        def wrapped(params, x):
+            calls[key].append(x.shape)
+            return fn(params, x)
+        return wrapped
+
+    def backward_spy(tape, loss, params):
+        calls["ops"] = [node.op for node in tape.nodes]
+        return backward(tape, loss, params=params)
+
+    monkeypatch.setattr(trainer, "encode_images", spy(trainer.encode_images, "images"))
+    monkeypatch.setattr(trainer, "project_dino", spy(trainer.project_dino, "heads"))
+    monkeypatch.setattr(trainer, "backward", backward_spy)
+    train(tiny_train_config(epochs=1, loss_mode=loss_mode), tiny_records)
+    assert calls["images"] == images
+    assert calls["heads"] == heads
+    assert calls["ops"].count("soft_cross_entropy") == cross_entropies
+
+
+@pytest.mark.parametrize("average_pairs", [True, False])
+def test_batched_distillation_matches_per_view_reference(rng, average_pairs):
+    """In float64, the step's distillation term (one encoder call per
+    resolution, one head call, one cross entropy) and its gradients equal
+    the per-view form: one encode_images and project_dino call per view and
+    the conftest scalar oracle per record, averaged over the batch."""
+    cfg = tiny_model_config()
+    params = init_model_params(cfg, seed=11, dtype=np.float64)
+    b, n_local, tau = 3, 2, 0.1
+    globals_ = rng.random((2, b, 3, 8, 8))
+    locals_ = rng.random((n_local, b, 3, 4, 4))
+    teacher = [rng.dirichlet(np.ones(8), size=b) for _ in range(2)]
+
+    def probs(p, views):
+        return ad.softmax(project_dino(p, encode_images(p, Tensor(views, dtype=np.float64))),
+                          axis=-1, temperature=tau)
+
+    def batched(tensors):
+        p = ModelParams(cfg, {**params.tensors, **tensors})
+        emb = ad.concat([encode_images(p, Tensor(v.reshape(-1, *v.shape[2:]), dtype=np.float64))
+                         for v in (globals_, locals_)])
+        student = ad.softmax(project_dino(p, emb), axis=-1, temperature=tau)
+        return soft_distillation_terms(teacher, student, average_pairs)
+
+    def per_view(tensors):
+        p = ModelParams(cfg, {**params.tensors, **tensors})
+        views = [probs(p, v) for v in (*globals_, *locals_)]
+        total = None
+        for i in range(b):
+            dists = DistributionSet(teacher=[t[i] for t in teacher],
+                                    student=[ad.take_index(v, i, axis=0) for v in views])
+            term = self_distillation_loss(dists, average_pairs)
+            total = term if total is None else ad.add(total, term)
+        return ad.mul(total, 1.0 / b)
+
+    arrays = {k: v.data for k, v in params.items() if k.startswith(("vision.", "dino."))}
+    got, want = reverse_mode_gradients(batched, arrays), reverse_mode_gradients(per_view, arrays)
+    tensors = {k: Tensor(v, dtype=np.float64) for k, v in arrays.items()}
+    assert abs(batched(tensors).item() - per_view(tensors).item()) <= 1e-12
+    for name in arrays:
+        assert np.allclose(got[name], want[name], rtol=1e-9, atol=1e-15), name
 
 
 @pytest.mark.parametrize("model", [tiny_model_config(), ModelConfig()], ids=["tiny", "default"])
