@@ -83,21 +83,27 @@ class ImageCaptionRecord:
         if not isinstance(self.captions, dict):
             raise ValidationError(f"{label}: captions must be an object mapping "
                                   "language codes to caption lists")
-        if "en" not in self.captions or not self.captions["en"]:
-            raise ValidationError(f"{label}: English captions are required")
-        n = len(self.captions["en"])
         for lang, texts in self.captions.items():
             if lang not in SUPPORTED_LANGUAGES:
                 raise ValidationError(f"{label}: unknown language {lang!r}")
             if not isinstance(texts, list):
                 raise ValidationError(f"{label}: captions under {lang!r} must be a list "
                                       f"of strings, got {type(texts).__name__}")
+        if not self.captions.get("en"):
+            raise ValidationError(f"{label}: English captions are required")
+        n = len(self.captions["en"])
+        for lang, texts in self.captions.items():
             if lang != "en" and len(texts) != n:
                 raise ValidationError(f"{label}: {lang} has {len(texts)} captions, "
                                       f"English has {n} (translation must be 1:1)")
             for text in texts:
                 if not isinstance(text, str) or not text:
                     raise ValidationError(f"{label}: empty caption under {lang!r}")
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError as e:   # a lone surrogate from a JSON escape
+                    raise ValidationError(f"{label}: caption under {lang!r} is not "
+                                          f"UTF-8 encodable: {e}") from e
 
     def languages(self) -> list[str]:
         return sorted(self.captions.keys())
@@ -157,24 +163,28 @@ def load_manifest(path) -> list[ImageCaptionRecord]:
     """Parse a JSON-lines manifest; every record is validated on load."""
     records = []
     with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ManifestParseError(line_no, str(e)) from e
-            if not isinstance(obj, dict):
-                raise ManifestParseError(line_no, f"expected a JSON object, "
-                                                  f"got {type(obj).__name__}")
-            for key in ("image", "captions", "split"):
-                if key not in obj:
-                    raise ManifestParseError(line_no, f"missing field {key!r}")
-            rec = ImageCaptionRecord(image_ref=obj["image"], captions=obj["captions"],
-                                     split=obj["split"], index=len(records))
-            rec.validate()
-            records.append(rec)
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"{path}: manifest is not UTF-8 text: {e}") from e
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as e:   # too deep, or an int too long
+            raise ManifestParseError(line_no, str(e)) from e
+        if not isinstance(obj, dict):
+            raise ManifestParseError(line_no, f"expected a JSON object, "
+                                              f"got {type(obj).__name__}")
+        for key in ("image", "captions", "split"):
+            if key not in obj:
+                raise ManifestParseError(line_no, f"missing field {key!r}")
+        rec = ImageCaptionRecord(image_ref=obj["image"], captions=obj["captions"],
+                                 split=obj["split"], index=len(records))
+        rec.validate()
+        records.append(rec)
     return records
 
 
@@ -259,9 +269,12 @@ def read_ppm(path) -> np.ndarray:
 
     def next_int(field_name):
         token = next_token()
-        if not token.isdigit():
-            raise ValidationError(f"{path}: PPM {field_name} {token!r} is not an integer")
-        return int(token)
+        try:
+            if token.isdigit():
+                return int(token)
+        except ValueError:   # more digits than int() converts
+            pass
+        raise ValidationError(f"{path}: PPM {field_name} {token[:20]!r} is not an integer")
 
     magic = next_token()
     if magic != b"P6":

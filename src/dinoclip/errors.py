@@ -64,3 +64,8 @@ class CheckpointTruncationError(CheckpointError):
 
 class CheckpointShapeError(CheckpointError):
     """A stored tensor's shape metadata disagrees with its payload."""
+
+
+class ViewWorkerError(DinoClipError):
+    """The training view worker ended without sending a step's views; the
+    message names its exit code (negative: the signal that killed it)."""

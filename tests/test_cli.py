@@ -302,6 +302,44 @@ def test_train_config_not_json_is_validation_error(workdir):
     assert rc == 2
 
 
+def _no_file(path):
+    pass
+
+
+def _truncated_ppm(path):
+    path.write_bytes(b"P6\n8 8\n255\n" + bytes(10))
+
+
+def _small_ppm(path):
+    write_ppm(path, np.zeros((3, 2, 2)))   # the tiny config's local crops are 4 px
+
+
+@pytest.mark.parametrize("write_last,code,message", [
+    (_truncated_ppm, 2, "pixel payload truncated"),
+    (_no_file, 4, "No such file"),
+    (_small_ppm, 2, "smaller than local crop size"),
+], ids=["truncated-ppm", "missing-file", "smaller-than-local-crop"])
+def test_train_bad_image_exit_code(workdir, capsys, write_last, code, message):
+    """Images are read in the view worker; its errors keep their kind, and so
+    their exit code, across the process boundary."""
+    lines = []
+    for i in range(4):
+        name = f"img{i}.ppm"
+        if i < 3:
+            write_ppm(workdir / name, np.full((3, 8, 8), 0.2 * i))
+        else:
+            write_last(workdir / name)
+        lines.append(json.dumps({"image": name, "captions": {"en": [f"scene {i}"]},
+                                 "split": "train"}))
+    manifest = workdir / "ppm.jsonl"
+    manifest.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--config", str(workdir / "config.json"), "--manifest",
+               str(manifest), "--data-root", str(workdir), "--out", str(workdir / "x.ckpt")])
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not (workdir / "x.ckpt").exists()
+
+
 def test_config_round_trip():
     cfg = tiny_train_config(epochs=7, loss_mode="infonce_only")
     again = TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))

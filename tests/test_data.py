@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from dinoclip.data import (AugmentationConfig, EpochSamplingPolicy, CaptionRecord,
@@ -106,10 +107,14 @@ _GOOD_LINE = json.dumps({"image": "a.ppm", "captions": {"en": ["x"]}, "split": "
      '"split": "train"}', ValidationError, "image must be"),
     ('{"image": {"synthetic": [1, 8]}, "captions": {"en": ["x"]}, "split": "train"}',
      ValidationError, "image must be"),
+    ('{"image": "a.ppm", "captions": {"en": 5}, "split": "train"}', ValidationError,
+     "must be a list"),
+    ('{"image": "a.ppm", "captions": {"en": ["x\\ud800"]}, "split": "train"}',
+     ValidationError, "not UTF-8 encodable"),
 ], ids=["array-line", "string-line", "captions-list", "captions-int", "en-string",
         "de-string", "non-string-caption", "image-int", "image-empty", "image-null",
         "image-other-object", "synthetic-no-size", "synthetic-float-seed",
-        "synthetic-string-size", "synthetic-list"])
+        "synthetic-string-size", "synthetic-list", "en-int", "lone-surrogate"])
 def test_malformed_manifest_lines_raise_documented_errors(tmp_path, line, error, match):
     path = tmp_path / "m.jsonl"
     path.write_text(_GOOD_LINE + "\n" + line + "\n")
@@ -235,6 +240,64 @@ def test_ppm_malformed_raises_validation_error(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(ValidationError):
         read_ppm(path)
+
+
+# -------------------------------------------------------------------------
+# parser fuzzing: random bytes, truncations and single-bit flips of a valid
+# input raise only the documented error kind (ManifestParseError is a
+# ValidationError); a fixed 200-example corpus per parser
+# -------------------------------------------------------------------------
+
+_FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _flip(blob: bytes, bit: int) -> bytes:
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _mutations(valid: bytes):
+    return st.one_of(st.binary(max_size=2 * len(valid)),
+                     st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+                     st.integers(0, 8 * len(valid) - 1).map(lambda bit: _flip(valid, bit)))
+
+
+_VALID_PPM = b"P6\n# fuzz\n2 2\n255\n" + bytes(range(0, 240, 20))
+_VALID_LINE = (json.dumps({"image": {"synthetic": {"seed": 1, "size": 8}},
+                           "captions": {"en": ["a b"], "de": ["c d"]},
+                           "split": "train"}) + "\n").encode()
+
+
+@_FUZZ
+@given(blob=_mutations(_VALID_PPM))
+@example(blob=b"P6\n" + b"9" * 5000 + b" 2\n255\n" + bytes(12))   # int() digit limit
+def test_read_ppm_fuzzed_raises_only_validation_error(tmp_path, blob):
+    path = tmp_path / "fuzz.ppm"
+    path.write_bytes(blob)
+    try:
+        img = read_ppm(path)
+    except ValidationError:
+        return
+    assert img.dtype == np.float32 and img.shape[0] == 3
+
+
+@_FUZZ
+@given(blob=_mutations(_VALID_LINE))
+@example(blob=b"\xff\xfe")                                        # not UTF-8
+@example(blob=b'{"image": "a.ppm", "captions": {"en": 5}, "split": "train"}')
+@example(blob=_VALID_LINE[:-2] + b', "n": ' + b"1" * 5000 + b"}")  # int() digit limit
+@example(blob=b"[" * 100_000)                                      # nesting depth
+def test_load_manifest_fuzzed_raises_only_validation_error(tmp_path, blob):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_bytes(blob)
+    try:
+        records = load_manifest(path)
+    except ValidationError:
+        return
+    for rec in records:
+        rec.validate()
 
 
 # -------------------------------------------------------------------------

@@ -1,5 +1,12 @@
 """Optimizer, schedule, persistence, and training loop contracts."""
 
+import contextlib
+import dataclasses
+import multiprocessing
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -8,16 +15,18 @@ from dinoclip import checkpoint as ckpt
 from dinoclip import trainer
 from dinoclip.autodiff import Tensor, backward
 from dinoclip.checkpoint import FORMAT_VERSION
-from dinoclip.data import AugmentationConfig, EpochSamplingPolicy, load_manifest
+from dinoclip.data import (AugmentationConfig, EpochSamplingPolicy, load_manifest,
+                           load_record_image, make_views)
 from dinoclip.encoders import (ModelConfig, ModelParams, encode_images, init_model_params,
                                project_dino)
 from dinoclip.errors import (CheckpointError, CheckpointShapeError,
                              CheckpointTruncationError, CheckpointVersionError,
-                             ContractError)
+                             ContractError, NumericError, ViewWorkerError)
 from dinoclip.objectives import soft_distillation_terms
 from dinoclip.trainer import (AdamState, MetricsLog, TrainConfig, adamw_step,
                               embed_record_images, embed_texts, init_train_state,
                               load_checkpoint, lr_schedule, save_checkpoint, train)
+from dinoclip.prng import RandomStream
 
 from conftest import (DistributionSet, self_distillation_loss, tiny_model_config,
                       write_synthetic_manifest)
@@ -398,6 +407,144 @@ def test_training_step_batches_views_by_resolution(tiny_records, monkeypatch, lo
     assert calls["images"] == images
     assert calls["heads"] == heads
     assert calls["ops"].count("soft_cross_entropy") == cross_entropies
+
+
+# -------------------------------------------------------------------------
+# the view worker
+# -------------------------------------------------------------------------
+
+def _reference_views(config, records, epoch):
+    """One epoch's batches as per-record make_views calls, stacked view-major
+    here: row v * B + i is view v of record i."""
+    aug = config.augmentation
+    if config.loss_mode != "combined":
+        aug = dataclasses.replace(aug, n_local=0)
+    out = []
+    for batch in trainer._epoch_batches(records, config.batch_size, config.seed, epoch):
+        per_record = [make_views(load_record_image(rec), aug,
+                                 RandomStream(config.seed, epoch, rec.index))
+                      for rec in batch]
+        pair = []
+        for part in (0, 1):
+            blocks = [views[part] for views in per_record]
+            rows = [block[v] for v in range(len(blocks[0])) for block in blocks]
+            pair.append(np.stack(rows) if rows else
+                        np.empty((0, *blocks[0].shape[1:]), np.float32))
+        out.append(tuple(pair))
+    return out
+
+
+def _assert_same_views(got, want):
+    assert len(got) == len(want)
+    for got_pair, want_pair in zip(got, want):
+        for a, b in zip(got_pair, want_pair):
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b)   # shapes included
+
+
+@pytest.mark.parametrize("loss_mode,n_local", [("combined", 1), ("infonce_only", 1),
+                                               ("combined", 0)])
+def test_view_batches_equal_per_record_views(tiny_records, loss_mode, n_local):
+    """The worker's generator over a 3-epoch run of two steps per epoch."""
+    aug = dataclasses.replace(tiny_train_config().augmentation, n_local=n_local)
+    cfg = tiny_train_config(epochs=3, batch_size=2, loss_mode=loss_mode, augmentation=aug)
+    got = list(trainer._view_batches(cfg, tiny_records, range(3)))
+    want = [pair for epoch in range(3) for pair in _reference_views(cfg, tiny_records, epoch)]
+    assert len(want) == 6
+    _assert_same_views(got, want)
+
+
+def test_resumed_run_receives_reference_views(tmp_path, tiny_records, monkeypatch):
+    """Resumed from an epoch-2 checkpoint, the generator starts at epoch 2,
+    and the globals the teacher encodes in the training process are its
+    batches, bit for bit."""
+    half, _ = train(tiny_train_config(epochs=3, batch_size=2), tiny_records,
+                    stop_after_epoch=2)
+    save_checkpoint(half, tmp_path / "mid.ckpt")
+    state = load_checkpoint(tmp_path / "mid.ckpt")
+    want = _reference_views(state.config, tiny_records, 2)
+    _assert_same_views(list(trainer._view_batches(state.config, tiny_records,
+                                                  range(state.next_epoch, 3))), want)
+
+    seen = []
+
+    def spy(params, images):
+        if params is state.teacher.params:
+            seen.append(images.data)
+        return encode_images(params, images)
+
+    monkeypatch.setattr(trainer, "encode_images", spy)
+    train(state.config, tiny_records, resume=state)
+    assert len(seen) == len(want) == 2
+    for got, (globals_, _) in zip(seen, want):
+        assert np.array_equal(got, globals_)
+
+
+def _missing_image(records, index):
+    return [dataclasses.replace(r, image_ref="missing.ppm") if r.index == index else r
+            for r in records]
+
+
+@pytest.mark.parametrize("how", ["return", "stop_after_epoch", "callback", "numeric",
+                                 "worker_error"])
+def test_no_process_outlives_train(tmp_path, tiny_records, monkeypatch, how):
+    """A stop after the first step leaves 199 epochs of batches, more than the
+    pipe holds, so the worker is still running when train stops."""
+    records, kwargs, raises, epochs = tiny_records, {}, None, 3
+    if how == "stop_after_epoch":
+        kwargs["stop_after_epoch"] = 1
+    elif how == "callback":
+        kwargs["epoch_callback"], epochs = (lambda state, metrics: True), 200
+    elif how == "numeric":
+        monkeypatch.setattr(trainer, "combined_loss",
+                            lambda nce, dist: Tensor(np.array(np.nan, np.float32)))
+        raises, epochs = NumericError, 200
+    elif how == "worker_error":
+        records, kwargs["data_root"] = _missing_image(tiny_records, 2), tmp_path
+        raises = FileNotFoundError
+    with pytest.raises(raises) if raises else contextlib.nullcontext():
+        train(tiny_train_config(epochs=epochs), records, **kwargs)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_raised_at_the_step_that_needs_the_batch(tmp_path, tiny_records,
+                                                              monkeypatch):
+    """A missing image in epoch 0's second batch: the first step completes,
+    then the worker's FileNotFoundError is raised with its message, chained
+    to the worker's traceback."""
+    cfg = tiny_train_config(epochs=3, batch_size=2)
+    second = trainer._epoch_batches(tiny_records, 2, cfg.seed, 0)[1]
+    steps = []
+
+    def counting_adamw(*args, **kwargs):
+        steps.append(1)
+        return adamw_step(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "adamw_step", counting_adamw)
+    with pytest.raises(FileNotFoundError, match="missing.ppm") as raised:
+        train(cfg, _missing_image(tiny_records, second[0].index), data_root=tmp_path)
+    assert len(steps) == 1
+    assert "in load_record_image" in str(raised.value.__cause__)   # the worker's traceback
+
+
+def test_killed_view_worker_raises_at_once(tiny_records):
+    """SIGKILL the worker after the first epoch: the steps whose batches
+    already sit in the pipe run, then ViewWorkerError names the signal.  200
+    epochs of batches do not fit in the pipe, so the worker is still
+    running when it is killed."""
+    killed = []
+
+    def kill_worker(state, metrics):
+        if not killed:
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+            killed.append(time.perf_counter())
+        return False
+
+    with pytest.raises(ViewWorkerError, match="exited with code -9"):
+        train(tiny_train_config(epochs=200), tiny_records, epoch_callback=kill_worker)
+    assert time.perf_counter() - killed[0] < 1.0
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("average_pairs", [True, False])
