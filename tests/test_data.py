@@ -286,7 +286,6 @@ def test_read_ppm_fuzzed_raises_only_validation_error(tmp_path, blob):
 @_FUZZ
 @given(blob=_mutations(_VALID_LINE))
 @example(blob=b"\xff\xfe")                                        # not UTF-8
-@example(blob=b'{"image": "a.ppm", "captions": {"en": 5}, "split": "train"}')
 @example(blob=_VALID_LINE[:-2] + b', "n": ' + b"1" * 5000 + b"}")  # int() digit limit
 @example(blob=b"[" * 100_000)                                      # nesting depth
 def test_load_manifest_fuzzed_raises_only_validation_error(tmp_path, blob):
