@@ -7,6 +7,12 @@ order, so the tape is already topologically sorted and :func:`backward` is a
 single reverse sweep that visits each node exactly once.  Operations run with
 no active tape are forward-only, which is how teacher evaluations stay out of
 the gradient.
+
+A forward or an adjoint writes in place only into arrays it allocated
+itself.  It never writes into its incoming gradient, its inputs' data or an
+array it captured: ``add``'s adjoint can hand the same array to both of its
+inputs, so :func:`backward` may hold one array as the gradient of two
+tensors, and a captured array may be another node's output.
 """
 
 from __future__ import annotations
@@ -238,8 +244,16 @@ def gelu(a) -> Tensor:
     cdf = 0.5 * (1.0 + _erf(ad * _INV_SQRT2))
 
     def backward(g):
-        pdf = np.exp(-0.5 * ad * ad) * _INV_SQRT_2PI
-        return (g * (cdf + ad * pdf),)
+        # g * (cdf + ad * pdf), pdf = exp(-ad^2 / 2) / sqrt(2 pi), in one
+        # buffer (asarray: a rank-0 product is a numpy scalar, not a buffer)
+        d = np.asarray(-0.5 * ad)
+        d *= ad
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= ad
+        d += cdf
+        d *= g
+        return (d,)
 
     return _record("gelu", (a,), ad * cdf, backward)
 
@@ -389,13 +403,18 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions disagree: {ad.shape} x {bd.shape}")
 
     if bd.ndim == 2:
+        # Stacked rows as one 2-D GEMM: numpy runs a stacked product with a
+        # transposed 2-D operand in its own loop, not in BLAS.
         def backward(g):
-            ga = g @ bd.T
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            g2 = g.reshape(-1, g.shape[-1])
+            ga = (g2 @ bd.T).reshape(ad.shape)
+            gb = ad.reshape(-1, ad.shape[-1]).T @ g2
             return ga, gb
     elif ad.shape[:-2] == bd.shape[:-2]:
+        # A contiguous copy of b's transpose makes ga's product faster; a's
+        # transposed view is the faster operand for gb as it stands.
         def backward(g):
-            ga = g @ bd.swapaxes(-1, -2)
+            ga = g @ np.ascontiguousarray(bd.swapaxes(-1, -2))
             gb = ad.swapaxes(-1, -2) @ g
             return ga, gb
     else:
@@ -434,13 +453,16 @@ def softmax(x, axis: int = -1, temperature: float = 1.0) -> Tensor:
     if temperature <= 0:
         raise DomainError(f"softmax temperature must be positive, got {temperature}")
     x = _as_tensor(x)
-    z = x.data / temperature
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = x.data / temperature
+    out -= out.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out / temperature,)
+        r = g - (g * out).sum(axis=axis, keepdims=True)
+        r *= out
+        r /= temperature
+        return (r,)
 
     return _record("softmax", (x,), out, backward)
 
@@ -489,19 +511,25 @@ def layer_norm(x, gain, bias) -> Tensor:
     xd, gd, bd = x.data, gain.data, bias.data
     eps = LAYER_NORM_EPS
 
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gd + bd
+    # A sum divided by the count is what np.mean computes, bit for bit.
+    xhat = xd - xd.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    out = xhat * gd
+    out += bd
 
     def backward(g):
-        dgain = (g * xhat).reshape(-1, d).sum(axis=0)
+        t = g * xhat
+        dgain = t.reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
-        dxhat = g * gd
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        dx = g * gd
+        np.multiply(dx, xhat, out=t)
+        t_mean = t.sum(axis=-1, keepdims=True) / d
+        dx -= dx.sum(axis=-1, keepdims=True) / d
+        np.multiply(xhat, t_mean, out=t)
+        dx -= t
+        dx *= inv
         return dx, dgain, dbias
 
     return _record("layer_norm", (x, gain, bias), out, backward)
@@ -524,8 +552,11 @@ def soft_cross_entropy(target, pred) -> Tensor:
     out = np.asarray(-(target_arr * np.log(pc)).sum() / rows, dtype=pd.dtype)
 
     def backward(g):
-        grad = np.where(pd >= clamp, -target_arr / pc, 0.0) * (g / rows)
-        return (grad.astype(pd.dtype, copy=False),)
+        grad = np.asarray(np.divide(target_arr, pc))
+        np.negative(grad, out=grad)
+        grad[~(pd >= clamp)] = 0.0          # clamped entries, NaN included
+        grad *= g / rows
+        return (grad,)
 
     return _record("soft_cross_entropy", (pred,), out, backward)
 

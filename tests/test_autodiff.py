@@ -1,13 +1,18 @@
 """Engine semantics, tape invariants, and per-op gradient verification."""
 
+import inspect
+import math
+import re
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from dinoclip import autodiff as ad
 from dinoclip.autodiff import GradientMap, Tape, Tensor, backward, parameter
 from dinoclip.errors import ContractError, DomainError, ShapeError
 
-from gradcheck import check_gradients, max_gradient_error
+from gradcheck import check_gradients, max_gradient_error, relative_error
 
 # -------------------------------------------------------------------------
 # value semantics
@@ -276,3 +281,243 @@ def test_gradcheck_reports_tolerance_breach():
 
     err = max_gradient_error(broken, {"x": np.ones(3)})
     assert err > 1e-3
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gradcheck_stacked_matmul(seed):
+    """The stacked shapes the encoders use: a shared weight over [B, T, I]
+    rows, and attention's batched product with its key fed through
+    transpose."""
+    rng = np.random.default_rng(400 + seed)
+    m = _mask(rng, (2, 3, 5))
+    check_gradients(lambda t: ad.sum_(ad.mul(ad.matmul(t["a"], t["w"]), m)),
+                    {"a": rng.normal(size=(2, 3, 4)), "w": rng.normal(size=(4, 5))})
+    m2 = _mask(rng, (2, 2, 3, 3))
+    check_gradients(lambda t: ad.sum_(ad.mul(
+        ad.matmul(t["q"], ad.transpose(t["k"], (0, 1, 3, 2))), m2)),
+        {"q": rng.normal(size=(2, 2, 3, 4)), "k": rng.normal(size=(2, 2, 3, 4))})
+
+
+def test_shared_weight_matmul_float32_adjoints_match_float64():
+    rng = np.random.default_rng(410)
+    a, w, g = (rng.normal(size=s).astype(np.float32).astype(np.float64)
+               for s in ((8, 5, 64), (64, 32), (8, 5, 32)))
+    with Tape() as tape:
+        ad.matmul(Tensor(a, requires_grad=True, dtype=np.float32),
+                  Tensor(w, requires_grad=True, dtype=np.float32))
+    ga, gw = tape.nodes[0].backward_fn(g.astype(np.float32))
+    assert ga.dtype == gw.dtype == np.float32
+    assert ga.shape == a.shape and gw.shape == w.shape
+    assert relative_error(ga, g @ w.T) < 1e-5
+    assert relative_error(gw, a.reshape(-1, 64).T @ g.reshape(-1, 32)) < 1e-5
+
+
+# -------------------------------------------------------------------------
+# adjoint purity: an op writes in place only into arrays it allocated
+# -------------------------------------------------------------------------
+
+def _purity_cases():
+    """op case -> (builder over named tensors, input shapes or arrays).
+    Positive arrays where the op needs them; l2_normalize and
+    soft_cross_entropy each meet their clamp."""
+    probs = np.random.default_rng(0).dirichlet(np.ones(6), size=3)
+    probs[0, :2] = [0.0, 1e-14]                       # below LOG_CLAMP
+    rows = np.random.default_rng(1).normal(size=(3, 5))
+    rows[1] = 0.0                                     # a zero row: l2_normalize's clamp
+    pos = lambda *shape: np.random.default_rng(2).uniform(0.5, 2.0, size=shape)
+    return {
+        "add": (lambda t: ad.add(t["a"], t["b"]), {"a": (3, 4), "b": (4,)}),
+        "sub": (lambda t: ad.sub(t["a"], t["b"]), {"a": (3, 4), "b": (3, 1)}),
+        "mul": (lambda t: ad.mul(t["a"], t["b"]), {"a": (3, 4), "b": (4,)}),
+        "div": (lambda t: ad.div(t["a"], t["b"]), {"a": (3, 4), "b": pos(3, 4)}),
+        "neg": (lambda t: ad.neg(t["a"]), {"a": (3, 4)}),
+        "exp": (lambda t: ad.exp(t["a"]), {"a": (3, 4)}),
+        "log": (lambda t: ad.log(t["a"]), {"a": pos(3, 4)}),
+        "sqrt": (lambda t: ad.sqrt(t["a"]), {"a": pos(3, 4)}),
+        "gelu": (lambda t: ad.gelu(t["a"]), {"a": (2, 3, 8)}),
+        "gelu_rank0": (lambda t: ad.gelu(t["a"]), {"a": ()}),
+        "sum_axis": (lambda t: ad.sum_(t["a"], axis=1), {"a": (3, 4)}),
+        "sum_all": (lambda t: ad.sum_(t["a"]), {"a": (3, 4)}),
+        "mean": (lambda t: ad.mean(t["a"], axis=0, keepdims=True), {"a": (3, 4)}),
+        "reshape": (lambda t: ad.reshape(t["a"], (4, 3)), {"a": (3, 4)}),
+        "transpose": (lambda t: ad.transpose(t["a"], (0, 2, 1)), {"a": (2, 3, 4)}),
+        "concat": (lambda t: ad.concat([t["a"], t["b"]], axis=1), {"a": (3, 2), "b": (3, 4)}),
+        "take_index": (lambda t: ad.take_index(t["a"], 1, axis=1), {"a": (2, 3, 4)}),
+        "gather_rows": (lambda t: ad.gather_rows(t["a"], np.array([0, 2, 2])),
+                        {"a": (3, 4)}),
+        "extract_patches": (lambda t: ad.extract_patches(t["a"], 2), {"a": (2, 3, 4, 4)}),
+        "matmul": (lambda t: ad.matmul(t["a"], t["b"]), {"a": (3, 4), "b": (4, 5)}),
+        "matmul_shared": (lambda t: ad.matmul(t["a"], t["b"]),
+                          {"a": (2, 3, 4), "b": (4, 5)}),
+        "matmul_batched": (lambda t: ad.matmul(t["a"], ad.transpose(t["b"], (0, 1, 3, 2))),
+                           {"a": (2, 2, 3, 4), "b": (2, 2, 3, 4)}),
+        "weight_norm_linear": (lambda t: ad.weight_norm_linear(t["x"], t["d"], t["s"]),
+                               {"x": (2, 3), "d": (5, 3), "s": (5,)}),
+        "softmax": (lambda t: ad.softmax(t["a"], axis=-1, temperature=0.07), {"a": (3, 6)}),
+        "softmax_axis0": (lambda t: ad.softmax(t["a"], axis=0), {"a": (3, 6)}),
+        "log_softmax": (lambda t: ad.log_softmax(t["a"], axis=0), {"a": (3, 6)}),
+        "l2_normalize": (lambda t: ad.l2_normalize(t["a"]), {"a": rows}),
+        "layer_norm": (lambda t: ad.layer_norm(t["a"], t["g"], t["b"]),
+                       {"a": (2, 3, 8), "g": (8,), "b": (8,)}),
+        "soft_cross_entropy": (lambda t: ad.soft_cross_entropy(probs[::-1], t["p"]),
+                               {"p": probs}),
+        "soft_cross_entropy_rank0": (lambda t: ad.soft_cross_entropy(0.3, t["p"]),
+                                     {"p": pos()}),
+    }
+
+
+def _purity_inputs(spec, rng, dtype):
+    arrays = {}
+    for name, s in spec.items():
+        arr = s if isinstance(s, np.ndarray) else rng.normal(size=s)
+        arrays[name] = Tensor(arr, requires_grad=True, name=name, dtype=dtype)
+    return arrays
+
+
+def _recorded_ops():
+    return set(re.findall(r'_record\("(\w+)"', inspect.getsource(ad)))
+
+
+def test_purity_cases_cover_every_recorded_op():
+    seen = set()
+    for build, spec in _purity_cases().values():
+        with Tape() as tape:
+            build(_purity_inputs(spec, np.random.default_rng(0), np.float64))
+        seen |= {node.op for node in tape.nodes}
+    assert seen == _recorded_ops()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_purity_cases()))
+def test_adjoints_write_only_into_their_own_arrays(case, dtype):
+    """Each recorded node's adjoint, on a contiguous and on a strided
+    incoming gradient, leaves that gradient, its inputs' data and its output
+    unchanged, returns one gradient per input in the input's shape, and
+    gives the same gradients when called again."""
+    build, spec = _purity_cases()[case]
+    rng = np.random.default_rng(500)
+    with Tape() as tape:
+        build(_purity_inputs(spec, rng, dtype))
+    assert tape.nodes
+    for node in tape.nodes:
+        base = np.asarray(rng.normal(size=node.output.shape + (2,)), dtype=dtype)
+        for g in (base[..., 0].copy(), base[..., 1]):     # the second is strided
+            before = [g.copy(), node.output.data.copy()] + [t.data.copy() for t in node.inputs]
+            first = node.backward_fn(g)
+            second = node.backward_fn(g)
+            after = [g, node.output.data] + [t.data for t in node.inputs]
+            for was, now in zip(before, after):
+                assert np.array_equal(was, now, equal_nan=True), node.op
+            assert len(first) == len(node.inputs)
+            for t, g1, g2 in zip(node.inputs, first, second):
+                assert g1.shape == t.shape, node.op
+                assert np.array_equal(g1, g2, equal_nan=True), node.op
+
+
+# -------------------------------------------------------------------------
+# the in-place rewrites against the expressions they replaced
+# -------------------------------------------------------------------------
+
+def _ref_softmax(x, axis, temperature):
+    z = x / temperature
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * out).sum(axis=axis, keepdims=True)
+        return (g - dot) * out / temperature
+
+    return out, backward
+
+
+def _ref_layer_norm(x, gain, bias):
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ad.LAYER_NORM_EPS)
+    xhat = xc * inv
+    out = xhat * gain + bias
+
+    def backward(g):
+        dgain = (g * xhat).reshape(-1, d).sum(axis=0)
+        dbias = g.reshape(-1, d).sum(axis=0)
+        dxhat = g * gain
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        return dx, dgain, dbias
+
+    return out, backward
+
+
+def _ref_gelu(x):
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+
+    def backward(g):
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        return g * (cdf + x * pdf)
+
+    return x * cdf, backward
+
+
+def _ref_soft_cross_entropy(target, pred):
+    rows = 1 if pred.ndim < 2 else int(np.prod(pred.shape[:-1]))
+    pc = np.maximum(pred, ad.LOG_CLAMP)
+    out = np.asarray(-(target * np.log(pc)).sum() / rows, dtype=pred.dtype)
+
+    def backward(g):
+        grad = np.where(pred >= ad.LOG_CLAMP, -target / pc, 0.0) * (g / rows)
+        return grad.astype(pred.dtype, copy=False)
+
+    return out, backward
+
+
+def _node_of(fn, *inputs):
+    with Tape() as tape:
+        out = fn(*inputs)
+    return out.data, tape.nodes[-1].backward_fn
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rewritten_ops_bit_identical_to_reference_expressions(dtype):
+    rng = np.random.default_rng(600)
+    arr = lambda *s, scale=1.0: (rng.normal(size=s) * scale).astype(dtype)
+    param = lambda a: Tensor(a, requires_grad=True, dtype=dtype)
+
+    for shape, axis, temperature in (((5, 7), -1, 0.07), ((5, 7), 0, 1.0),
+                                     ((4, 160, 40), -1, 0.04)):
+        x = arr(*shape, scale=3.0)
+        g = arr(*shape)
+        out, bw = _node_of(lambda t: ad.softmax(t, axis=axis, temperature=temperature),
+                           param(x))
+        ref, ref_bw = _ref_softmax(x, axis, temperature)
+        _assert_same(out, ref)
+        _assert_same(bw(g)[0], ref_bw(g))
+
+    for shape in ((3, 6), (4, 17, 64)):
+        x, gain, bias, g = arr(*shape, scale=2.0), arr(shape[-1]), arr(shape[-1]), arr(*shape)
+        out, bw = _node_of(ad.layer_norm, param(x), param(gain), param(bias))
+        ref, ref_bw = _ref_layer_norm(x, gain, bias)
+        _assert_same(out, ref)
+        for got, want in zip(bw(g), ref_bw(g)):
+            _assert_same(got, want)
+
+    x, g = arr(4, 17, 256, scale=2.0), arr(4, 17, 256)
+    out, bw = _node_of(ad.gelu, param(x))
+    ref, ref_bw = _ref_gelu(x)
+    _assert_same(out, ref)
+    _assert_same(bw(g)[0], ref_bw(g))
+
+    pred = rng.dirichlet(np.ones(64), size=10).astype(dtype)
+    pred[0, :3] = [0.0, 1e-14, 1e-13]                 # clamped entries
+    target = rng.dirichlet(np.ones(64), size=10).astype(dtype)
+    for g in (np.asarray(1.0, dtype), np.asarray(-0.37, dtype)):
+        out, bw = _node_of(lambda p: ad.soft_cross_entropy(target, p), param(pred))
+        ref, ref_bw = _ref_soft_cross_entropy(target, pred)
+        _assert_same(out, ref)
+        _assert_same(bw(g)[0], ref_bw(g))

@@ -21,7 +21,8 @@ from dinoclip.encoders import (ModelConfig, ModelParams, encode_images, init_mod
                                project_dino)
 from dinoclip.errors import (CheckpointError, CheckpointShapeError,
                              CheckpointTruncationError, CheckpointVersionError,
-                             ContractError, NumericError, ViewWorkerError)
+                             ContractError, ManifestParseError, NumericError,
+                             ViewWorkerError)
 from dinoclip.objectives import soft_distillation_terms
 from dinoclip.trainer import (AdamState, MetricsLog, TrainConfig, adamw_step,
                               embed_record_images, embed_texts, init_train_state,
@@ -525,6 +526,21 @@ def test_worker_error_raised_at_the_step_that_needs_the_batch(tmp_path, tiny_rec
         train(cfg, _missing_image(tiny_records, second[0].index), data_root=tmp_path)
     assert len(steps) == 1
     assert "in load_record_image" in str(raised.value.__cause__)   # the worker's traceback
+
+
+def test_worker_manifest_parse_error_reraised_with_type_and_message(tiny_records,
+                                                                   monkeypatch):
+    """An error whose constructor takes other arguments than its message
+    crosses the pipe intact."""
+    def bad_image(rec, root=None):
+        raise ManifestParseError(7, "bad record")
+
+    monkeypatch.setattr(trainer, "load_record_image", bad_image)   # the worker is forked
+    with pytest.raises(ManifestParseError, match="^manifest line 7: bad record$") as raised:
+        train(tiny_train_config(epochs=2), tiny_records)
+    assert raised.value.line_no == 7
+    assert "in bad_image" in str(raised.value.__cause__)   # the worker's traceback
+    assert multiprocessing.active_children() == []
 
 
 def test_killed_view_worker_raises_at_once(tiny_records):
