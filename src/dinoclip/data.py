@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .encoders import END_ID, SENTINEL_ID, BYTE_OFFSET, resize_bicubic
 from .errors import (AlignmentError, ContractError, DomainError, ManifestParseError,
@@ -329,6 +328,31 @@ def _color_jitter(image: np.ndarray, strength: float, rng: RandomStream) -> np.n
     return np.clip(out, 0.0, 1.0)
 
 
+def _blur_matrix(n: int, sigma: float) -> np.ndarray:
+    """[n, n] float64 matrix of a normalized Gaussian along one axis, cut at
+    scipy.ndimage's radius int(4 sigma + 0.5), taps past an edge clamped to it."""
+    radius = int(4.0 * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * offsets * offsets)
+    weights /= weights.sum()
+    rows = np.arange(n)[:, None]
+    out = np.zeros((n, n))
+    np.add.at(out, (rows, np.clip(rows + offsets, 0, n - 1)),
+              np.broadcast_to(weights, (n, offsets.size)))
+    return out
+
+
+def _gaussian_blur(arr: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur of [C, H, W] over H and then W, edges clamped,
+    rounded to the input's dtype after each axis (scipy.ndimage's
+    gaussian_filter1d in "nearest" mode, one axis at a time)."""
+    _, h, w = arr.shape
+    rows = _blur_matrix(h, sigma)
+    cols = rows if w == h else _blur_matrix(w, sigma)
+    out = (rows @ arr).astype(arr.dtype)
+    return (out @ cols.T).astype(arr.dtype)
+
+
 def _augment_view(view: np.ndarray, config: AugmentationConfig,
                   rng: RandomStream) -> np.ndarray:
     out = view.astype(np.float32)
@@ -336,8 +360,7 @@ def _augment_view(view: np.ndarray, config: AugmentationConfig,
         out = _color_jitter(out, config.jitter_strength, rng).astype(np.float32)
     if rng.uniform() < config.blur_prob:
         sigma = rng.uniform(*BLUR_SIGMA_RANGE)
-        out = gaussian_filter1d(out, sigma, axis=1, mode="nearest")
-        out = gaussian_filter1d(out, sigma, axis=2, mode="nearest")
+        out = _gaussian_blur(out, sigma)
     if rng.uniform() < config.solarize_prob:
         out = np.where(out >= config.solarize_threshold, 1.0 - out, out).astype(np.float32)
     return np.clip(out, 0.0, 1.0).astype(np.float32)

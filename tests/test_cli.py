@@ -1,10 +1,14 @@
 """Command-line surface: every subcommand plus exit-code mapping."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dinoclip
 from dinoclip import checkpoint as ckpt
 from dinoclip.cli import main
 from dinoclip.data import read_record_file, write_record_file
@@ -344,3 +348,16 @@ def test_config_round_trip():
     cfg = tiny_train_config(epochs=7, loss_mode="infonce_only")
     again = TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again.to_dict() == cfg.to_dict()
+
+
+def test_library_imports_without_scipy():
+    """scipy is a test dependency only: the CLI, trainer and evaluation load
+    none of it."""
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(Path(dinoclip.__file__).parents[1])!r})\n"
+            "import dinoclip.cli, dinoclip.trainer, dinoclip.evaluation\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
