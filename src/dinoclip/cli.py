@@ -114,14 +114,9 @@ def cmd_eval_retrieval(args) -> int:
     if not records:
         raise ValidationError(f"no records in split {args.split!r}")
     texts, owners = _caption_rows(records, args.language)
-    if getattr(args, "dedupe_captions", False):
-        seen, kept = set(), []
-        for t, o in zip(texts, owners):
-            if (o, t) not in seen:  # drop per-image duplicate captions
-                seen.add((o, t))
-                kept.append((t, o))
-        texts = [t for t, _ in kept]
-        owners = [o for _, o in kept]
+    if args.dedupe_captions:  # drop per-image duplicate captions, first one kept
+        kept = list(dict.fromkeys(zip(texts, owners)))
+        texts, owners = [t for t, _ in kept], [o for _, o in kept]
     if not texts:
         raise ValidationError(f"split has no captions in language {args.language!r}")
     img = embed_record_images(state.student, records, data_root=args.data_root)
@@ -146,11 +141,9 @@ def cmd_zero_shot(args) -> int:
             images.append(ImageCaptionRecord(image_ref=fn, captions={}, split="test"))
             labels.append(ci)
     img_emb = embed_record_images(state.student, images, data_root=args.data_root)
-
-    def encoder(prompt: str):
-        return embed_texts(state.student, [prompt])[0]
-
-    predictions = zero_shot_classify(img_emb, class_names, template, encoder)
+    prompts = [template.expand(name) for name in class_names]
+    prompt_emb = dict(zip(prompts, embed_texts(state.student, prompts)))
+    predictions = zero_shot_classify(img_emb, class_names, template, prompt_emb.__getitem__)
     correct = sum(int(p == t) for p, t in zip(predictions, labels))
     result = {"accuracy": round(100.0 * correct / len(labels), 2),
               "n": len(labels),

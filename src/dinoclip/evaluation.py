@@ -8,11 +8,11 @@ gallery index, so reports are bit-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ValidationError
+from .errors import ContractError, DomainError, NumericError, ValidationError
 from .prng import SplitMix64, fisher_yates, stable_hash
 
 ZERO_SHOT_TEMPLATE = "a satellite photo of {class name}"
@@ -36,17 +36,10 @@ class SimilarityMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ContractError(f"similarity matrix must be 2-D, got {self.values.shape}")
-        if self.values.size and (self.values.min() < -1.0 - 1e-5
-                                 or self.values.max() > 1.0 + 1e-5):
+        if not np.isfinite(self.values).all():
+            raise NumericError("similarity matrix has non-finite entries")
+        if (np.abs(self.values) > 1.0 + 1e-5).any():
             raise ValidationError("similarity entries fall outside [-1, 1]")
-
-    @property
-    def num_queries(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_gallery(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -55,7 +48,9 @@ class GroundTruth:
 
     correct: dict[int, set]
 
-    def validate(self, num_queries: int, num_gallery: int):
+    def mask(self, num_queries: int, num_gallery: int) -> np.ndarray:
+        """[Q, G] mask of correct items; keys that are not query rows are ignored."""
+        correct = np.zeros((num_queries, num_gallery), dtype=bool)
         for q in range(num_queries):
             hits = self.correct.get(q)
             if not hits:
@@ -64,6 +59,8 @@ class GroundTruth:
                 if not 0 <= g < num_gallery:
                     raise ContractError(f"query {q}: gallery index {g} out of range "
                                         f"[0, {num_gallery})")
+                correct[q, g] = True
+        return correct
 
 
 @dataclass
@@ -100,9 +97,7 @@ class RetrievalReport:
                 self.t2i_r1, self.t2i_r5, self.t2i_r10)
 
     def to_json(self) -> str:
-        fields = ("i2t_r1", "i2t_r5", "i2t_r10", "t2i_r1", "t2i_r5", "t2i_r10",
-                  "mean_recall")
-        return json.dumps({k: round(getattr(self, k), 2) for k in fields})
+        return json.dumps({k: round(v, 2) for k, v in asdict(self).items()})
 
     def to_csv_row(self) -> str:
         vals = self.as_tuple() + (self.mean_recall,)
@@ -128,22 +123,25 @@ class ZeroShotTemplate:
 # ranking metrics
 # ---------------------------------------------------------------------------
 
-def _ranked_gallery(values: np.ndarray) -> np.ndarray:
-    """Gallery indices by descending similarity along the last axis,
-    ascending index on ties."""
-    return np.argsort(-values, axis=-1, kind="stable")
+def _best_correct_rank(values: np.ndarray, correct: np.ndarray) -> np.ndarray:
+    """Per query row (each with a correct item), the 0-based rank of its best
+    correct item: the items scoring strictly higher plus those scoring equal
+    at a lower index.  The best correct item is the first highest-scoring one."""
+    best = np.where(correct, values, -np.inf).argmax(axis=1)
+    score = values[np.arange(len(values)), best][:, None]
+    before = np.arange(values.shape[1]) < best[:, None]
+    return (values > score).sum(axis=1) + ((values == score) & before).sum(axis=1)
 
 
 def recall_at_k(sim: SimilarityMatrix, gt: GroundTruth, k: int) -> float:
     """Percentage of queries whose top-k ranking contains a correct item."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if k > sim.num_gallery:
-        raise DomainError(f"k={k} exceeds gallery size {sim.num_gallery}")
-    gt.validate(sim.num_queries, sim.num_gallery)
-    top = _ranked_gallery(sim.values)[:, :k].tolist()
-    hits = sum(not gt.correct[q].isdisjoint(row) for q, row in enumerate(top))
-    return 100.0 * hits / sim.num_queries
+    num_queries, num_gallery = sim.values.shape
+    if k > num_gallery:
+        raise DomainError(f"k={k} exceeds gallery size {num_gallery}")
+    ranks = _best_correct_rank(sim.values, gt.mask(num_queries, num_gallery))
+    return 100.0 * int((ranks < k).sum()) / num_queries
 
 
 def mean_recall(six_values) -> float:
@@ -169,7 +167,7 @@ def retrieve_top_k(query_embedding: np.ndarray, gallery_embeddings: np.ndarray,
     if not 1 <= k <= g.shape[0]:
         raise DomainError(f"k={k} outside [1, {g.shape[0]}]")
     sims = cosine_matrix(q[None, :], g)[0]
-    return _ranked_gallery(sims)[:k].tolist()
+    return np.argsort(-sims, kind="stable")[:k].tolist()
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,18 +251,25 @@ def retrieval_report(image_embeddings: np.ndarray, caption_embeddings: np.ndarra
     text query counts one correct image; an image query counts a hit when
     any of its captions ranks inside the top k.
     """
-    n_img = image_embeddings.shape[0]
-    if len(caption_to_image) != caption_embeddings.shape[0]:
+    n_img, n_cap = image_embeddings.shape[0], caption_embeddings.shape[0]
+    if len(caption_to_image) != n_cap:
         raise ContractError("caption ownership list does not match caption count")
-    i2t_sim = SimilarityMatrix(cosine_matrix(image_embeddings, caption_embeddings))
-    t2i_sim = SimilarityMatrix(i2t_sim.values.T)
-    img_to_caps: dict[int, set] = {i: set() for i in range(n_img)}
-    for cap_idx, img_idx in enumerate(caption_to_image):
-        img_to_caps[img_idx].add(cap_idx)
-    gt_i2t = GroundTruth(img_to_caps)
-    gt_t2i = GroundTruth({j: {img} for j, img in enumerate(caption_to_image)})
-    i2t = tuple(recall_at_k(i2t_sim, gt_i2t, min(k, i2t_sim.num_gallery))
-                for k in (1, 5, 10))
-    t2i = tuple(recall_at_k(t2i_sim, gt_t2i, min(k, t2i_sim.num_gallery))
-                for k in (1, 5, 10))
-    return RetrievalReport.from_recalls(i2t, t2i)
+    if not n_img:
+        raise ContractError("retrieval needs at least one image")
+    owned = np.zeros((n_img, n_cap), dtype=bool)
+    for j, owner in enumerate(caption_to_image):
+        if not 0 <= owner < n_img:
+            raise ContractError(f"caption {j}: owner image {owner} out of range [0, {n_img})")
+        owned[owner, j] = True
+    lonely = np.flatnonzero(~owned.any(axis=1))
+    if lonely.size:
+        raise ContractError(f"image {lonely[0]} has no caption")
+    sim = cosine_matrix(image_embeddings, caption_embeddings)
+    if not np.isfinite(sim).all():
+        i, j = np.argwhere(~np.isfinite(sim))[0]
+        raise NumericError(f"image-to-text similarity of image {i} and caption {j} is not finite")
+    i2t = _best_correct_rank(sim, owned)
+    t2i = _best_correct_rank(sim.T, owned.T)
+    return RetrievalReport.from_recalls(
+        tuple(100.0 * int((i2t < min(k, n_cap)).sum()) / n_img for k in (1, 5, 10)),
+        tuple(100.0 * int((t2i < min(k, n_img)).sum()) / n_cap for k in (1, 5, 10)))

@@ -19,8 +19,8 @@ from . import checkpoint as ckpt
 from .autodiff import Tape, Tensor, backward
 from .data import (AugmentationConfig, EpochSamplingPolicy, load_record_image,
                    make_views, sample_caption, tokenize)
-from .encoders import (ModelConfig, ModelParams, encode_images, encode_text,
-                       init_model_params, project_dino, resize_bicubic)
+from .encoders import (ModelConfig, ModelParams, _parameter_spec, encode_images,
+                       encode_text, init_model_params, project_dino, resize_bicubic)
 from .errors import (CheckpointError, CheckpointShapeError, ContractError, DomainError,
                      NumericError, ValidationError, ViewWorkerError)
 from .objectives import (ContrastiveBatch, TeacherState, combined_loss, ema_update,
@@ -245,15 +245,15 @@ def save_checkpoint(state: TrainState, path):
 
 
 def _params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
-    skeleton = init_model_params(config, seed=0)
-    if set(arrays.keys()) != set(skeleton.tensors.keys()):
+    spec = dict(_parameter_spec(config))
+    if set(arrays.keys()) != set(spec):
         raise CheckpointShapeError("stored parameter names do not match the config")
     tensors = {}
-    for name, ref in skeleton.items():
+    for name, shape in spec.items():
         arr = arrays[name]
-        if arr.shape != ref.shape:
+        if arr.shape != shape:
             raise CheckpointShapeError(f"tensor {name!r}: stored shape {arr.shape}, "
-                                       f"config implies {ref.shape}")
+                                       f"config implies {shape}")
         tensors[name] = Tensor(arr, requires_grad=True, name=name, dtype=arr.dtype)
     return ModelParams(config, tensors)
 

@@ -11,8 +11,9 @@ import pytest
 import dinoclip
 from dinoclip import checkpoint as ckpt
 from dinoclip.cli import main
-from dinoclip.data import read_record_file, write_record_file
-from dinoclip.trainer import TrainConfig
+from dinoclip.data import ImageCaptionRecord, read_record_file, write_record_file
+from dinoclip.evaluation import ZeroShotTemplate, zero_shot_classify
+from dinoclip.trainer import TrainConfig, embed_record_images, embed_texts, load_checkpoint
 
 from conftest import write_ppm, write_synthetic_manifest
 from test_trainer import set_config_field, tensors_with, tiny_train_config
@@ -64,6 +65,25 @@ def test_eval_retrieval_report(workdir, capsys):
                            "t2i_r10", "mean_recall"}
     printed = capsys.readouterr().out.strip().split("\n")
     assert len(printed[-1].split(",")) == 7  # CSV row: i2t recalls, t2i recalls, mean
+
+
+def test_eval_retrieval_dedupe_drops_repeats_within_an_image(workdir):
+    ckpt = _train(workdir)
+
+    def report(captions_per_image, *flags):
+        manifest = workdir / "dedupe.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"image": {"synthetic": {"seed": i, "size": 8}},
+                        "captions": {"en": caps}, "split": "test"}) + "\n"
+            for i, caps in enumerate(captions_per_image)))
+        out = workdir / "dedupe.json"
+        assert main(["eval-retrieval", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                     "--split", "test", "--language", "en", "--out", str(out), *flags]) == 0
+        return out.read_text()
+
+    deduped = report([["a river", "a river", "a lake", "a river"], ["a river", "trees"]],
+                     "--dedupe-captions")
+    assert deduped == report([["a river", "a lake"], ["a river", "trees"]])
 
 
 def test_eval_retrieval_language_flag(workdir):
@@ -183,12 +203,23 @@ def test_zero_shot_command(workdir):
     index_path = workdir / "cls.json"
     index_path.write_text(json.dumps(index))
     out = workdir / "zs.json"
+    # the tiny text encoder keeps a prompt's first 4 bytes, so the default
+    # template would give every class the same prompt embedding
     rc = main(["zero-shot", "--checkpoint", str(ckpt), "--class-index", str(index_path),
-               "--data-root", str(img_dir), "--out", str(out)])
+               "--data-root", str(img_dir), "--out", str(out), "--template", "{class name}"])
     assert rc == 0
     result = json.loads(out.read_text())
     assert 0.0 <= result["accuracy"] <= 100.0
     assert len(result["predictions"]) == 4
+    # the command embeds all prompts in one call; one call per prompt agrees
+    student = load_checkpoint(ckpt).student
+    classes = sorted(index)
+    images = [ImageCaptionRecord(image_ref=fn, captions={}, split="test")
+              for cls in classes for fn in index[cls]]
+    per_prompt = zero_shot_classify(
+        embed_record_images(student, images, data_root=img_dir), classes,
+        ZeroShotTemplate("{class name}"), lambda prompt: embed_texts(student, [prompt])[0])
+    assert result["predictions"] == [classes[p] for p in per_prompt]
 
 
 def test_zero_shot_truncated_image_is_validation_error(workdir):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dinoclip.errors import ContractError, DomainError, ValidationError
+from dinoclip.errors import ContractError, DomainError, NumericError, ValidationError
 from dinoclip.evaluation import (GroundTruth, RetrievalReport, SimilarityMatrix,
                                  ZeroShotTemplate, build_lmcap_prompt, cosine_matrix,
                                  format_lmcap_block, mean_recall, recall_at_k,
@@ -79,6 +79,13 @@ def test_recall_invariant_under_monotone_transform(rng):
     for k in (1, 3, 9):
         assert (recall_at_k(SimilarityMatrix(sim), gt, k)
                 == recall_at_k(SimilarityMatrix(squashed), gt, k))
+
+
+def test_recall_rejects_non_finite_similarity(rng):
+    sim = rng.uniform(-1, 1, size=(3, 4))
+    sim[1, 2] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        recall_at_k(SimilarityMatrix(sim), GroundTruth({i: {0} for i in range(3)}), 1)
 
 
 def test_recall_k_out_of_range(rng):
@@ -346,3 +353,20 @@ def test_retrieval_report_ties_match_brute_force(seed):
     owners = list(range(9)) + rng.integers(0, 9, size=11).tolist()
     report = retrieval_report(imgs, caps, owners)
     assert report.as_tuple() == _brute_force_recalls(imgs, caps, owners)
+
+
+@pytest.mark.parametrize("owners, match", [
+    ([0, 1, 5], "caption 2: owner image 5 out of range"),
+    ([0, -1, 1], "caption 1: owner image -1 out of range"),
+    ([0, 0, 0], "image 1 has no caption"),
+], ids=["past-end", "negative", "image-without-caption"])
+def test_retrieval_report_rejects_bad_owner(rng, owners, match):
+    with pytest.raises(ContractError, match=match):
+        retrieval_report(rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), owners)
+
+
+def test_retrieval_report_rejects_non_finite_similarity(rng):
+    imgs = rng.normal(size=(3, 4))
+    imgs[1] = np.nan
+    with pytest.raises(NumericError, match="image-to-text similarity of image 1 and caption 0"):
+        retrieval_report(imgs, rng.normal(size=(3, 4)), [0, 1, 2])
