@@ -14,12 +14,12 @@ import numpy as np
 
 from .data import (LANGUAGE_NAMES, ImageCaptionRecord, build_translation_prompts,
                    ingest_translations, load_manifest, save_manifest, split_records,
-                   write_record_file, read_record_file)
+                   tokenize, write_record_file, read_record_file)
 from .errors import (CheckpointError, ContractError, DinoClipError, DomainError,
                      NumericError, ShapeError, ValidationError)
-from .evaluation import (LMCAP_DEFAULT_RETRIEVED, ZeroShotTemplate,
-                         build_lmcap_prompt, retrieval_report, retrieve_top_k,
-                         split_80_20, zero_shot_classify)
+from .evaluation import (LMCAP_DEFAULT_RETRIEVED, ZeroShotTemplate, build_lmcap_prompt,
+                         cosine_matrix, retrieval_report, split_80_20, top_k_rows,
+                         zero_shot_classify)
 from .trainer import (TrainConfig, embed_record_images, embed_texts, load_checkpoint,
                       save_checkpoint, train)
 
@@ -134,6 +134,12 @@ def cmd_zero_shot(args) -> int:
     state = load_checkpoint(args.checkpoint)
     class_names = sorted(class_index.keys())
     template = ZeroShotTemplate(args.template)
+    max_len, owners = state.student.config.text.max_length, {}
+    for name in class_names:
+        other = owners.setdefault(tuple(tokenize(template.expand(name), max_len)), name)
+        if other != name:
+            raise ValidationError(f"classes {other!r} and {name!r} have prompts equal in their "
+                                  f"first {max_len} (max_length) tokens, so they embed alike")
 
     images, labels = [], []
     for ci, name in enumerate(class_names):
@@ -207,11 +213,9 @@ def cmd_build_lmcap_prompts(args) -> int:
     gallery = embed_texts(state.student, texts)
     query_emb = embed_record_images(state.student, queries, data_root=args.data_root)
     fewshot = read_record_file(args.fewshot) if args.fewshot else []
-    prompts = []
-    for row in query_emb:
-        top = retrieve_top_k(row, gallery, min(args.k, len(texts)))
-        prompts.append(build_lmcap_prompt([texts[i] for i in top],
-                                          language_name, fewshot))
+    top = top_k_rows(cosine_matrix(query_emb, gallery), min(args.k, len(texts)))
+    prompts = [build_lmcap_prompt([texts[i] for i in row], language_name, fewshot)
+               for row in top]
     write_record_file(args.out, prompts)
     print(f"wrote {len(prompts)} prompts -> {args.out}")
     return EXIT_OK

@@ -366,14 +366,14 @@ def _augment_view(view: np.ndarray, config: AugmentationConfig,
     return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
-def make_views(image: np.ndarray, config: AugmentationConfig,
-               stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
-    """Two global crops at the global size and n_local local crops at their
-    own (smaller) size, each with per-view jitter/blur/solarize draws.
+def make_views(image: np.ndarray, config: AugmentationConfig, stream: RandomStream,
+               n_global: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """The first n_global of two global crops and n_local local crops at their
+    own (smaller) size, with jitter/blur/solarize draws keyed on the view index.
 
-    Returns (globals [2, 3, G, G], locals [n_local, 3, L, L]), float32;
-    locals is empty when n_local is 0.  Global view 0 feeds the
-    contrastive branch."""
+    Returns (globals [n_global, 3, G, G], locals [n_local, 3, L, L]), float32;
+    locals is empty when n_local is 0.  Global view 0 feeds the contrastive
+    branch."""
     image = np.asarray(image, dtype=np.float32)
     if image.ndim != 3:
         raise ContractError(f"expected [3, H, W] image, got shape {image.shape}")
@@ -382,7 +382,7 @@ def make_views(image: np.ndarray, config: AugmentationConfig,
         raise ContractError(f"image {h}x{w} smaller than local crop size "
                             f"{config.local_crop_size}")
     views = []
-    for view_idx in range(2 + config.n_local):
+    for view_idx in [*range(n_global), *range(2, 2 + config.n_local)]:
         rng = stream.substream(_TAG_VIEWS, view_idx)
         if view_idx < 2:
             crop = _random_resized_crop(image, config.global_crop_size,
@@ -392,9 +392,9 @@ def make_views(image: np.ndarray, config: AugmentationConfig,
                                         config.local_scale, rng)
         views.append(_augment_view(crop, config, rng))
     size = config.local_crop_size
-    local = np.stack(views[2:]) if config.n_local else np.empty((0, 3, size, size),
-                                                                dtype=np.float32)
-    return np.stack(views[:2]), local
+    local = np.stack(views[n_global:]) if config.n_local else np.empty((0, 3, size, size),
+                                                                       dtype=np.float32)
+    return np.stack(views[:n_global]), local
 
 
 # ---------------------------------------------------------------------------

@@ -62,15 +62,15 @@ class CheckpointError(DinoClipError):
 
 
 class CheckpointVersionError(CheckpointError):
-    """Checkpoint format version is not supported."""
+    """Checkpoint format version is not supported (format-1 'DCKP' included)."""
 
 
 class CheckpointTruncationError(CheckpointError):
-    """Checkpoint file ends before its declared payload."""
+    """Checkpoint file is cut short: its zip directory, which comes last, is gone."""
 
 
 class CheckpointShapeError(CheckpointError):
-    """A stored tensor's shape metadata disagrees with its payload."""
+    """A stored tensor group's length or dtype disagrees with the config."""
 
 
 class ViewWorkerError(DinoClipError):

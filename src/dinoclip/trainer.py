@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import multiprocessing
 import signal
 import traceback
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,6 +218,7 @@ class TrainState:
     adam: AdamState
     step: int = 0
     next_epoch: int = 0
+    train_fingerprint: str = None   # set by train; a resume must see the same records
 
 
 def init_train_state(config: TrainConfig) -> TrainState:
@@ -227,67 +230,77 @@ def init_train_state(config: TrainConfig) -> TrainState:
                       adam=AdamState(student))
 
 
-_SECTIONS = ("config", "counters", "student", "teacher", "center", "adam_m", "adam_v")
+def _train_fingerprint(records) -> str:
+    """The record count and a CRC-32 over each record's image_ref and captions."""
+    crc = 0
+    for rec in records:
+        crc = zlib.crc32(json.dumps([rec.image_ref, rec.captions], sort_keys=True).encode(), crc)
+    return f"{len(records)} records, crc32 {crc:08x}"
+
+
 _COUNTERS = ("step", "next_epoch", "adam_t")
 
 
+def _flat(config: ModelConfig, arrays) -> np.ndarray:
+    """One tensor group as a flat array, in parameter-spec order."""
+    return np.concatenate([np.ravel(arrays[name]) for name, _ in _parameter_spec(config)])
+
+
+def _unflat(config: ModelConfig, flat, group: str) -> dict[str, np.ndarray]:
+    """Inverse of _flat: the stored config defines every shape."""
+    spec = list(_parameter_spec(config))
+    sizes = [math.prod(shape) for _, shape in spec]
+    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and sum(sizes) == flat.size
+            and flat.dtype in (np.float32, np.float64)):
+        got = f"{flat.dtype} {flat.shape}" if isinstance(flat, np.ndarray) else type(flat)
+        raise CheckpointShapeError(f"{group} section: expected {sum(sizes)} float32 or "
+                                   f"float64 values, got {got}")
+    ends = np.cumsum([0, *sizes]).tolist()
+    return {name: flat[a:b].reshape(shape).copy()
+            for (name, shape), a, b in zip(spec, ends, ends[1:])}
+
+
 def save_checkpoint(state: TrainState, path):
-    payloads = (
-        ckpt.pack_json(state.config.to_dict()),
-        ckpt.pack_json(dict(zip(_COUNTERS, (state.step, state.next_epoch, state.adam.t)))),
-        ckpt.pack_tensors({k: v.data for k, v in state.student.items()}),
-        ckpt.pack_tensors({k: v.data for k, v in state.teacher.params.items()}),
-        ckpt.pack_tensors({"center": state.teacher.center}),
-        ckpt.pack_tensors(state.adam.m),
-        ckpt.pack_tensors(state.adam.v),
-    )
-    ckpt.write_container(path, list(zip(_SECTIONS, payloads)))
-
-
-def _params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
-    spec = dict(_parameter_spec(config))
-    if set(arrays.keys()) != set(spec):
-        raise CheckpointShapeError("stored parameter names do not match the config")
-    tensors = {}
-    for name, shape in spec.items():
-        arr = arrays[name]
-        if arr.shape != shape:
-            raise CheckpointShapeError(f"tensor {name!r}: stored shape {arr.shape}, "
-                                       f"config implies {shape}")
-        tensors[name] = Tensor(arr, requires_grad=True, name=name, dtype=arr.dtype)
-    return ModelParams(config, tensors)
+    model = state.config.model
+    ckpt.write_container(path, {
+        "config": state.config.to_dict(),
+        "counters": dict(zip(_COUNTERS, (state.step, state.next_epoch, state.adam.t)),
+                         train_fingerprint=state.train_fingerprint),
+        "center": state.teacher.center,
+        "student": _flat(model, {k: v.data for k, v in state.student.items()}),
+        "teacher": _flat(model, {k: v.data for k, v in state.teacher.params.items()}),
+        "adam_m": _flat(model, state.adam.m),
+        "adam_v": _flat(model, state.adam.v)})
 
 
 def load_checkpoint(path) -> TrainState:
-    sections = ckpt.read_container(path, required=_SECTIONS)
+    sections = ckpt.read_container(path)   # a missing section is None, refused below
     try:
-        config = TrainConfig.from_dict(ckpt.unpack_json(sections["config"]))
+        config = TrainConfig.from_dict(sections.get("config"))
     except (ValidationError, DomainError) as e:
         raise CheckpointError(f"config section: {e}") from e
-    counters = ckpt.unpack_json(sections["counters"])
-    if not isinstance(counters, dict) or any(type(counters.get(k)) is not int
-                                             for k in _COUNTERS):
-        raise CheckpointError(f"counters section needs integer {_COUNTERS}, got {counters!r}")
-    student = _params_from_arrays(config.model, ckpt.unpack_tensors(sections["student"]))
-    teacher_params = _params_from_arrays(config.model, ckpt.unpack_tensors(sections["teacher"]))
-    center = ckpt.unpack_tensors(sections["center"]).get("center")
-    if center is None or center.shape != (config.model.dino.output_dim,):
-        raise CheckpointError(f"center section needs a 'center' tensor of shape "
+    counters, center = sections.get("counters"), sections.get("center")
+    if not (isinstance(counters, dict) and all(type(counters.get(k)) is int for k in _COUNTERS)
+            and isinstance(counters.get("train_fingerprint"), (str, type(None)))):
+        raise CheckpointError(f"counters section needs integer {_COUNTERS} and a "
+                              f"train_fingerprint, got {counters!r}")
+    if not isinstance(center, np.ndarray) or center.shape != (config.model.dino.output_dim,):
+        raise CheckpointError(f"center section needs a tensor of shape "
                               f"({config.model.dino.output_dim},)")
+    student, teacher_params = (
+        ModelParams(config.model, {k: Tensor(a, requires_grad=True, name=k, dtype=a.dtype)
+                                   for k, a in _unflat(config.model, sections.get(g), g).items()})
+        for g in ("student", "teacher"))
     teacher = TeacherState(params=teacher_params, center=center,
                            ema_momentum=config.ema_momentum,
                            tau_teacher=config.tau_teacher,
                            center_momentum=config.center_momentum)
     adam = AdamState(student)
-    adam.m, adam.v = (ckpt.unpack_tensors(sections[n]) for n in ("adam_m", "adam_v"))
-    for name, moments in (("adam_m", adam.m), ("adam_v", adam.v)):
-        if set(moments) != set(student.names()) or any(
-                moments[k].shape != p.shape for k, p in student.items()):
-            raise CheckpointError(f"{name} section does not match the parameter tree "
-                                  "(names and shapes)")
+    adam.m, adam.v = (_unflat(config.model, sections.get(g), g) for g in ("adam_m", "adam_v"))
     adam.t = counters["adam_t"]
     return TrainState(config=config, student=student, teacher=teacher, adam=adam,
-                      step=counters["step"], next_epoch=counters["next_epoch"])
+                      step=counters["step"], next_epoch=counters["next_epoch"],
+                      train_fingerprint=counters.get("train_fingerprint"))
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +359,11 @@ def _view_batches(config: TrainConfig, records, epochs, data_root=None):
     """Each step's view-major (globals_ [2B, 3, G, G], locals_ [nB, 3, L, L])
     over ``epochs``, in the loop's batch order: row v * B + i is view v of
     record i.  Views are keyed on (seed, epoch, record, view), so they do not
-    depend on where or when they are built.  Under infonce_only no local
-    view is built."""
-    aug = config.augmentation
+    depend on where or when they are built.  Under infonce_only only global
+    view 0, the one the contrastive loss encodes, is built (globals_ [B, ...])."""
+    aug, n_global = config.augmentation, 2
     if config.loss_mode != "combined":
-        aug = dataclasses.replace(aug, n_local=0)
+        aug, n_global = dataclasses.replace(aug, n_local=0), 1
     image_cache: dict[int, np.ndarray] = {}
     for epoch in epochs:
         for batch in _epoch_batches(records, config.batch_size, config.seed, epoch):
@@ -359,7 +372,7 @@ def _view_batches(config: TrainConfig, records, epochs, data_root=None):
                 if rec.index not in image_cache:
                     image_cache[rec.index] = load_record_image(rec, root=data_root)
                 stream = RandomStream(config.seed, epoch, rec.index)
-                views.append(make_views(image_cache[rec.index], aug, stream))
+                views.append(make_views(image_cache[rec.index], aug, stream, n_global))
             yield tuple(np.stack(v, axis=1).reshape(-1, *v[0].shape[1:])
                         for v in zip(*views))
 
@@ -420,6 +433,11 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
     state = resume if resume is not None else init_train_state(config)
     if resume is not None:
         config = state.config
+    fingerprint = _train_fingerprint(train_records)
+    if state.train_fingerprint not in (None, fingerprint):
+        raise ValidationError(f"cannot resume on different train records: the state has "
+                              f"{state.train_fingerprint}, the manifest {fingerprint}")
+    state.train_fingerprint = fingerprint
     policy = config.sampling
     distill = config.loss_mode == "combined"
 
@@ -471,7 +489,7 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
                             emb = ad.concat([emb, encode_images(state.student,
                                                                 Tensor(locals_))])
                     else:
-                        v_first = encode_images(state.student, Tensor(globals_[:b]))
+                        v_first = encode_images(state.student, Tensor(globals_))
                     loss_nce = info_nce_loss(ContrastiveBatch(captions=u, images=v_first,
                                                               tau=tau))
                     if distill:

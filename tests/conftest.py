@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dinoclip import autodiff as ad
 from dinoclip.autodiff import Tensor
@@ -61,6 +62,20 @@ def write_synthetic_manifest(path, n: int = 16, size: int = 32, languages=("en",
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
     return path
+
+
+def flip_bit(blob: bytes, bit: int) -> bytes:
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def byte_mutations(valid: bytes):
+    """Parser fuzzing input: random bytes, truncations and single-bit flips
+    of a valid input."""
+    return st.one_of(st.binary(max_size=2 * len(valid)),
+                     st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+                     st.integers(0, 8 * len(valid) - 1).map(lambda bit: flip_bit(valid, bit)))
 
 
 def write_ppm(path, image: np.ndarray):

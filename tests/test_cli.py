@@ -7,16 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import dinoclip
 from dinoclip import checkpoint as ckpt
 from dinoclip.cli import main
-from dinoclip.data import ImageCaptionRecord, read_record_file, write_record_file
-from dinoclip.evaluation import ZeroShotTemplate, zero_shot_classify
+from dinoclip.data import (ImageCaptionRecord, load_manifest, read_record_file,
+                           write_record_file)
+from dinoclip.errors import CheckpointError
+from dinoclip.evaluation import (ZeroShotTemplate, build_lmcap_prompt, retrieve_top_k,
+                                 zero_shot_classify)
 from dinoclip.trainer import TrainConfig, embed_record_images, embed_texts, load_checkpoint
 
 from conftest import write_ppm, write_synthetic_manifest
-from test_trainer import set_config_field, tensors_with, tiny_train_config
+from test_trainer import checkpoint_mutations, set_config_field, tiny_train_config
 
 
 @pytest.fixture
@@ -173,6 +177,23 @@ def test_build_lmcap_prompts(workdir):
         assert p.count('"') == 8  # four quoted retrieved captions
 
 
+def test_build_lmcap_prompts_rank_as_retrieve_top_k(workdir):
+    """The command ranks all queries at once; each prompt holds the captions
+    retrieve_top_k picks for its query alone."""
+    ckpt = _train(workdir)
+    out = workdir / "lmcap.txt"
+    assert main(["build-lmcap-prompts", "--checkpoint", str(ckpt), "--manifest",
+                 str(workdir / "manifest.jsonl"), "--k", "3", "--out", str(out)]) == 0
+    student = load_checkpoint(ckpt).student
+    records = load_manifest(workdir / "manifest.jsonl")
+    texts = [t for r in records if r.split == "train" for t in r.captions["en"]]
+    gallery = embed_texts(student, texts)
+    queries = embed_record_images(student, [r for r in records if r.split == "test"])
+    want = [build_lmcap_prompt([texts[i] for i in retrieve_top_k(q, gallery, 3)], "English")
+            for q in queries]
+    assert read_record_file(out) == want
+
+
 def test_make_splits(workdir):
     index = {f"class{i}": [f"c{i}_{j}.ppm" for j in range(10)] for i in range(3)}
     index_path = workdir / "classes.json"
@@ -222,6 +243,21 @@ def test_zero_shot_command(workdir):
     assert result["predictions"] == [classes[p] for p in per_prompt]
 
 
+def test_zero_shot_prompts_equal_after_truncation_is_validation_error(workdir, capsys):
+    """The tiny text encoder keeps 4 bytes of a prompt: both names start
+    "rive", so every image would go to the first class."""
+    ckpt = _train(workdir)
+    write_ppm(workdir / "a.ppm", np.zeros((3, 8, 8), dtype=np.float32))
+    index_path = workdir / "cls.json"
+    index_path.write_text(json.dumps({"riverbank": ["a.ppm"], "forest": ["a.ppm"],
+                                      "riverside": ["a.ppm"]}))
+    rc = main(["zero-shot", "--checkpoint", str(ckpt), "--class-index", str(index_path),
+               "--data-root", str(workdir), "--template", "{class name}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'riverbank' and 'riverside'" in err and "max_length" in err
+
+
 def test_zero_shot_truncated_image_is_validation_error(workdir):
     ckpt = _train(workdir)
     (workdir / "cut.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes(10))
@@ -268,6 +304,42 @@ def test_missing_checkpoint_is_io_error(workdir):
     rc = main(["eval-retrieval", "--checkpoint", str(workdir / "nope.ckpt"),
                "--manifest", str(workdir / "manifest.jsonl")])
     assert rc == 4
+
+
+def test_flipped_checkpoint_bit_is_io_error(workdir, capsys):
+    blob = bytearray(_train(workdir).read_bytes())
+    blob[len(blob) // 2] ^= 0x10
+    bad = workdir / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    rc = main(["eval-retrieval", "--checkpoint", str(bad),
+               "--manifest", str(workdir / "manifest.jsonl")])
+    assert rc == 4
+    assert "CRC" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=checkpoint_mutations())
+def test_fuzzed_checkpoint_is_io_error(workdir, blob):
+    """Every mutation that the loader refuses makes the CLI exit 4."""
+    bad = workdir / "fuzz.ckpt"
+    bad.write_bytes(blob)
+    try:
+        load_checkpoint(bad)
+    except CheckpointError:
+        assert main(["eval-retrieval", "--checkpoint", str(bad),
+                     "--manifest", str(workdir / "manifest.jsonl")]) == 4
+
+
+def test_resume_on_different_manifest_is_validation_error(workdir, capsys):
+    ckpt_path = _train(workdir, ("--stop-after-epoch", "1"))
+    other = workdir / "other.jsonl"
+    write_synthetic_manifest(other, n=5, size=8)
+    rc = main(["train", "--checkpoint", str(ckpt_path), "--manifest", str(other),
+               "--out", str(workdir / "x.ckpt")])
+    assert rc == 2
+    assert "different train records" in capsys.readouterr().err
+    assert not (workdir / "x.ckpt").exists()
 
 
 def test_bad_manifest_is_validation_error(workdir):
@@ -319,9 +391,9 @@ def test_train_bad_local_crop_size_is_validation_error(workdir, capsys, local):
 def test_train_resume_from_mismatched_adam_moments_is_io_error(workdir, capsys):
     """A checkpoint whose adam_m lacks a parameter is refused at load."""
     sections = ckpt.read_container(_train(workdir))
-    sections["adam_m"] = tensors_with(sections["adam_m"], "log_tau", None)
+    sections["adam_m"] = sections["adam_m"][:-1]   # log_tau, the last tensor
     bad = workdir / "bad.ckpt"
-    ckpt.write_container(bad, list(sections.items()))
+    ckpt.write_container(bad, sections)
     rc = main(["train", "--checkpoint", str(bad), "--manifest",
                str(workdir / "manifest.jsonl"), "--out", str(workdir / "x.ckpt")])
     assert rc == 4

@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings
 from scipy.ndimage import gaussian_filter1d
 from scipy.stats import chisquare
 
@@ -22,7 +22,7 @@ from dinoclip.errors import (AlignmentError, ContractError, DomainError,
                              ManifestParseError, ValidationError)
 from dinoclip.prng import RandomStream
 
-from conftest import detokenize, write_ppm, write_synthetic_manifest
+from conftest import byte_mutations, detokenize, write_ppm, write_synthetic_manifest
 
 
 # -------------------------------------------------------------------------
@@ -269,18 +269,6 @@ _FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=Non
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def _flip(blob: bytes, bit: int) -> bytes:
-    out = bytearray(blob)
-    out[bit // 8] ^= 1 << (bit % 8)
-    return bytes(out)
-
-
-def _mutations(valid: bytes):
-    return st.one_of(st.binary(max_size=2 * len(valid)),
-                     st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
-                     st.integers(0, 8 * len(valid) - 1).map(lambda bit: _flip(valid, bit)))
-
-
 _VALID_PPM = b"P6\n# fuzz\n2 2\n255\n" + bytes(range(0, 240, 20))
 _VALID_LINE = (json.dumps({"image": {"synthetic": {"seed": 1, "size": 8}},
                            "captions": {"en": ["a b"], "de": ["c d"]},
@@ -288,7 +276,7 @@ _VALID_LINE = (json.dumps({"image": {"synthetic": {"seed": 1, "size": 8}},
 
 
 @_FUZZ
-@given(blob=_mutations(_VALID_PPM))
+@given(blob=byte_mutations(_VALID_PPM))
 @example(blob=b"P6\n" + b"9" * 5000 + b" 2\n255\n" + bytes(12))   # int() digit limit
 def test_read_ppm_fuzzed_raises_only_validation_error(tmp_path, blob):
     path = tmp_path / "fuzz.ppm"
@@ -301,7 +289,7 @@ def test_read_ppm_fuzzed_raises_only_validation_error(tmp_path, blob):
 
 
 @_FUZZ
-@given(blob=_mutations(_VALID_LINE))
+@given(blob=byte_mutations(_VALID_LINE))
 @example(blob=b"\xff\xfe")                                        # not UTF-8
 @example(blob=_VALID_LINE[:-2] + b', "n": ' + b"1" * 5000 + b"}")  # int() digit limit
 @example(blob=b"[" * 100_000)                                      # nesting depth

@@ -2,16 +2,25 @@
 
 import contextlib
 import dataclasses
+import functools
+import json
 import multiprocessing
 import os
 import signal
+import struct
+import subprocess
+import sys
+import tempfile
 import time
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dinoclip import autodiff as ad
 from dinoclip import checkpoint as ckpt
+from dinoclip import data as data_module
 from dinoclip import trainer
 from dinoclip.autodiff import Tensor, backward
 from dinoclip.checkpoint import FORMAT_VERSION
@@ -22,15 +31,15 @@ from dinoclip.encoders import (ModelConfig, ModelParams, encode_images, init_mod
 from dinoclip.errors import (CheckpointError, CheckpointShapeError,
                              CheckpointTruncationError, CheckpointVersionError,
                              ContractError, ManifestParseError, NumericError,
-                             ViewWorkerError)
+                             ValidationError, ViewWorkerError)
 from dinoclip.objectives import soft_distillation_terms
 from dinoclip.trainer import (AdamState, MetricsLog, TrainConfig, adamw_step,
                               embed_record_images, embed_texts, init_train_state,
                               load_checkpoint, lr_schedule, save_checkpoint, train)
 from dinoclip.prng import RandomStream
 
-from conftest import (DistributionSet, self_distillation_loss, tiny_model_config,
-                      write_synthetic_manifest)
+from conftest import (DistributionSet, byte_mutations, flip_bit, self_distillation_loss,
+                      tiny_model_config, write_synthetic_manifest)
 from gradcheck import reverse_mode_gradients
 
 
@@ -178,34 +187,47 @@ def test_checkpoint_truncation_detected(tmp_path, tiny_records):
 
 
 def test_checkpoint_version_mismatch_detected(tmp_path, tiny_records):
-    cfg = tiny_train_config(epochs=1)
-    state, _ = train(cfg, tiny_records)
-    path = tmp_path / "c.ckpt"
+    state, _ = train(tiny_train_config(epochs=1), tiny_records)
+    path, bad = tmp_path / "c.ckpt", tmp_path / "vers.ckpt"
     save_checkpoint(state, path)
-    blob = bytearray(path.read_bytes())
-    blob[4] = FORMAT_VERSION + 1  # little-endian version field
-    (tmp_path / "vers.ckpt").write_bytes(bytes(blob))
-    with pytest.raises(CheckpointVersionError):
-        load_checkpoint(tmp_path / "vers.ckpt")
+    # a section of the version member's name stands in for the version
+    ckpt.write_container(bad, {**ckpt.read_container(path), "format_version": FORMAT_VERSION + 1})
+    with pytest.raises(CheckpointVersionError, match=f"format {FORMAT_VERSION + 1}, not"):
+        load_checkpoint(bad)
 
 
-def test_checkpoint_shape_mismatch_detected(tmp_path, tiny_records):
-    cfg = tiny_train_config(epochs=1)
-    state, _ = train(cfg, tiny_records)
-    path = tmp_path / "c.ckpt"
-    # lie about a tensor's shape without changing the payload size
-    state.student.tensors["vision.proj"] = Tensor(
-        state.student["vision.proj"].data.reshape(4, 8), name="vision.proj")
-    save_checkpoint(state, path)
-    with pytest.raises(CheckpointShapeError):
+def test_checkpoint_old_format_named(tmp_path):
+    """A format-1 file (magic, little-endian version, section count) is
+    refused with the format it is in."""
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(b"DCKP" + struct.pack("<II", 1, 7) + bytes(64))
+    with pytest.raises(CheckpointVersionError, match="DCKP"):
         load_checkpoint(path)
 
 
+def test_checkpoint_shape_mismatch_detected(tmp_path):
+    """The config defines every shape, so a tensor group is checked by its
+    length and dtype: one element short or long, 2-D, float16 or int32."""
+    path, bad = tmp_path / "c.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(init_train_state(tiny_train_config()), path)
+    for edit in (lambda flat: flat[:-1], lambda flat: np.concatenate([flat, flat[:1]]),
+                 lambda flat: flat.reshape(1, -1), lambda flat: flat.astype(np.float16),
+                 lambda flat: flat.astype(np.int32)):
+        _rewrite_sections(path, bad, lambda sec: sec.update(student=edit(sec["student"])))
+        with pytest.raises(CheckpointShapeError, match="student section"):
+            load_checkpoint(bad)
+
+
 def _rewrite_sections(src, dst, edit):
-    """Re-pack a checkpoint after edit(sections) changes its section dict."""
+    """Re-write a checkpoint after edit(sections) changes its section dict;
+    a bytes value is stored as the raw payload of a .json member."""
     sections = ckpt.read_container(src)
     edit(sections)
-    ckpt.write_container(dst, list(sections.items()))
+    raw = {name: v for name, v in sections.items() if isinstance(v, bytes)}
+    ckpt.write_container(dst, {name: v for name, v in sections.items() if name not in raw})
+    with zipfile.ZipFile(dst, "a") as zf:
+        for name, payload in raw.items():
+            zf.writestr(f"{name}.json", payload)
 
 
 def set_config_field(obj: dict, path: tuple, value) -> dict:
@@ -217,38 +239,23 @@ def set_config_field(obj: dict, path: tuple, value) -> dict:
     return obj
 
 
-def _config_with(blob, path, value):
-    """A packed config section with the field at ``path`` set to ``value``."""
-    return ckpt.pack_json(set_config_field(ckpt.unpack_json(blob), path, value))
-
-
-def tensors_with(blob, name, value):
-    """A packed tensor section with ``name`` set to ``value`` (None drops it)."""
-    tensors = ckpt.unpack_tensors(blob)
-    tensors.pop(name)
-    if value is not None:
-        tensors[name] = value
-    return ckpt.pack_tensors(tensors)
-
-
 @pytest.mark.parametrize("edit", [
     lambda sec: sec.pop("center"),
     lambda sec: sec.pop("config"),
     lambda sec: sec.update(config=b"{not json"),
     lambda sec: sec.update(counters=b"\xff\xfe"),
-    lambda sec: sec.update(student=sec["student"].replace(b"vision.pos", b"vision.p\xffs")),
-    lambda sec: sec.update(counters=b"{}"),
-    lambda sec: sec.update(config=b'{"foo": 1}'),
-    lambda sec: sec.update(config=_config_with(sec["config"], ("batch_size",), "4")),
-    lambda sec: sec.update(config=_config_with(sec["config"], ("model", "text", "depth"), 0.5)),
-    lambda sec: sec.update(config=_config_with(sec["config"], ("augmentation", "n_local"), -1)),
-    lambda sec: sec.update(center=ckpt.pack_tensors({"centre": np.zeros(8, np.float32)})),
-    lambda sec: sec.update(center=ckpt.pack_tensors({"center": np.zeros(3, np.float32)})),
-    lambda sec: sec.update(adam_m=tensors_with(sec["adam_m"], "log_tau", None)),
-    lambda sec: sec.update(adam_v=tensors_with(sec["adam_v"], "vision.proj",
-                                                np.zeros((4, 8), np.float32))),
+    lambda sec: sec.update(teacher=sec["teacher"][:-1]),
+    lambda sec: sec.update(counters={}),
+    lambda sec: sec.update(config={"foo": 1}),
+    lambda sec: set_config_field(sec["config"], ("batch_size",), "4"),
+    lambda sec: set_config_field(sec["config"], ("model", "text", "depth"), 0.5),
+    lambda sec: set_config_field(sec["config"], ("augmentation", "n_local"), -1),
+    lambda sec: sec.update(centre=sec.pop("center")),
+    lambda sec: sec.update(center=np.zeros(3, np.float32)),
+    lambda sec: sec.update(adam_m=sec["adam_m"][:-1]),   # log_tau, the last tensor
+    lambda sec: sec.update(adam_v=sec["adam_v"].reshape(1, -1)),
 ], ids=["missing-center", "missing-config", "bad-json", "bad-utf8-json",
-        "bad-utf8-tensor-name", "counters-without-keys", "config-unknown-field",
+        "teacher-one-short", "counters-without-keys", "config-unknown-field",
         "config-ill-typed", "config-nested-ill-typed", "config-out-of-domain",
         "center-misnamed", "center-wrong-shape", "adam_m-missing-name",
         "adam_v-wrong-shape"])
@@ -267,11 +274,89 @@ def test_checkpoint_write_failing_midway_keeps_old_file(tmp_path, tiny_records):
     path = tmp_path / "ckpt" / "c.ckpt"
     save_checkpoint(state, path)
     before = path.read_bytes()
-    # the second payload is not bytes, so the write fails after the first section
+    # the second section is not JSON-serializable, so the write fails after the first
     with pytest.raises(TypeError):
-        ckpt.write_container(path, [("config", b"{}" * 1000), ("counters", object())])
+        ckpt.write_container(path, {"config": {"a": "b" * 1000}, "counters": object()})
     assert path.read_bytes() == before
     assert [p.name for p in path.parent.iterdir()] == ["c.ckpt"]
+
+
+def test_checkpoint_saves_seconds_apart_are_identical(tmp_path):
+    """Zip timestamps have a 2 s resolution; none from the clock is stored."""
+    state = init_train_state(tiny_train_config())
+    save_checkpoint(state, tmp_path / "a.ckpt")
+    time.sleep(2.1)
+    save_checkpoint(state, tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_checkpoint_reads_with_numpy_alone(tmp_path):
+    """numpy.load lists and reads every member in a process that never
+    imports dinoclip."""
+    state = init_train_state(tiny_train_config())
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(state, path)
+    code = ("import json, sys, numpy\n"
+            f"with numpy.load({str(path)!r}, allow_pickle=False) as z:\n"
+            "    out = {name: json.loads(z[name]) if name.endswith('.json')\n"
+            "           else [str(z[name].dtype), z[name].size] for name in z.files}\n"
+            "assert 'dinoclip' not in sys.modules\n"
+            "print(json.dumps(out))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, cwd=tmp_path, env={"PATH": os.environ.get("PATH", "")})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    n = sum(t.data.size for t in state.student.tensors.values())
+    assert out == {"format_version.json": FORMAT_VERSION,
+                   "config.json": json.loads(json.dumps(state.config.to_dict())),
+                   "counters.json": {"step": 0, "next_epoch": 0, "adam_t": 0,
+                                     "train_fingerprint": None},
+                   "center": ["float32", state.config.model.dino.output_dim],
+                   **{g: ["float32", n] for g in ("student", "teacher", "adam_m", "adam_v")}}
+
+
+def test_checkpoint_flipped_payload_bit_detected(tmp_path):
+    state = init_train_state(tiny_train_config())
+    path, bad = tmp_path / "c.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(state, path)
+    bad.write_bytes(flip_bit(path.read_bytes(), 8 * (path.stat().st_size // 2)))
+    with pytest.raises(CheckpointError, match="CRC"):
+        load_checkpoint(bad)
+
+
+# -------------------------------------------------------------------------
+# checkpoint fuzzing: random bytes, truncations and single-bit flips of a
+# valid checkpoint raise only CheckpointError kinds, or load the same state
+# -------------------------------------------------------------------------
+
+@functools.cache
+def valid_checkpoint() -> bytes:
+    """The bytes of an untrained tiny-config checkpoint, built on first use."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.ckpt")
+        save_checkpoint(init_train_state(tiny_train_config()), path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+def checkpoint_mutations():
+    return st.deferred(lambda: byte_mutations(valid_checkpoint()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=checkpoint_mutations())
+@example(blob=b"PK\x05\x06" + bytes(18))   # a well-formed empty zip
+def test_checkpoint_fuzzed_raises_only_checkpoint_error(tmp_path, blob):
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(blob)
+    try:
+        state = load_checkpoint(path)
+    except CheckpointError:
+        return
+    # a flip in a field the reader does not use: the state is unchanged
+    save_checkpoint(state, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == valid_checkpoint()
 
 
 # -------------------------------------------------------------------------
@@ -324,6 +409,22 @@ def test_resume_equals_uninterrupted(tmp_path, tiny_records):
     assert len(rest_metrics.records) == len(tail)
     for a, b in zip(tail, rest_metrics.records):
         assert a == b
+
+
+def test_resume_on_different_train_records_is_refused(tmp_path, tiny_records):
+    """A changed caption or an added record would silently change the batches
+    and, with the record count, the LR schedule."""
+    half, _ = train(tiny_train_config(epochs=4), tiny_records, stop_after_epoch=1)
+    save_checkpoint(half, tmp_path / "mid.ckpt")
+    state = load_checkpoint(tmp_path / "mid.ckpt")
+    assert state.train_fingerprint.startswith("4 records, crc32 ")
+    recaptioned = [dataclasses.replace(r, captions={"en": ["other words"]}) if r.index == 0
+                   else r for r in tiny_records]
+    added = tiny_records + [dataclasses.replace(tiny_records[0], index=len(tiny_records))]
+    for records in (recaptioned, added):
+        with pytest.raises(ValidationError, match="different train records") as raised:
+            train(state.config, records, resume=state)
+        assert state.train_fingerprint in str(raised.value)
 
 
 def test_infonce_only_never_reads_teacher(tiny_records):
@@ -416,7 +517,8 @@ def test_training_step_batches_views_by_resolution(tiny_records, monkeypatch, lo
 
 def _reference_views(config, records, epoch):
     """One epoch's batches as per-record make_views calls, stacked view-major
-    here: row v * B + i is view v of record i."""
+    here: row v * B + i is view v of record i.  Under infonce_only only
+    global view 0 is kept, with the bits it has when both are built."""
     aug = config.augmentation
     if config.loss_mode != "combined":
         aug = dataclasses.replace(aug, n_local=0)
@@ -425,6 +527,8 @@ def _reference_views(config, records, epoch):
         per_record = [make_views(load_record_image(rec), aug,
                                  RandomStream(config.seed, epoch, rec.index))
                       for rec in batch]
+        if config.loss_mode != "combined":
+            per_record = [(globals_[:1], locals_) for globals_, locals_ in per_record]
         pair = []
         for part in (0, 1):
             blocks = [views[part] for views in per_record]
@@ -453,6 +557,34 @@ def test_view_batches_equal_per_record_views(tiny_records, loss_mode, n_local):
     want = [pair for epoch in range(3) for pair in _reference_views(cfg, tiny_records, epoch)]
     assert len(want) == 6
     _assert_same_views(got, want)
+
+
+def test_infonce_only_builds_and_pipes_only_global_view_0(tiny_records, monkeypatch):
+    """One step of 4 records: 4 crops resized (global view 0 of each), and
+    the loop receives [4, 3, 8, 8] globals and no locals."""
+    cfg = tiny_train_config(epochs=1, loss_mode="infonce_only")
+    resized = []
+
+    def resize_spy(img, size):
+        resized.append(size)
+        return resize(img, size)
+
+    resize = data_module.resize_bicubic
+    monkeypatch.setattr(data_module, "resize_bicubic", resize_spy)
+    list(trainer._view_batches(cfg, tiny_records, range(1)))
+    assert resized == [8] * 4
+
+    received = []
+
+    def receive_spy(conn, worker, step):
+        views = receive(conn, worker, step)
+        received.append([v.shape for v in views])
+        return views
+
+    receive = trainer._receive_views
+    monkeypatch.setattr(trainer, "_receive_views", receive_spy)
+    train(cfg, tiny_records)
+    assert received == [[(4, 3, 8, 8), (0, 3, 4, 4)]]
 
 
 def test_resumed_run_receives_reference_views(tmp_path, tiny_records, monkeypatch):
