@@ -93,10 +93,6 @@ class Tensor:
         return mul(self, other)
 
 
-def parameter(data, name: str, dtype=np.float32) -> Tensor:
-    return Tensor(data, requires_grad=True, name=name, dtype=dtype)
-
-
 class Node:
     """One recorded forward operation."""
 
@@ -593,31 +589,11 @@ def soft_cross_entropy(target, pred) -> Tensor:
 # reverse pass
 # ---------------------------------------------------------------------------
 
-class GradientMap:
-    """Gradients keyed by parameter tensor; named parameters also resolve
-    by name."""
-
-    def __init__(self):
-        self._grads: dict[int, tuple[Tensor, Tensor]] = {}
-        self._by_name: dict[str, Tensor] = {}
-
-    def _put(self, param: Tensor, grad: np.ndarray):
-        g = Tensor(grad, dtype=grad.dtype)
-        self._grads[id(param)] = (param, g)
-        if param.name is not None:
-            self._by_name[param.name] = g
-
-    def __getitem__(self, key) -> Tensor:
-        if isinstance(key, Tensor):
-            return self._grads[id(key)][1]
-        return self._by_name[key]
-
-
-def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor]) -> GradientMap:
+def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor]) -> list[np.ndarray]:
     """Reverse sweep over the tape, seeding d(loss) = 1.
 
-    The result holds a gradient for every tensor in ``params`` and no
-    other; one that the loss does not reach gets zeros of matching shape.
+    Returns one gradient array per tensor in ``params``, in their order; a
+    tensor that the loss does not reach gets zeros of matching shape.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -634,8 +610,4 @@ def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor]) -> GradientMap:
             acc = grads.get(id(t))
             grads[id(t)] = g if acc is None else acc + g
 
-    out = GradientMap()
-    for p in params:
-        g = grads.get(id(p))
-        out._put(p, g if g is not None else np.zeros_like(p.data))
-    return out
+    return [grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in params]

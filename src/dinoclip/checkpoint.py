@@ -8,6 +8,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import struct
 import zipfile
 import zlib
 from pathlib import Path
@@ -19,6 +20,7 @@ from .errors import CheckpointError, CheckpointTruncationError, CheckpointVersio
 FORMAT_VERSION = 2
 _VERSION = "format_version"
 _DATE_TIME = (1980, 1, 1, 0, 0, 0)
+_END_RECORD_SIZE = 22   # without a comment, which a save never writes
 _DAMAGE = (zipfile.BadZipFile, EOFError, ValueError, NotImplementedError, RuntimeError,
            OSError, zlib.error)   # what zipfile and numpy.lib.format raise on damage
 
@@ -27,6 +29,19 @@ def _value(member: str, payload: bytes):
     if member.endswith(".npy"):
         return np.lib.format.read_array(io.BytesIO(payload), allow_pickle=False)
     return json.loads(payload)
+
+
+def _full_length(f) -> bool:
+    """Whether the file still ends in the zip end record that a save writes
+    last: its signature is in place, or its directory offset + directory
+    size + record length equals the file size.  A cut loses the record; one
+    flipped bit breaks at most one of the two."""
+    size = f.seek(0, os.SEEK_END)
+    f.seek(max(size - _END_RECORD_SIZE, 0))
+    tail = f.read()
+    return len(tail) == _END_RECORD_SIZE and (   # directory size and offset at bytes 12-19
+        tail.startswith(b"PK\x05\x06")
+        or sum(struct.unpack_from("<2L", tail, 12)) + _END_RECORD_SIZE == size)
 
 
 def write_container(path, sections: dict):
@@ -63,7 +78,7 @@ def read_container(path) -> dict:
         try:
             zf = zipfile.ZipFile(f)
         except _DAMAGE as e:   # the zip directory comes last, so a cut loses it
-            cut = b"PK\x03\x04".startswith(head)
+            cut = b"PK\x03\x04".startswith(head) and not _full_length(f)
             raise (CheckpointTruncationError if cut else CheckpointError)(
                 f"{path}: no readable zip directory ({e})") from e
         try:

@@ -42,6 +42,10 @@ def _load_config(args) -> TrainConfig:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.sampling.seed = args.seed
+    if args.exclude_english_from_sampling:
+        cfg.sampling.include_english = False
+    if args.freeze_temperature:
+        cfg.freeze_temperature = True
     return cfg
 
 
@@ -75,17 +79,16 @@ def _read_class_index(path, split: str = None) -> dict[str, list[str]]:
 
 
 def cmd_train(args) -> int:
+    fresh_only = [flag for flag, given in (
+        ("--config", args.config is not None), ("--seed", args.seed is not None),
+        ("--exclude-english-from-sampling", args.exclude_english_from_sampling),
+        ("--freeze-temperature", args.freeze_temperature)) if given]
+    if args.checkpoint and fresh_only:
+        raise ValidationError(f"a resumed run keeps its checkpoint's config; "
+                              f"{', '.join(fresh_only)} would be ignored")
     records = load_manifest(args.manifest)
-    if args.checkpoint:
-        resume = load_checkpoint(args.checkpoint)
-        config = resume.config
-    else:
-        resume = None
-        config = _load_config(args)
-        if args.exclude_english_from_sampling:
-            config.sampling.include_english = False
-        if args.freeze_temperature:
-            config.freeze_temperature = True
+    resume = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    config = resume.config if resume else _load_config(args)
     state, metrics = train(config, records, data_root=args.data_root, resume=resume,
                            stop_after_epoch=args.stop_after_epoch)
     save_checkpoint(state, args.out)
@@ -223,7 +226,7 @@ def cmd_build_lmcap_prompts(args) -> int:
 
 def cmd_make_splits(args) -> int:
     class_index = _read_class_index(args.class_index)
-    train_set, test_set = split_80_20(class_index, seed=args.seed if args.seed is not None else 42)
+    train_set, test_set = split_80_20(class_index, seed=args.seed)
     Path(args.out).write_text(json.dumps({"train": train_set, "test": test_set},
                                          indent=2, sort_keys=True), encoding="utf-8")
     sizes = {c: (len(train_set[c]), len(test_set[c])) for c in sorted(class_index)}
@@ -237,19 +240,19 @@ def build_parser() -> argparse.ArgumentParser:
                                             "self-distillation, plus evaluation tools")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, manifest=True, checkpoint=False, out=True):
-        sp.add_argument("--config", help="JSON training config")
-        sp.add_argument("--seed", type=int, default=None)
-        if manifest:
-            sp.add_argument("--manifest", required=True, help="JSON-lines manifest")
+    def common(sp, checkpoint=False, out=True, data_root=True):
+        sp.add_argument("--manifest", required=True, help="JSON-lines manifest")
         if checkpoint:
             sp.add_argument("--checkpoint", required=True)
         if out:
             sp.add_argument("--out", required=True)
-        sp.add_argument("--data-root", default=None, help="base directory for image paths")
+        if data_root:
+            sp.add_argument("--data-root", default=None, help="base directory for image paths")
 
     sp = sub.add_parser("train", help="run the training loop")
     common(sp)
+    sp.add_argument("--config", help="JSON training config")
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--checkpoint", default=None, help="resume from this checkpoint")
     sp.add_argument("--metrics-log", default=None, help="write JSON-lines metrics here")
     sp.add_argument("--stop-after-epoch", type=int, default=None)
@@ -286,13 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build-translation-prompts",
                         help="one prompt per English caption, record-separated")
-    common(sp)
+    common(sp, data_root=False)
     sp.add_argument("--language", required=True, help="target language code or name")
     sp.set_defaults(fn=cmd_build_translation_prompts)
 
     sp = sub.add_parser("ingest-translations",
                         help="attach responses (1:1 with English captions) to the manifest")
-    common(sp)
+    common(sp, data_root=False)
     sp.add_argument("--responses", required=True)
     sp.add_argument("--language", required=True)
     sp.set_defaults(fn=cmd_ingest_translations)

@@ -269,10 +269,11 @@ def encode_images(params: ModelParams, images: Tensor) -> Tensor:
 def _interpolated_positions(pos: Tensor, src: int, dst: int) -> Tensor:
     """Positional rows for a dst x dst patch grid from [1 + src^2, W] rows
     of a src x src grid: the class row as is, then the patch rows through
-    the constant bicubic resize matrix."""
+    the Kronecker product of resize_bicubic's per-axis matrices."""
     cls_row = ad.gather_rows(pos, np.zeros(1, dtype=np.int64))
     patch_rows = ad.gather_rows(pos, np.arange(1, src * src + 1, dtype=np.int64))
-    resized = ad.matmul(_position_resize_matrix(src, dst), patch_rows)   # [dst^2, W]
+    axis = _resize_matrix(src, dst)
+    resized = ad.matmul(np.kron(axis, axis), patch_rows)                 # [dst^2, W]
     return ad.concat([cls_row, resized], axis=0)
 
 
@@ -342,46 +343,33 @@ def _catmull_rom(x: np.ndarray) -> np.ndarray:
     """Cubic convolution kernel with a = -0.5."""
     x = np.abs(x)
     x2, x3 = x * x, x * x * x
-    out = np.where(x <= 1.0, 1.5 * x3 - 2.5 * x2 + 1.0,
-                   np.where(x < 2.0, -0.5 * x3 + 2.5 * x2 - 4.0 * x + 2.0, 0.0))
-    return out
+    return np.where(x <= 1.0, 1.5 * x3 - 2.5 * x2 + 1.0,
+                    np.where(x < 2.0, -0.5 * x3 + 2.5 * x2 - 4.0 * x + 2.0, 0.0))
 
 
 @functools.lru_cache(maxsize=None)
-def _resize_axis_weights(src: int, dst: int):
-    """Sample positions and 4-tap Catmull-Rom weights for one axis,
-    edge-clamped.
+def _resize_matrix(src: int, dst: int) -> np.ndarray:
+    """[dst, src] float64 matrix of one axis's bicubic resize: row i holds the
+    4-tap Catmull-Rom weights of output sample i, normalized, with taps past
+    an edge clamped to it (summed where they meet).
 
     Cached per (src, dst): the pairs in use are the crop sides times the few
     output sizes, and every caller shares the read-only result."""
     coords = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
     base = np.floor(coords).astype(np.int64)
     frac = coords - base
-    taps = np.stack([base - 1, base, base + 1, base + 2], axis=1)
+    taps = np.clip(np.stack([base - 1, base, base + 1, base + 2], axis=1), 0, src - 1)
     weights = _catmull_rom(np.stack([frac + 1, frac, frac - 1, frac - 2], axis=1))
     weights /= weights.sum(axis=1, keepdims=True)
-    taps = np.clip(taps, 0, src - 1)
-    taps.flags.writeable = False
-    weights.flags.writeable = False
-    return taps, weights
-
-
-@functools.lru_cache(maxsize=None)
-def _position_resize_matrix(src: int, dst: int) -> np.ndarray:
-    """[dst^2, src^2] matrix mapping a src x src grid of rows in raster order
-    to its bicubic resize: the Kronecker product of the per-axis Catmull-Rom
-    weights of resize_bicubic, scattered densely.  Cached and read-only like
-    the taps."""
-    taps, weights = _resize_axis_weights(src, dst)
-    axis = np.zeros((dst, src))
-    np.add.at(axis, (np.arange(dst)[:, None], taps), weights)
-    out = np.kron(axis, axis)
+    out = np.zeros((dst, src))
+    np.add.at(out, (np.arange(dst)[:, None], taps), weights)
     out.flags.writeable = False
     return out
 
 
 def resize_bicubic(arr: np.ndarray, target: int) -> np.ndarray:
-    """Separable Catmull-Rom resize of [C, s, s] to [C, target, target].
+    """Separable Catmull-Rom resize of [C, H, W] to [C, target, target]: one
+    resize matrix per axis, R_H @ arr @ R_W.T in float64.
 
     Edge-clamped sampling; forward-only (sits on the data path, before the
     differentiated graph).
@@ -390,14 +378,8 @@ def resize_bicubic(arr: np.ndarray, target: int) -> np.ndarray:
         raise DomainError(f"resize target must be >= 1, got {target}")
     if arr.ndim != 3:
         raise ShapeError(f"resize_bicubic expects [C, H, W], got shape {arr.shape}")
-    c, h, w = arr.shape
+    _, h, w = arr.shape
     if min(h, w) < 2:
         raise ContractError(f"source size {h}x{w} too small to interpolate")
-    work = arr.astype(np.float64)
-
-    taps_h, w_h = _resize_axis_weights(h, target)
-    rows = work[:, taps_h, :] * w_h[None, :, :, None]               # [C, t, 4, W]
-    work = rows.sum(axis=2)                                         # [C, t, W]
-    taps_w, w_w = _resize_axis_weights(w, target)
-    cols = work[:, :, taps_w] * w_w[None, None, :, :]               # [C, t, t, 4]
-    return cols.sum(axis=3).astype(arr.dtype)
+    out = _resize_matrix(h, target) @ arr.astype(np.float64) @ _resize_matrix(w, target).T
+    return out.astype(arr.dtype)

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoders import ModelParams
-from .errors import ContractError, DomainError, NumericError, ShapeError
+from .errors import ContractError, DomainError, ShapeError
 
 DEFAULT_TEACHER_TAU = 0.04
 DEFAULT_CENTER_MOMENTUM = 0.9
@@ -103,16 +103,14 @@ def info_nce_loss(batch: ContrastiveBatch) -> Tensor:
 def teacher_distribution(z: np.ndarray, state: TeacherState) -> np.ndarray:
     """Centered and sharpened teacher output: softmax((z - c) / tau_t).
 
-    Pure value computation (the teacher never joins the tape) over a [B, K]
-    logit block.
+    Pure value computation over a [B, K] logit block: the centered logits
+    are a fresh Tensor that requires no gradient, so no tape records them.
     """
     k = state.center.shape[0]
     if z.shape[-1] != k:
         raise ShapeError(f"teacher logits last dim {z.shape} vs center ({k},)")
-    shifted = (z - state.center.astype(z.dtype)) / state.tau_teacher
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return ad.softmax(Tensor(z - state.center.astype(z.dtype)), axis=-1,
+                      temperature=state.tau_teacher).data
 
 
 def soft_distillation_terms(teacher_dists, student_probs: Tensor,
@@ -140,11 +138,9 @@ def soft_distillation_terms(teacher_dists, student_probs: Tensor,
 
 
 def combined_loss(contrastive, distillation) -> Tensor:
-    """Average of the two objectives."""
+    """Average of the two objectives, tensors or plain numbers."""
     c = contrastive if isinstance(contrastive, Tensor) else Tensor(np.asarray(contrastive))
     d = distillation if isinstance(distillation, Tensor) else Tensor(np.asarray(distillation))
-    if not (np.isfinite(c.data).all() and np.isfinite(d.data).all()):
-        raise NumericError(f"non-finite loss inputs: {c.data}, {d.data}")
     return ad.mul(ad.add(c, d), 0.5)
 
 

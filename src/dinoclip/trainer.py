@@ -129,19 +129,20 @@ def _is_number(value) -> bool:
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """First/second moment estimates plus the shared step counter."""
+    """First/second moment estimates plus the shared step counter: zeros at
+    step 0 for ``params``, or the stored (m, v) ``moments`` at step ``t``."""
 
-    def __init__(self, params: ModelParams):
-        self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
-        self.t = 0
+    def __init__(self, params: ModelParams, moments: tuple = None, t: int = 0):
+        self.m, self.v = moments or [{k: np.zeros_like(p.data) for k, p in params.items()}
+                                     for _ in range(2)]
+        self.t = t
 
 
-def adamw_step(params: ModelParams, grads, moments: AdamState, lr: float,
+def adamw_step(params: ModelParams, grads: dict, moments: AdamState, lr: float,
                betas: tuple = (0.9, 0.98), eps: float = 1e-6,
                weight_decay: float = 0.0, skip: set = frozenset()):
-    """Decoupled-weight-decay Adam update with bias correction; mutates and
-    returns (params, moments)."""
+    """Decoupled-weight-decay Adam update with bias correction from ``grads``
+    (parameter name -> gradient array); mutates and returns (params, moments)."""
     b1, b2 = betas
     if set(moments.m.keys()) != set(params.tensors.keys()):
         raise ContractError("optimizer state does not match parameter tree")
@@ -154,7 +155,6 @@ def adamw_step(params: ModelParams, grads, moments: AdamState, lr: float,
     bc2 = 1.0 - b2 ** moments.t
     for name, p in params.items():
         g = grads[name]
-        g = g.data if isinstance(g, Tensor) else np.asarray(g)
         if g.shape != p.shape:
             raise ContractError(f"gradient for {name!r} has shape {g.shape}, "
                                 f"parameter has {p.shape}")
@@ -295,9 +295,8 @@ def load_checkpoint(path) -> TrainState:
                            ema_momentum=config.ema_momentum,
                            tau_teacher=config.tau_teacher,
                            center_momentum=config.center_momentum)
-    adam = AdamState(student)
-    adam.m, adam.v = (_unflat(config.model, sections.get(g), g) for g in ("adam_m", "adam_v"))
-    adam.t = counters["adam_t"]
+    adam = AdamState(student, [_unflat(config.model, sections.get(g), g)
+                               for g in ("adam_m", "adam_v")], counters["adam_t"])
     return TrainState(config=config, student=student, teacher=teacher, adam=adam,
                       step=counters["step"], next_epoch=counters["next_epoch"],
                       train_fingerprint=counters.get("train_fingerprint"))
@@ -499,15 +498,17 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
                                                             config.average_pairs)
                         loss = combined_loss(loss_nce, loss_dist)
                     else:
-                        loss_dist = None
-                        loss = loss_nce
+                        loss, loss_dist = loss_nce, None
 
-                loss_val = loss.item()
+                loss_val, nce_val = loss.item(), loss_nce.item()
+                dist_val = None if loss_dist is None else loss_dist.item()
                 if not np.isfinite(loss_val):
                     raise NumericError(f"non-finite loss {loss_val} at step {state.step} "
-                                       f"(epoch {epoch}, lr {lr:.3e})")
+                                       f"(epoch {epoch}, lr {lr:.3e}): InfoNCE {nce_val}, "
+                                       f"distillation {dist_val}")
 
-                grads = backward(tape, loss, params=state.student.tensors.values())
+                tensors = state.student.tensors
+                grads = dict(zip(tensors, backward(tape, loss, params=tensors.values())))
                 adamw_step(state.student, grads, state.adam, lr, betas=config.betas,
                            eps=config.adam_eps, weight_decay=config.weight_decay,
                            skip=skip)
@@ -521,11 +522,8 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
                     update_center(state.teacher, teacher_logits)
 
                 state.step += 1
-                metrics.append(step=state.step, epoch=epoch,
-                               loss_infonce=float(loss_nce.item()),
-                               loss_distill=(None if loss_dist is None
-                                             else float(loss_dist.item())),
-                               loss_combined=float(loss_val), lr=float(lr),
+                metrics.append(step=state.step, epoch=epoch, loss_infonce=nce_val,
+                               loss_distill=dist_val, loss_combined=loss_val, lr=float(lr),
                                teacher_entropy=teacher_entropy)
             state.next_epoch = epoch + 1
             if epoch_callback is not None and epoch_callback(state, metrics):

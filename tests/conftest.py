@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,39 @@ def write_ppm(path, image: np.ndarray):
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(data.tobytes())
+
+
+def parameter(data, name: str, dtype=np.float32) -> Tensor:
+    """A named leaf tensor that gradients flow to."""
+    return Tensor(data, requires_grad=True, name=name, dtype=dtype)
+
+
+def _catmull_rom_taps(i: int, src: int, dst: int) -> list[tuple[int, float]]:
+    """(source index, weight) of output sample i along one axis: the 4
+    nearest taps of its source coordinate, weights normalized, indices past
+    an edge clamped to it."""
+    x = (i + 0.5) * src / dst - 0.5
+    taps = range(math.floor(x) - 1, math.floor(x) + 3)
+    weights = []
+    for k in taps:
+        d = abs(x - k)
+        weights.append(1.5 * d ** 3 - 2.5 * d ** 2 + 1.0 if d <= 1.0
+                       else -0.5 * d ** 3 + 2.5 * d ** 2 - 4.0 * d + 2.0)   # 1 < d <= 2
+    return [(min(max(k, 0), src - 1), w / sum(weights)) for k, w in zip(taps, weights)]
+
+
+def bicubic_resize_oracle(image: np.ndarray, target: int) -> np.ndarray:
+    """Brute-force Catmull-Rom (a = -0.5) resize of [C, H, W] to
+    [C, target, target] in float64, one output pixel at a time over its
+    4 x 4 source taps."""
+    c, h, w = image.shape
+    out = np.zeros((c, target, target))
+    for i in range(target):
+        for j in range(target):
+            for y, wy in _catmull_rom_taps(i, h, target):
+                for x, wx in _catmull_rom_taps(j, w, target):
+                    out[:, i, j] += wy * wx * np.asarray(image[:, y, x], dtype=np.float64)
+    return out
 
 
 def encode_text(params, token_ids) -> Tensor:

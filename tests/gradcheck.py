@@ -54,8 +54,7 @@ def reverse_mode_gradients(builder: LossBuilder,
                for k, v in arrays.items()}
     with Tape() as tape:
         loss = builder(tensors)
-    gm = backward(tape, loss, params=tensors.values())
-    return {k: gm[t].data for k, t in tensors.items()}
+    return dict(zip(tensors, backward(tape, loss, params=tensors.values())))
 
 
 def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:

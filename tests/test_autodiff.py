@@ -9,9 +9,10 @@ import pytest
 from scipy.special import erf
 
 from dinoclip import autodiff as ad
-from dinoclip.autodiff import GradientMap, Tape, Tensor, backward, parameter
+from dinoclip.autodiff import Tape, Tensor, backward
 from dinoclip.errors import ContractError, DomainError, ShapeError
 
+from conftest import parameter
 from gradcheck import check_gradients, max_gradient_error, relative_error
 
 # -------------------------------------------------------------------------
@@ -150,7 +151,7 @@ def test_gelu_keeps_input_dtype(dtype):
         y = ad.gelu(x)
         loss = ad.sum_(y)
     assert y.dtype == dtype
-    assert backward(tape, loss, params=[x])[x].dtype == dtype
+    assert backward(tape, loss, params=[x])[0].dtype == dtype
 
 
 def test_gelu_float32_limits_exact():
@@ -197,7 +198,7 @@ def test_backward_sum_gives_unit_gradients():
     with Tape() as tape:
         loss = ad.sum_(p)
     grads = backward(tape, loss, params=[p])
-    assert np.array_equal(grads[p].data, np.ones((2, 3), dtype=np.float32))
+    assert np.array_equal(grads[0], np.ones((2, 3), dtype=np.float32))
 
 
 def test_backward_disconnected_parameter_gets_zero():
@@ -206,7 +207,7 @@ def test_backward_disconnected_parameter_gets_zero():
     with Tape() as tape:
         loss = ad.sum_(p)
     grads = backward(tape, loss, params=[p, q])
-    assert np.array_equal(grads[q].data, np.zeros(3, dtype=np.float32))
+    assert np.array_equal(grads[1], np.zeros(3, dtype=np.float32))
 
 
 def test_backward_rejects_nonscalar_loss():
@@ -222,16 +223,20 @@ def test_backward_accumulates_reused_operand():
     with Tape() as tape:
         loss = ad.sum_(ad.mul(p, p))
     grads = backward(tape, loss, params=[p])
-    assert np.allclose(grads[p].data, [4.0])
+    assert np.allclose(grads[0], [4.0])
 
 
-def test_gradient_map_lookup_by_name():
-    p = parameter(np.ones(2, dtype=np.float32), "weights")
+def test_backward_returns_one_array_per_param_in_order():
+    """Plain arrays in the order of ``params``, whatever order the sweep
+    reaches them in, and one entry per listed tensor."""
+    p = parameter(np.ones(2, dtype=np.float32), "p")
+    q = parameter(np.ones((2, 2), dtype=np.float32), "q")
     with Tape() as tape:
-        loss = ad.sum_(p)
-    grads = backward(tape, loss, params=[p])
-    assert isinstance(grads, GradientMap)
-    assert np.array_equal(grads["weights"].data, np.ones(2, dtype=np.float32))
+        loss = ad.sum_(ad.add(ad.mul(p, 3.0), ad.sum_(q, axis=0)))
+    grads = backward(tape, loss, params=[q, p, q])
+    assert all(type(g) is np.ndarray for g in grads)
+    assert [g.tolist() for g in grads] == [[[1.0, 1.0], [1.0, 1.0]], [3.0, 3.0],
+                                           [[1.0, 1.0], [1.0, 1.0]]]
 
 
 def test_ops_outside_tape_record_nothing():

@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings
 
 import dinoclip
 from dinoclip import checkpoint as ckpt
+from dinoclip import trainer
+from dinoclip.autodiff import Tensor
 from dinoclip.cli import main
 from dinoclip.data import (ImageCaptionRecord, load_manifest, read_record_file,
                            write_record_file)
@@ -398,6 +400,55 @@ def test_train_resume_from_mismatched_adam_moments_is_io_error(workdir, capsys):
                str(workdir / "manifest.jsonl"), "--out", str(workdir / "x.ckpt")])
     assert rc == 4
     assert "adam_m" in capsys.readouterr().err
+    assert not (workdir / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--config", "config.json"), ("--seed", "0"), ("--exclude-english-from-sampling",),
+    ("--freeze-temperature",), ("--seed", "1", "--freeze-temperature"),
+])
+def test_train_resume_with_fresh_run_flags_is_validation_error(workdir, capsys, flags):
+    """A resumed run keeps its checkpoint's config, so a flag that would
+    change it is refused, not ignored."""
+    ckpt_path = _train(workdir, ("--stop-after-epoch", "1"))
+    flags = [str(workdir / f) if f.endswith(".json") else f for f in flags]
+    rc = main(["train", "--checkpoint", str(ckpt_path), "--manifest",
+               str(workdir / "manifest.jsonl"), "--out", str(workdir / "x.ckpt"), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(f in err for f in flags if f.startswith("--"))
+    assert not (workdir / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("eval-retrieval", ("--checkpoint", "c", "--manifest", "m", "--seed", "1")),
+    ("export-embeddings", ("--checkpoint", "c", "--manifest", "m", "--out", "o",
+                           "--config", "x.json")),
+    ("build-translation-prompts", ("--manifest", "m", "--out", "o", "--language", "de",
+                                   "--data-root", "d")),
+    ("ingest-translations", ("--manifest", "m", "--out", "o", "--responses", "r",
+                             "--language", "de", "--seed", "1")),
+    ("build-lmcap-prompts", ("--checkpoint", "c", "--manifest", "m", "--out", "o",
+                             "--config", "x.json")),
+])
+def test_subcommand_rejects_flag_it_does_not_read(command, flags, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main([command, *flags])
+    assert raised.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_train_nonfinite_distillation_names_the_step(workdir, capsys, monkeypatch):
+    """A NaN distillation term reaches the trainer's one finiteness check,
+    whose message names the step and both terms; the CLI exits 3."""
+    monkeypatch.setattr(trainer, "soft_distillation_terms",
+                        lambda *args: Tensor(np.array(np.nan, np.float32)))
+    rc = main(["train", "--config", str(workdir / "config.json"), "--manifest",
+               str(workdir / "manifest.jsonl"), "--out", str(workdir / "x.ckpt")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "non-finite loss nan at step 0 (epoch 0" in err
+    assert "InfoNCE" in err and "distillation nan" in err
     assert not (workdir / "x.ckpt").exists()
 
 

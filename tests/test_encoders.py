@@ -14,7 +14,7 @@ from dinoclip.encoders import (PAD_ID, ModelParams, VisionEncoderConfig, encode_
 from dinoclip.errors import ContractError, DomainError, ShapeError, VocabularyError
 from dinoclip.prng import RandomStream
 
-from conftest import tiny_model_config
+from conftest import bicubic_resize_oracle, tiny_model_config
 from gradcheck import check_gradients
 
 
@@ -140,8 +140,8 @@ def test_encode_text_pad_row_gets_zero_gradient(params):
     with ad.Tape() as tape:
         emb = encode_text(ModelParams(params.config, tensors), MIXED_LENGTHS)
         loss = ad.sum_(ad.mul(emb, emb))
-    grads = ad.backward(tape, loss, params=tensors.values())
-    g = grads["text.tok_embed"].data
+    grads = dict(zip(tensors, ad.backward(tape, loss, params=tensors.values())))
+    g = grads["text.tok_embed"]
     assert PAD_ID not in {i for ids in MIXED_LENGTHS for i in ids}
     assert np.array_equal(g[PAD_ID], np.zeros_like(g[PAD_ID]))
     assert np.abs(g[1]).max() > 0  # the sentinel row, used by every sequence
@@ -264,23 +264,38 @@ def test_resize_rejects_bad_target(rng):
         resize_bicubic(rng.random((3, 4, 4)), 0)
 
 
-def test_resize_taps_cached_read_only():
-    taps, weights = encoders._resize_axis_weights(7, 4)
-    again = encoders._resize_axis_weights(7, 4)
-    assert again[0] is taps and again[1] is weights
-    for arr in (taps, weights):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0, 0] = 0
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_resize_matches_per_pixel_oracle(rng, dtype):
+    """Against the brute-force per-pixel oracle, up- and down-scales, square
+    and not, on non-contiguous crops and a transposed view: within 1e-12 in
+    float64, and within float32 rounding of the oracle otherwise."""
+    tol = 1e-12 if dtype == np.float64 else 1e-6
+    drawn = [tuple(int(n) for n in rng.integers(2, 24, size=3)) for _ in range(6)]
+    for h, w, target in [(12, 12, 5), (5, 5, 16), (9, 9, 9), (2, 2, 7), (17, 11, 8),
+                         (7, 13, 3), (32, 32, 1), (3, 20, 12), *drawn]:
+        image = rng.random((3, h + 4, w + 6)).astype(dtype)
+        for view in (image[:, 2:2 + h, 3:3 + w],
+                     image.transpose(0, 2, 1)[:, 3:3 + w, 2:2 + h]):
+            out = resize_bicubic(view, target)
+            assert out.dtype == dtype and out.shape == (3, target, target)
+            assert np.abs(out - bicubic_resize_oracle(view, target)).max() <= tol
 
 
-def test_resize_cached_taps_bit_identical_to_uncached(monkeypatch, rng):
+def test_resize_matrix_cached_read_only():
+    axis = encoders._resize_matrix(7, 4)
+    assert encoders._resize_matrix(7, 4) is axis
+    assert axis.shape == (4, 7) and axis.dtype == np.float64
+    assert not axis.flags.writeable
+    with pytest.raises(ValueError):
+        axis[0, 0] = 0
+
+
+def test_resize_cached_matrix_bit_identical_to_uncached(monkeypatch, rng):
     img = rng.random((3, 12, 12), dtype=np.float32)
     aug = AugmentationConfig(global_crop_size=8, local_crop_size=4, n_local=3)
     cached = [resize_bicubic(img, t) for t in (5, 8, 16)]
     cached_views = make_views(img, aug, RandomStream(4, 0, 1))
-    monkeypatch.setattr(encoders, "_resize_axis_weights",
-                        encoders._resize_axis_weights.__wrapped__)
+    monkeypatch.setattr(encoders, "_resize_matrix", encoders._resize_matrix.__wrapped__)
     for t, out in zip((5, 8, 16), cached):
         assert np.array_equal(resize_bicubic(img, t), out)
     uncached_views = make_views(img, aug, RandomStream(4, 0, 1))
@@ -311,12 +326,15 @@ def test_interpolated_positions_equal_bicubic_resize_of_grid(rng, dst):
     assert np.abs(rows[1:] - expected).max() <= 1e-12
 
 
-def test_position_resize_matrix_same_size_is_identity():
+def test_position_resize_matrix_same_size_is_identity(rng):
+    """At an unchanged grid the per-axis matrix, its Kronecker square and so
+    the interpolated rows are the identity, exactly."""
     for g in (2, 3, 4):
-        m = encoders._position_resize_matrix(g, g)
-        assert np.array_equal(m, np.eye(g * g))
-    again = encoders._position_resize_matrix(4, 2)
-    assert again is encoders._position_resize_matrix(4, 2) and not again.flags.writeable
+        axis = encoders._resize_matrix(g, g)
+        assert np.array_equal(np.kron(axis, axis), np.eye(g * g))
+        pos = rng.normal(size=(1 + g * g, 8))
+        rows = encoders._interpolated_positions(Tensor(pos, dtype=np.float64), g, g).data
+        assert np.array_equal(rows, pos)
 
 
 def test_encode_images_reduced_size_gradients_match_finite_differences(rng):

@@ -6,13 +6,13 @@ import pytest
 from dinoclip import autodiff as ad
 from dinoclip.autodiff import Tape, Tensor, backward
 from dinoclip.encoders import init_model_params
-from dinoclip.errors import ContractError, DomainError, NumericError
+from dinoclip.errors import ContractError, DomainError
 from dinoclip.evaluation import cosine_matrix
 from dinoclip.objectives import (ContrastiveBatch, combined_loss, ema_update,
                                  info_nce_loss, make_teacher, soft_distillation_terms,
                                  teacher_distribution, update_center)
 
-from conftest import DistributionSet, self_distillation_loss, tiny_model_config
+from conftest import DistributionSet, parameter, self_distillation_loss, tiny_model_config
 
 
 # -------------------------------------------------------------------------
@@ -117,13 +117,13 @@ def test_info_nce_nonnegative(rng):
 
 
 def test_info_nce_gradient_reaches_learnable_temperature(rng):
-    log_tau = ad.parameter(np.asarray(-1.0), "log_tau", dtype=np.float64)
-    u = ad.parameter(rng.normal(size=(3, 4)), "u", dtype=np.float64)
+    log_tau = parameter(np.asarray(-1.0), "log_tau", dtype=np.float64)
+    u = parameter(rng.normal(size=(3, 4)), "u", dtype=np.float64)
     v = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
     with Tape() as tape:
         loss = info_nce_loss(ContrastiveBatch(u, v, tau=ad.exp(log_tau)))
     grads = backward(tape, loss, params=[log_tau, u])
-    assert grads[log_tau].data != 0.0
+    assert grads[0] != 0.0
 
 
 # -------------------------------------------------------------------------
@@ -148,6 +148,20 @@ def test_teacher_distribution_sharpening_concentrates(rng):
     logits[3] = logits.max() + 0.2            # gap / tau_t = 40 >> 10
     dist = teacher_distribution(logits, state)
     assert dist[np.argmax(logits)] > 0.99
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_teacher_distribution_is_the_centered_sharpened_softmax(rng, dtype):
+    """Bit for bit the explicit formula: shift by the center, divide by
+    tau_t, subtract the row max, exponentiate, normalize."""
+    state = _teacher_state(k=16)
+    state.center = rng.normal(size=16).astype(np.float32)
+    z = (5.0 * rng.normal(size=(6, 16))).astype(dtype)
+    shifted = (z - state.center.astype(dtype)) / state.tau_teacher
+    e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+    dist = teacher_distribution(z, state)
+    assert dist.dtype == dtype
+    assert np.array_equal(dist, e / e.sum(axis=-1, keepdims=True))
 
 
 def test_teacher_distribution_sums_to_one(rng):
@@ -355,11 +369,6 @@ def test_combined_loss_values():
     assert combined_loss(2.0, 4.0).item() == 3.0
 
 
-def test_combined_loss_rejects_nonfinite():
-    with pytest.raises(NumericError):
-        combined_loss(float("nan"), 1.0)
-
-
 def test_combined_loss_recomposition(rng):
     u = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
     v = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
@@ -389,9 +398,9 @@ def test_teacher_gradient_is_identically_zero(rng):
         loss = combined_loss(
             info_nce_loss(ContrastiveBatch(emb, emb, tau=0.1)),
             ad.soft_cross_entropy(t_dist, s_dist))
-    grads = backward(tape, loss, params=list(teacher.params.tensors.values()))
-    for name, t in teacher.params.items():
-        assert np.array_equal(grads[t].data, np.zeros_like(t.data)), name
+    grads = backward(tape, loss, params=teacher.params.tensors.values())
+    for (name, t), g in zip(teacher.params.items(), grads):
+        assert np.array_equal(g, np.zeros_like(t.data)), name
 
 
 def test_contrastive_branch_ignores_local_views(rng):

@@ -359,6 +359,32 @@ def test_checkpoint_fuzzed_raises_only_checkpoint_error(tmp_path, blob):
     assert (tmp_path / "again.ckpt").read_bytes() == valid_checkpoint()
 
 
+def test_checkpoint_cut_and_damaged_end_record_told_apart(tmp_path):
+    """A bit flip in the end record of a full-length file is damage: it
+    raises a CheckpointError other than truncation, or falls in a field the
+    reader does not use and loads the same state.  A strict prefix is a cut:
+    every length over the directory and end record, and every 61st below."""
+    blob, path = valid_checkpoint(), tmp_path / "c.ckpt"
+    kinds = set()
+    for bit in range(8 * (len(blob) - 22), 8 * len(blob)):
+        path.write_bytes(flip_bit(blob, bit))
+        try:
+            save_checkpoint(load_checkpoint(path), tmp_path / "again.ckpt")
+            assert (tmp_path / "again.ckpt").read_bytes() == blob
+            kinds.add("loads")
+        except CheckpointTruncationError:
+            raise AssertionError(f"bit {bit} of the end record read as a cut") from None
+        except CheckpointError:
+            kinds.add("damage")
+    assert kinds == {"loads", "damage"}
+    directory = struct.unpack_from("<L", blob, len(blob) - 6)[0]
+    path.write_bytes(blob)
+    for n in sorted({*range(directory, len(blob)), *range(0, directory, 61)}, reverse=True):
+        os.truncate(path, n)
+        with pytest.raises(CheckpointTruncationError):
+            load_checkpoint(path)
+
+
 # -------------------------------------------------------------------------
 # training loop contracts
 # -------------------------------------------------------------------------
@@ -470,7 +496,7 @@ def test_training_step_stays_float32(tiny_records, monkeypatch):
         params = list(params)
         grads = backward(tape, loss, params=params)
         seen.append(({t.dtype for n in tape.nodes for t in (n.output, *n.inputs)},
-                     {grads[p].dtype for p in params}))
+                     {g.dtype for g in grads}))
         return grads
 
     monkeypatch.setattr(trainer, "backward", spy)
