@@ -85,12 +85,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
 
     # Operator sugar for the encoders; it routes through the module-level
-    # ops so the tape sees everything.
+    # op so the tape sees everything.
     def __add__(self, other):
         return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
 
 class Node:
@@ -272,7 +269,7 @@ def gelu(a) -> Tensor:
     def backward(g):
         pdf = np.multiply(x, e, out=np.empty_like(x))
         pdf *= _INV_SQRT_2PI
-        d = np.copysign(erf, x, out=np.empty_like(x))
+        d = _copysign(erf, x)
         d += 1.0
         d *= 0.5
         d += pdf
@@ -280,6 +277,17 @@ def gelu(a) -> Tensor:
         return (d,)
 
     return _record("gelu", (a,), out, backward)
+
+
+def _copysign(mag: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """np.copysign(mag, sign) on the floats' bits, several times faster than
+    numpy's loop: mag ^ ((mag ^ sign) & signbit) takes the sign bit from sign."""
+    ints = np.int32 if mag.dtype == np.float32 else np.int64
+    bits = mag.view(ints)
+    out = np.bitwise_xor(bits, sign.view(ints))
+    out &= np.iinfo(ints).min                   # the sign bit alone
+    out ^= bits
+    return out.view(mag.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +425,7 @@ def extract_patches(images, patch: int) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product.  2-D operands follow the standard contract; stacked
     operands are supported when either b is 2-D (shared weight) or both
-    carry identical leading dimensions (batched attention)."""
+    carry identical leading dimensions (batched products)."""
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     ad, bd = a.data, b.data
@@ -435,17 +443,53 @@ def matmul(a, b) -> Tensor:
             gb = ad.reshape(-1, ad.shape[-1]).T @ g2
             return ga, gb
     elif ad.shape[:-2] == bd.shape[:-2]:
-        # A contiguous copy of b's transpose makes ga's product faster; a's
-        # transposed view is the faster operand for gb as it stands.
         def backward(g):
-            ga = g @ np.ascontiguousarray(bd.swapaxes(-1, -2))
-            gb = ad.swapaxes(-1, -2) @ g
-            return ga, gb
+            return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
     else:
         raise ShapeError(f"matmul: unsupported stacking: {ad.shape} x {bd.shape}")
 
-    out = ad @ bd
-    return _record("matmul", (a, b), out, backward)
+    return _record("matmul", (a, b), ad @ bd, backward)
+
+
+def attention(q, k, v, heads: int, mask=None) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(W / heads) + mask) v over projected
+    [B, T, W] operands -> [B, T, W] as one node; ``mask`` ([B, 1, 1, T] of
+    0 / -inf in q's dtype) takes keys out of every query's softmax.  Its
+    arrays are those of the composed reshape/transpose/matmul/mul/add/softmax
+    chain minus the copies, so it gives that chain's bits; k's gradient keeps
+    the chain's strided layout, as the k bias's gradient sums in memory order."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or not q.shape == k.shape == v.shape or heads < 1 or q.shape[2] % heads:
+        raise ShapeError(f"attention needs equal [B, T, W] operands with W divisible "
+                         f"by {heads} heads: {q.shape}, {k.shape}, {v.shape}")
+    b, t, w = q.shape
+    hd = w // heads
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.dtype)
+
+    def split(z):                                           # [B, H, T, hd]
+        return np.ascontiguousarray(z.reshape(b, t, heads, hd).transpose(0, 2, 1, 3))
+
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    scores = qs @ np.ascontiguousarray(ks.transpose(0, 1, 3, 2))
+    scores *= scale
+    if mask is not None:
+        scores += mask
+    _softmax_inplace(scores, -1)
+    out = (scores @ vs).transpose(0, 2, 1, 3).reshape(b, t, w)
+
+    def backward(g):
+        gc = g.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+        gs = gc @ np.ascontiguousarray(vs.swapaxes(-1, -2))
+        gv = scores.swapaxes(-1, -2) @ gc
+        gl = _softmax_adjoint(gs, scores, -1)
+        gl *= scale
+        gq = gl @ ks
+        gkt = qs.swapaxes(-1, -2) @ gl                      # [B, H, hd, T]
+        return (gq.transpose(0, 2, 1, 3).reshape(b, t, w),
+                gkt.transpose(0, 3, 1, 2).reshape(b, t, w),
+                gv.transpose(0, 2, 1, 3).reshape(b, t, w))
+
+    return _record("attention", (q, k, v), out, backward)
 
 
 def weight_norm_linear(x, direction, scale) -> Tensor:
@@ -478,17 +522,28 @@ def softmax(x, axis: int = -1, temperature: float = 1.0) -> Tensor:
         raise DomainError(f"softmax temperature must be positive, got {temperature}")
     x = _as_tensor(x)
     out = x.data / temperature
-    out -= out.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    _softmax_inplace(out, axis)
 
     def backward(g):
-        r = g - (g * out).sum(axis=axis, keepdims=True)
-        r *= out
+        r = _softmax_adjoint(g, out, axis)
         r /= temperature
         return (r,)
 
     return _record("softmax", (x,), out, backward)
+
+
+def _softmax_inplace(z: np.ndarray, axis: int) -> None:
+    """Overwrite logits z with their softmax along an axis."""
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+
+
+def _softmax_adjoint(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """(g - sum(g p)) p, a new array: the logits' gradient of softmax output p."""
+    r = g - (g * p).sum(axis=axis, keepdims=True)
+    r *= p
+    return r
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:

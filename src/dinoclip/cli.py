@@ -34,7 +34,7 @@ def _load_config(args) -> TrainConfig:
         with open(args.config, "r", encoding="utf-8") as f:
             try:
                 obj = json.load(f)
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:   # too deep, or an int too long
                 raise ValidationError(f"{args.config}: not a JSON config: {e}") from e
         cfg = TrainConfig.from_dict(obj)
     else:

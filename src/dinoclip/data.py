@@ -320,7 +320,7 @@ def _color_jitter(image: np.ndarray, strength: float, rng: RandomStream) -> np.n
     b = rng.uniform(max(0.0, 1.0 - strength), 1.0 + strength)
     out = out * b
     c = rng.uniform(max(0.0, 1.0 - strength), 1.0 + strength)
-    mean = out.mean()
+    mean = np.ascontiguousarray(out).mean()         # summed in C order, whatever the layout
     out = (out - mean) * c + mean
     s = rng.uniform(max(0.0, 1.0 - 0.5 * strength), 1.0 + 0.5 * strength)
     gray = 0.299 * out[0] + 0.587 * out[1] + 0.114 * out[2]
@@ -431,7 +431,11 @@ def write_record_file(path, blocks: list[str]):
 
 
 def read_record_file(path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
+    """Blocks of a record file; bytes that are not UTF-8 raise ValidationError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: record file is not UTF-8 text: {e}") from e
     if not text:
         return []
     blocks, current = [], []

@@ -40,6 +40,8 @@ class VisionEncoderConfig:
     embed_dim: int = 32
 
     def __post_init__(self):
+        if self.patch_size < 1 or self.heads < 1:
+            raise DomainError(f"patch_size {self.patch_size} and heads {self.heads} must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise DomainError(f"image_size {self.image_size} not divisible by "
                               f"patch_size {self.patch_size}")
@@ -65,8 +67,8 @@ class TextEncoderConfig:
     embed_dim: int = 32
 
     def __post_init__(self):
-        if self.max_length < 1:
-            raise DomainError(f"max_length must be >= 1, got {self.max_length}")
+        if self.max_length < 1 or self.heads < 1:
+            raise DomainError(f"max_length {self.max_length} and heads {self.heads} must be >= 1")
         if self.width % self.heads != 0:
             raise DomainError(f"width {self.width} not divisible by heads {self.heads}")
 
@@ -204,29 +206,19 @@ def init_model_params(config: ModelConfig, seed: int, dtype=np.float32) -> Model
 # ---------------------------------------------------------------------------
 
 def _transformer(params: ModelParams, prefix: str, x: Tensor, depth: int,
-                 heads: int, mask: Tensor = None) -> Tensor:
+                 heads: int, mask: np.ndarray = None) -> Tensor:
     """Pre-norm transformer over x: [B, T, W] -> [B, T, W].
 
-    ``mask`` ([B, 1, 1, T] of 0 / -inf) is added to the attention logits, so
-    a key at -inf gets zero weight from every query."""
-    b, t, w = x.shape
-    hd = w // heads
-    scale = 1.0 / np.sqrt(hd)
+    Each block's attention is one ``autodiff.attention`` node over the
+    biased q, k and v projections.  ``mask`` ([B, 1, 1, T] of 0 / -inf) is
+    added to the attention logits, so a key at -inf gets zero weight from
+    every query."""
     for i in range(depth):
         blk = f"{prefix}.blocks.{i}"
         h = ad.layer_norm(x, params[f"{blk}.ln1.gain"], params[f"{blk}.ln1.bias"])
-
-        def head_split(z):
-            return ad.transpose(ad.reshape(z, (b, t, heads, hd)), (0, 2, 1, 3))
-
-        q = head_split(ad.matmul(h, params[f"{blk}.attn.wq"]) + params[f"{blk}.attn.bq"])
-        k = head_split(ad.matmul(h, params[f"{blk}.attn.wk"]) + params[f"{blk}.attn.bk"])
-        v = head_split(ad.matmul(h, params[f"{blk}.attn.wv"]) + params[f"{blk}.attn.bv"])
-        logits = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * scale
-        if mask is not None:
-            logits = logits + mask
-        scores = ad.softmax(logits, axis=-1)
-        attn = ad.reshape(ad.transpose(ad.matmul(scores, v), (0, 2, 1, 3)), (b, t, w))
+        q, k, v = (ad.matmul(h, params[f"{blk}.attn.w{p}"]) + params[f"{blk}.attn.b{p}"]
+                   for p in "qkv")
+        attn = ad.attention(q, k, v, heads, mask)
         x = x + ad.matmul(attn, params[f"{blk}.attn.wo"]) + params[f"{blk}.attn.bo"]
 
         h = ad.layer_norm(x, params[f"{blk}.ln2.gain"], params[f"{blk}.ln2.bias"])
@@ -315,7 +307,7 @@ def encode_text(params: ModelParams, token_lists) -> Tensor:
     mask = None
     if lengths.min() < t:
         is_pad = np.arange(t)[None, :] >= lengths[:, None]                # [B, T]
-        mask = Tensor(np.where(is_pad, -np.inf, 0.0).reshape(b, 1, 1, t), dtype=x.dtype)
+        mask = np.where(is_pad, -np.inf, 0.0).astype(x.dtype).reshape(b, 1, 1, t)
     x = _transformer(params, "text", x, cfg.depth, cfg.heads, mask)
     x = ad.layer_norm(x, params["text.ln_f.gain"], params["text.ln_f.bias"])
     return ad.take_index(ad.matmul(x, params["text.proj"]), 0, axis=1)    # [B, m]

@@ -10,6 +10,7 @@ import json
 import math
 import multiprocessing
 import signal
+import sys
 import traceback
 import zlib
 from dataclasses import dataclass, field
@@ -121,7 +122,10 @@ def _dataclass_from_dict(cls, obj, where: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float, not a bool: NaN, infinities and ints past
+    float's range are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from dinoclip.autodiff import Tape, Tensor, backward
 from dinoclip.errors import ContractError, DomainError, ShapeError
 
 from conftest import parameter
-from gradcheck import check_gradients, max_gradient_error, relative_error
+from gradcheck import (check_gradients, max_gradient_error, relative_error,
+                       reverse_mode_gradients)
 
 # -------------------------------------------------------------------------
 # value semantics
@@ -318,10 +319,16 @@ def test_gradcheck_reports_tolerance_breach():
     assert err > 1e-3
 
 
+def _padding_mask(lengths, t, dtype=np.float64):
+    """[B, 1, 1, T] additive mask: 0 on each row's first lengths[i] keys, -inf after."""
+    is_pad = np.arange(t)[None, :] >= np.asarray(lengths)[:, None]
+    return np.where(is_pad, -np.inf, 0.0).astype(dtype).reshape(len(lengths), 1, 1, t)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_gradcheck_stacked_matmul(seed):
-    """The stacked shapes the encoders use: a shared weight over [B, T, I]
-    rows, and attention's batched product with its key fed through
+    """Stacked shapes: a shared weight over [B, T, I] rows, as the encoders
+    use it, and a batched product with its right operand fed through
     transpose."""
     rng = np.random.default_rng(400 + seed)
     m = _mask(rng, (2, 3, 5))
@@ -331,6 +338,45 @@ def test_gradcheck_stacked_matmul(seed):
     check_gradients(lambda t: ad.sum_(ad.mul(
         ad.matmul(t["q"], ad.transpose(t["k"], (0, 1, 3, 2))), m2)),
         {"q": rng.normal(size=(2, 2, 3, 4)), "k": rng.normal(size=(2, 2, 3, 4))})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gradcheck_attention(seed):
+    """The fused attention over [B, T, W] projections, unmasked and with
+    row 1's last key padded."""
+    rng = np.random.default_rng(430 + seed)
+    m = _mask(rng, (2, 3, 8))
+    qkv = {name: rng.normal(size=(2, 3, 8)) for name in "qkv"}
+    for mask in (None, _padding_mask([3, 2], 3)):
+        check_gradients(lambda t: ad.sum_(ad.mul(
+            ad.attention(t["q"], t["k"], t["v"], 2, mask), m)), qkv)
+
+
+def test_attention_padded_key_gets_no_weight_or_gradient():
+    """A key at -inf leaves every output unchanged when its k and v move,
+    and gets exactly zero k and v gradient."""
+    rng = np.random.default_rng(420)
+    q, k, v = (rng.normal(size=(2, 4, 8)) for _ in range(3))
+    mask = _padding_mask([4, 2], 4)
+    k2, v2 = k.copy(), v.copy()
+    k2[1, 2:] += 5.0
+    v2[1, 2:] -= 3.0
+    base = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, mask).data
+    moved = ad.attention(Tensor(q), Tensor(k2), Tensor(v2), 2, mask).data
+    assert np.array_equal(base[1], moved[1])
+    grads = reverse_mode_gradients(
+        lambda t: ad.sum_(ad.attention(t["q"], t["k"], t["v"], 2, mask)),
+        {"q": q, "k": k, "v": v})
+    assert not grads["k"][1, 2:].any() and not grads["v"][1, 2:].any()
+    assert grads["k"][1, :2].any() and grads["v"][1, :2].any()
+
+
+def test_attention_rejects_mismatched_operands():
+    x = Tensor(np.zeros((2, 3, 8)))
+    with pytest.raises(ShapeError):
+        ad.attention(x, Tensor(np.zeros((2, 4, 8))), x, 2)
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, x, 3)
 
 
 def test_shared_weight_matmul_float32_adjoints_match_float64():
@@ -386,6 +432,11 @@ def _purity_cases():
                           {"a": (2, 3, 4), "b": (4, 5)}),
         "matmul_batched": (lambda t: ad.matmul(t["a"], ad.transpose(t["b"], (0, 1, 3, 2))),
                            {"a": (2, 2, 3, 4), "b": (2, 2, 3, 4)}),
+        "attention": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2),
+                      {"q": (2, 3, 8), "k": (2, 3, 8), "v": (2, 3, 8)}),
+        "attention_masked": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2,
+                                                    _padding_mask([3, 1], 3, t["q"].dtype)),
+                             {"q": (2, 3, 8), "k": (2, 3, 8), "v": (2, 3, 8)}),
         "weight_norm_linear": (lambda t: ad.weight_norm_linear(t["x"], t["d"], t["s"]),
                                {"x": (2, 3), "d": (5, 3), "s": (5,)}),
         "softmax": (lambda t: ad.softmax(t["a"], axis=-1, temperature=0.07), {"a": (3, 6)}),
@@ -540,3 +591,86 @@ def test_rewritten_ops_bit_identical_to_reference_expressions(dtype):
         ref, ref_bw = _ref_soft_cross_entropy(target, pred)
         _assert_same(out, ref)
         _assert_same(bw(g)[0], ref_bw(g))
+
+
+def _ref_attention(q, k, v, heads, mask):
+    """The composed chain that ``attention`` replaced, node by node in plain
+    numpy: reshape and transpose copies of each head split and of the key's
+    transpose, the batched products, ``mul`` by the scale cast to the
+    operands' dtype, the mask ``add``, softmax at temperature 1 and the
+    merge; the adjoints as those nodes' backward functions ran them."""
+    b, t, w = q.shape
+    hd = w // heads
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.dtype)
+
+    def split(z):
+        return np.ascontiguousarray(np.transpose(z.reshape(b, t, heads, hd).copy(),
+                                                 (0, 2, 1, 3)))
+
+    qs, ks, vs = split(q), split(k), split(v)
+    kt = np.ascontiguousarray(np.transpose(ks, (0, 1, 3, 2)))
+    logits = (qs @ kt) * scale
+    if mask is not None:
+        logits = logits + mask
+    z = logits / 1.0
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    o = p @ vs
+    out = np.ascontiguousarray(np.transpose(o, (0, 2, 1, 3))).reshape(b, t, w).copy()
+
+    def merge_grad(g):                          # transpose's, then reshape's adjoint
+        return np.transpose(g, (0, 2, 1, 3)).reshape(b, t, w)
+
+    def backward(g):
+        gc = np.transpose(g.reshape(b, t, heads, hd), (0, 2, 1, 3))
+        gp = gc @ np.ascontiguousarray(vs.swapaxes(-1, -2))
+        gv = p.swapaxes(-1, -2) @ gc
+        r = gp - (gp * p).sum(axis=-1, keepdims=True)
+        r *= p
+        r /= 1.0
+        gl = r * scale
+        gq = gl @ np.ascontiguousarray(kt.swapaxes(-1, -2))
+        gkt = qs.swapaxes(-1, -2) @ gl
+        return merge_grad(gq), merge_grad(np.transpose(gkt, (0, 1, 3, 2))), merge_grad(gv)
+
+    return out, backward
+
+
+@pytest.mark.parametrize("shape,heads,lengths", [
+    ((3, 5, 64), 4, None), ((3, 5, 64), 4, [5, 2, 4]), ((80, 9, 64), 4, None),
+    ((2, 17, 64), 1, None), ((4, 1, 64), 4, None), ((2, 6, 16), 16, [6, 1])])
+def test_attention_bit_identical_to_composed_chain(shape, heads, lengths):
+    """float32 forward and (gq, gk, gv) equal the composed chain's bits, and
+    gk keeps its strided layout: the k projection's bias gradient sums it in
+    memory order."""
+    rng = np.random.default_rng(610)
+    q, k, v, g = (rng.normal(size=shape).astype(np.float32) for _ in range(4))
+    mask = None if lengths is None else _padding_mask(lengths, shape[1], np.float32)
+    out, bw = _node_of(lambda *t: ad.attention(*t, heads, mask),
+                       *(parameter(a, n) for a, n in zip((q, k, v), "qkv")))
+    ref, ref_bw = _ref_attention(q, k, v, heads, mask)
+    _assert_same(out, ref)
+    for got, want in zip(bw(g), ref_bw(g)):
+        _assert_same(got, want)
+        assert got.strides == want.strides
+
+
+def test_copysign_bits_equal_numpy():
+    """The gelu adjoint's copysign equals np.copysign bit for bit, on both
+    dtypes, for every pairing of signed zeros, infinities, NaNs of either
+    sign, subnormals, normals and magnitudes whose sign bit is set."""
+    for dtype in (np.float32, np.float64):
+        info = np.finfo(dtype)
+        nan = np.asarray(np.nan, dtype)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal,
+                             -info.smallest_subnormal, info.tiny / 3, -info.tiny / 3,
+                             info.tiny, 0.5, -0.5, 1.0, -1e-9, -3.0, info.max, -info.max],
+                            dtype=dtype)
+        specials = np.concatenate([specials, [nan, np.negative(nan)]])
+        assert np.signbit(specials[-1]) and not np.signbit(specials[-2])
+        mag, sign = np.meshgrid(specials, specials)
+        ints = np.int32 if dtype == np.float32 else np.int64
+        got = ad._copysign(mag, sign)
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(ints), np.copysign(mag, sign).view(ints))
+        assert np.array_equal(mag, np.meshgrid(specials, specials)[0], equal_nan=True)

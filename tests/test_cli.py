@@ -163,6 +163,22 @@ def test_ingest_misaligned_responses_exit_code(workdir):
     assert rc == 2
 
 
+def test_record_files_that_are_not_utf8_exit_2(workdir, capsys):
+    """A responses or few-shot file holding bytes that are not UTF-8 is a
+    validation error (exit 2), not a traceback."""
+    bad = workdir / "bad.txt"
+    bad.write_bytes(b"ab\xff\xfe")
+    rc = main(["ingest-translations", "--manifest", str(workdir / "manifest.jsonl"),
+               "--responses", str(bad), "--language", "fr", "--out", str(workdir / "x.jsonl")])
+    assert rc == 2
+    ckpt = _train(workdir)
+    rc = main(["build-lmcap-prompts", "--checkpoint", str(ckpt), "--manifest",
+               str(workdir / "manifest.jsonl"), "--fewshot", str(bad),
+               "--out", str(workdir / "lmcap.txt")])
+    assert rc == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_build_lmcap_prompts(workdir):
     ckpt = _train(workdir)
     out = workdir / "lmcap.txt"
@@ -372,6 +388,30 @@ def test_train_bad_config_is_validation_error(workdir, capsys, path, value):
                "--out", str(workdir / "x.ckpt")])
     assert rc == 2
     assert "config" in capsys.readouterr().err
+    assert not (workdir / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("path,value", [
+    (("model", "vision", "patch_size"), 0), (("model", "vision", "heads"), 0),
+    (("model", "text", "heads"), -4), (("learning_rate",), 10 ** 400),
+    (("augmentation", "global_scale"), [0.4, -10 ** 400]),
+    (("learning_rate",), float("nan")), (("tau_student",), float("inf")), (None, None)],
+    ids=["patch-size-0", "vision-heads-0", "text-heads-negative", "float-past-range",
+         "tuple-item-past-range", "float-nan", "float-inf", "nested-too-deep"])
+def test_train_degenerate_config_exits_2(workdir, capsys, path, value):
+    """A zero divisor, a float field that is not finite (NaN, an infinity,
+    an int past float's range) and JSON nested past the parser's depth are
+    validation errors, not tracebacks or a run on non-finite settings."""
+    bad = workdir / "bad_config.json"
+    if path is None:
+        bad.write_text("[" * 100_000)
+    else:
+        obj = json.loads((workdir / "config.json").read_text())
+        bad.write_text(json.dumps(set_config_field(obj, path, value)))
+    rc = main(["train", "--config", str(bad), "--manifest", str(workdir / "manifest.jsonl"),
+               "--out", str(workdir / "x.ckpt")])
+    assert rc == 2
+    assert "validation error" in capsys.readouterr().err
     assert not (workdir / "x.ckpt").exists()
 
 

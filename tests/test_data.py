@@ -11,7 +11,7 @@ from scipy.ndimage import gaussian_filter1d
 from scipy.stats import chisquare
 
 from dinoclip.data import (BLUR_SIGMA_RANGE, AugmentationConfig, EpochSamplingPolicy,
-                           CaptionRecord, _gaussian_blur,
+                           CaptionRecord, _color_jitter, _gaussian_blur,
                            ImageCaptionRecord, build_translation_prompt,
                            build_translation_prompts, ingest_translations,
                            load_manifest, make_views, read_ppm, read_record_file,
@@ -314,6 +314,18 @@ def _plain_config(**kwargs):
     return AugmentationConfig(**defaults)
 
 
+def test_color_jitter_bits_do_not_depend_on_memory_layout():
+    """A channel-fastest input (a transposed view) gives the bits of its
+    C-contiguous copy: the contrast mean sums in C order."""
+    for seed in range(3):
+        hwc = np.random.default_rng(seed).uniform(size=(32, 32, 3)).astype(np.float32)
+        chw = hwc.transpose(2, 0, 1)
+        assert not chw.flags["C_CONTIGUOUS"]
+        got = _color_jitter(chw, 0.8, RandomStream(4))
+        want = _color_jitter(np.ascontiguousarray(chw), 0.8, RandomStream(4))
+        assert np.array_equal(got, want)
+
+
 def test_make_views_counts_and_sizes():
     img = synthetic_image(0, 24)
     globals_, locals_ = make_views(img, _plain_config(), RandomStream(1))
@@ -443,6 +455,23 @@ def test_record_file_empty(tmp_path):
     path = tmp_path / "empty.txt"
     write_record_file(path, [])
     assert read_record_file(path) == []
+
+
+_VALID_RECORDS = "first prompt\nwith newline\n\x1e\nzweite Zeile \u00e9\n\x1e\n".encode()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=byte_mutations(_VALID_RECORDS))
+@example(blob=b"ab\xff\xfe")                                      # not UTF-8
+def test_read_record_file_fuzzed_raises_only_validation_error(tmp_path, blob):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(blob)
+    try:
+        blocks = read_record_file(path)
+    except ValidationError:
+        return
+    assert all(isinstance(b, str) for b in blocks)
 
 
 def test_ingest_translations_happy_path(tmp_path):

@@ -30,7 +30,7 @@ from dinoclip.encoders import (ModelConfig, ModelParams, encode_images, init_mod
                                project_dino)
 from dinoclip.errors import (CheckpointError, CheckpointShapeError,
                              CheckpointTruncationError, CheckpointVersionError,
-                             ContractError, ManifestParseError, NumericError,
+                             ContractError, DomainError, ManifestParseError, NumericError,
                              ValidationError, ViewWorkerError)
 from dinoclip.objectives import soft_distillation_terms
 from dinoclip.trainer import (AdamState, MetricsLog, TrainConfig, adamw_step,
@@ -325,6 +325,30 @@ def test_checkpoint_flipped_payload_bit_detected(tmp_path):
 
 
 # -------------------------------------------------------------------------
+# config fuzzing: TrainConfig.from_dict on the parsed JSON of random bytes,
+# truncations and single-bit flips of a valid config raises only its
+# documented kinds, ValidationError (a field's name or type) and DomainError
+# (a value)
+# -------------------------------------------------------------------------
+
+_VALID_CONFIG = json.dumps(TrainConfig().to_dict()).encode()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(blob=byte_mutations(_VALID_CONFIG))
+def test_config_from_dict_fuzzed_raises_only_documented_errors(blob):
+    try:
+        obj = json.loads(blob)
+    except (ValueError, RecursionError):   # the CLI reports these as ValidationError
+        return
+    try:
+        cfg = TrainConfig.from_dict(obj)
+    except (ValidationError, DomainError):
+        return
+    assert isinstance(cfg, TrainConfig)
+
+
+# -------------------------------------------------------------------------
 # checkpoint fuzzing: random bytes, truncations and single-bit flips of a
 # valid checkpoint raise only CheckpointError kinds, or load the same state
 # -------------------------------------------------------------------------
@@ -535,6 +559,27 @@ def test_training_step_batches_views_by_resolution(tiny_records, monkeypatch, lo
     assert calls["images"] == images
     assert calls["heads"] == heads
     assert calls["ops"].count("soft_cross_entropy") == cross_entropies
+
+
+@pytest.mark.parametrize("loss_mode,image_calls", [("combined", 2), ("infonce_only", 1)])
+def test_training_step_records_one_attention_node_per_block(tiny_records, monkeypatch,
+                                                            loss_mode, image_calls):
+    """At depth 2, each student encoder call (text once, images once per
+    resolution) records 2 attention nodes, and the tape holds no 4-D
+    transpose: head split and merge live inside the fused node."""
+    nodes = []
+
+    def backward_spy(tape, loss, params):
+        nodes.extend(tape.nodes)
+        return backward(tape, loss, params=params)
+
+    model = tiny_model_config()
+    model = dataclasses.replace(model, vision=dataclasses.replace(model.vision, depth=2),
+                                text=dataclasses.replace(model.text, depth=2))
+    monkeypatch.setattr(trainer, "backward", backward_spy)
+    train(tiny_train_config(epochs=1, loss_mode=loss_mode, model=model), tiny_records)
+    assert [n.op for n in nodes].count("attention") == 2 * (image_calls + 1)
+    assert not [n for n in nodes if n.op == "transpose" and n.output.ndim == 4]
 
 
 # -------------------------------------------------------------------------
