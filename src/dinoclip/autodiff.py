@@ -451,45 +451,73 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", (a, b), ad @ bd, backward)
 
 
-def attention(q, k, v, heads: int, mask=None) -> Tensor:
-    """Multi-head softmax(q k^T / sqrt(W / heads) + mask) v over projected
-    [B, T, W] operands -> [B, T, W] as one node; ``mask`` ([B, 1, 1, T] of
-    0 / -inf in q's dtype) takes keys out of every query's softmax.  Its
-    arrays are those of the composed reshape/transpose/matmul/mul/add/softmax
-    chain minus the copies, so it gives that chain's bits; k's gradient keeps
-    the chain's strided layout, as the k bias's gradient sums in memory order."""
+def attention(q, k, v, heads: int, runs=None) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(W / heads)) v within each sequence,
+    as one node.
+
+    The operands are the projected q, k and v: either [B, T, W], B sequences
+    of T rows, or packed [N, W] rows, where ``runs`` lists (count, length)
+    pairs: ``count`` consecutive sequences of ``length`` rows each, in row
+    order, covering all N rows.  No row attends outside its own sequence.
+    Each run's arrays are those of the composed reshape/transpose/matmul/
+    mul/softmax chain over a [count, length, W] batch minus the copies, so
+    it gives that chain's bits; for [B, T, W] operands k's gradient keeps
+    the chain's strided layout, as the k bias's gradient sums in memory
+    order."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim != 3 or not q.shape == k.shape == v.shape or heads < 1 or q.shape[2] % heads:
-        raise ShapeError(f"attention needs equal [B, T, W] operands with W divisible "
-                         f"by {heads} heads: {q.shape}, {k.shape}, {v.shape}")
-    b, t, w = q.shape
+    if (q.ndim not in (2, 3) or not q.shape == k.shape == v.shape or heads < 1
+            or q.shape[-1] % heads):
+        raise ShapeError(f"attention needs equal [B, T, W] or [N, W] operands with W "
+                         f"divisible by {heads} heads: {q.shape}, {k.shape}, {v.shape}")
+    if q.ndim == 3 and runs is None:
+        runs = (q.shape[:2],)
+    elif (q.ndim == 3 or runs is None or any(c < 1 or t < 1 for c, t in runs)
+          or sum(c * t for c, t in runs) != q.shape[0]):
+        raise ShapeError(f"packed [N, W] operands need runs of (count, length) pairs "
+                         f">= 1 covering their N rows, and [B, T, W] ones none: got "
+                         f"{runs} for {q.shape}")
+    w = q.shape[-1]
     hd = w // heads
     scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.dtype)
-
-    def split(z):                                           # [B, H, T, hd]
-        return np.ascontiguousarray(z.reshape(b, t, heads, hd).transpose(0, 2, 1, 3))
-
-    qs, ks, vs = split(q.data), split(k.data), split(v.data)
-    scores = qs @ np.ascontiguousarray(ks.transpose(0, 1, 3, 2))
-    scores *= scale
-    if mask is not None:
-        scores += mask
-    _softmax_inplace(scores, -1)
-    out = (scores @ vs).transpose(0, 2, 1, 3).reshape(b, t, w)
+    qd, kd, vd = (z.data.reshape(-1, w) for z in (q, k, v))
+    out = np.empty_like(qd)
+    saved = []                                              # per run: rows, splits, p
+    start = 0
+    for c, t in runs:
+        rows = slice(start, start + c * t)
+        start = rows.stop
+        qs, ks, vs = (np.ascontiguousarray(z[rows].reshape(c, t, heads, hd).swapaxes(1, 2))
+                      for z in (qd, kd, vd))                # [c, H, t, hd]
+        scores = qs @ np.ascontiguousarray(ks.transpose(0, 1, 3, 2))
+        scores *= scale
+        _softmax_inplace(scores, -1)
+        out[rows].reshape(c, t, heads, hd)[...] = (scores @ vs).transpose(0, 2, 1, 3)
+        saved.append((rows, qs, ks, vs, scores))
 
     def backward(g):
-        gc = g.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
-        gs = gc @ np.ascontiguousarray(vs.swapaxes(-1, -2))
-        gv = scores.swapaxes(-1, -2) @ gc
-        gl = _softmax_adjoint(gs, scores, -1)
-        gl *= scale
-        gq = gl @ ks
-        gkt = qs.swapaxes(-1, -2) @ gl                      # [B, H, hd, T]
-        return (gq.transpose(0, 2, 1, 3).reshape(b, t, w),
-                gkt.transpose(0, 3, 1, 2).reshape(b, t, w),
-                gv.transpose(0, 2, 1, 3).reshape(b, t, w))
+        g = g.reshape(-1, w)
+        grads = []
+        for rows, qs, ks, vs, p in saved:
+            c, _, t, _ = qs.shape
+            gc = g[rows].reshape(c, t, heads, hd).transpose(0, 2, 1, 3)
+            gs = gc @ np.ascontiguousarray(vs.swapaxes(-1, -2))
+            gv = p.swapaxes(-1, -2) @ gc
+            gl = _softmax_adjoint(gs, p, -1)
+            gl *= scale
+            gq = gl @ ks
+            gkt = qs.swapaxes(-1, -2) @ gl                  # [c, H, hd, t]
+            grads.append((gq.transpose(0, 2, 1, 3).reshape(c, t, w),
+                          gkt.transpose(0, 3, 1, 2).reshape(c, t, w),
+                          gv.transpose(0, 2, 1, 3).reshape(c, t, w)))
+        if len(grads) == 1:
+            return tuple(x.reshape(q.shape) for x in grads[0])
+        packed = tuple(np.empty_like(qd) for _ in range(3))
+        for (rows, *_), run in zip(saved, grads):
+            for dst, src in zip(packed, run):
+                dst[rows].reshape(src.shape)[...] = src
+        return packed
 
-    return _record("attention", (q, k, v), out, backward)
+    return _record("attention", (q, k, v), out.reshape(q.shape), backward)
 
 
 def weight_norm_linear(x, direction, scale) -> Tensor:

@@ -1,7 +1,9 @@
 """Training state as a deterministic zip archive that ``numpy.load`` reads: one
 stored (uncompressed) member per section, an array as ``<name>.npy``, never
-pickled, or a JSON value as ``<name>.json``.  Every member has one fixed
-timestamp, so equal state gives equal bytes, and a CRC-32 checked on read."""
+pickled, or a JSON value as ``<name>.json``.  A list of arrays and numpy
+scalars is one flat array: their elements, in order.  Every member has one
+fixed timestamp, so equal state gives equal bytes, and a CRC-32 checked on
+read."""
 
 from __future__ import annotations
 
@@ -44,10 +46,21 @@ def _full_length(f) -> bool:
         or sum(struct.unpack_from("<2L", tail, 12)) + _END_RECORD_SIZE == size)
 
 
+def _write_flat(out, arrays: list):
+    """The .npy bytes of the concatenated, raveled ``arrays``, streamed from
+    each array without building the concatenation."""
+    dtype = np.result_type(*arrays)
+    np.lib.format.write_array_header_1_0(out, {
+        "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
+        "shape": (sum(a.size for a in arrays),)})
+    for a in arrays:
+        out.write(np.ascontiguousarray(a, dtype=dtype))
+
+
 def write_container(path, sections: dict):
-    """Write ``sections`` (name -> array or JSON value) to a temporary file
-    beside ``path``, sync it, then rename it into place, so a write that
-    fails midway leaves any old file intact."""
+    """Write ``sections`` (name -> array, list of arrays or JSON value) to a
+    temporary file beside ``path``, sync it, then rename it into place, so a
+    write that fails midway leaves any old file intact."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -57,6 +70,10 @@ def write_container(path, sections: dict):
                     if isinstance(value, np.ndarray):
                         with zf.open(zipfile.ZipInfo(f"{name}.npy", _DATE_TIME), "w") as out:
                             np.lib.format.write_array(out, value, allow_pickle=False)
+                    elif isinstance(value, list) and value and all(
+                            isinstance(a, (np.ndarray, np.generic)) for a in value):
+                        with zf.open(zipfile.ZipInfo(f"{name}.npy", _DATE_TIME), "w") as out:
+                            _write_flat(out, value)
                     else:
                         zf.writestr(zipfile.ZipInfo(f"{name}.json", _DATE_TIME),
                                     json.dumps(value, sort_keys=True, separators=(",", ":")))

@@ -19,7 +19,6 @@ from .prng import RandomStream
 
 # Byte-level tokenizer constants: ids below 256 are reserved for specials,
 # raw bytes live at 256 + b.
-PAD_ID = 0
 SENTINEL_ID = 1
 END_ID = 2
 BYTE_OFFSET = 256
@@ -206,19 +205,18 @@ def init_model_params(config: ModelConfig, seed: int, dtype=np.float32) -> Model
 # ---------------------------------------------------------------------------
 
 def _transformer(params: ModelParams, prefix: str, x: Tensor, depth: int,
-                 heads: int, mask: np.ndarray = None) -> Tensor:
-    """Pre-norm transformer over x: [B, T, W] -> [B, T, W].
+                 heads: int, runs=None) -> Tensor:
+    """Pre-norm transformer over x: [B, T, W] -> [B, T, W], or over packed
+    [N, W] rows whose sequences ``runs`` gives as (count, length) pairs.
 
     Each block's attention is one ``autodiff.attention`` node over the
-    biased q, k and v projections.  ``mask`` ([B, 1, 1, T] of 0 / -inf) is
-    added to the attention logits, so a key at -inf gets zero weight from
-    every query."""
+    biased q, k and v projections; every other op is position-wise."""
     for i in range(depth):
         blk = f"{prefix}.blocks.{i}"
         h = ad.layer_norm(x, params[f"{blk}.ln1.gain"], params[f"{blk}.ln1.bias"])
         q, k, v = (ad.matmul(h, params[f"{blk}.attn.w{p}"]) + params[f"{blk}.attn.b{p}"]
                    for p in "qkv")
-        attn = ad.attention(q, k, v, heads, mask)
+        attn = ad.attention(q, k, v, heads, runs)
         x = x + ad.matmul(attn, params[f"{blk}.attn.wo"]) + params[f"{blk}.attn.bo"]
 
         h = ad.layer_norm(x, params[f"{blk}.ln2.gain"], params[f"{blk}.ln2.bias"])
@@ -270,15 +268,17 @@ def _interpolated_positions(pos: Tensor, src: int, dst: int) -> Tensor:
 
 
 def encode_text(params: ModelParams, token_lists) -> Tensor:
-    """Batch text encoder: B token id sequences -> [B, m] embeddings, pooled
-    at the position-0 sentinel.
+    """Batch text encoder: B token id sequences -> [B, m] embeddings in input
+    order, pooled at each sequence's position-0 sentinel.
 
-    Shorter sequences are padded with PAD_ID to the longest and their padded
-    keys masked out of every attention softmax, so padding changes a row only
-    by float roundoff.  The projection runs on every position before pooling,
-    so that no matmul has a single row and a row does not depend on the
-    batch size: sequences of one length encoded together give the same bits
-    as each encoded alone.
+    The sequences are sorted by length (stably) and their tokens packed into
+    one [N, W] row block without padding, so every position-wise op runs
+    once over all N rows; attention runs within each sequence, per run of
+    equal lengths.  The projection runs on every row before the first rows
+    are gathered, so that no matmul has a single row.  A float32 GEMM row
+    does not depend on how many rows are multiplied with it (at least two;
+    tests/test_encoders.py guards this for the encoder's shapes), so each
+    row is bit-identical to its sequence encoded alone.
     """
     cfg = params.config.text
     seqs = [np.asarray(ids, dtype=np.int64) for ids in token_lists]
@@ -291,26 +291,24 @@ def encode_text(params: ModelParams, token_lists) -> Tensor:
         if ids.size > cfg.max_length:
             raise ContractError(f"sequence length {ids.size} exceeds max_length "
                                 f"{cfg.max_length}; truncate before encoding")
-    flat = np.concatenate(seqs)
+    lengths = np.array([ids.size for ids in seqs])
+    order = np.argsort(lengths, kind="stable")
+    sizes = lengths[order]
+    starts = np.cumsum(sizes) - sizes               # first row of each packed sequence
+    flat = np.concatenate([seqs[i] for i in order])
     if flat.min() < 0 or flat.max() >= cfg.vocab_size:
         raise VocabularyError(f"token id out of range [0, {cfg.vocab_size}): "
                               f"{int(flat.min())}..{int(flat.max())}")
-    lengths = np.array([ids.size for ids in seqs])
-    b, t = len(seqs), int(lengths.max())
-    padded = np.full((b, t), PAD_ID, dtype=np.int64)
-    for row, ids in zip(padded, seqs):
-        row[:ids.size] = ids
-    tok = ad.gather_rows(params["text.tok_embed"], padded.reshape(-1))    # [B*T, W]
-    # slice positional rows via gather so the gradient lands on the used rows
-    pos_rows = ad.gather_rows(params["text.pos"], np.arange(t, dtype=np.int64))
-    x = ad.reshape(tok, (b, t, cfg.width)) + pos_rows
-    mask = None
-    if lengths.min() < t:
-        is_pad = np.arange(t)[None, :] >= lengths[:, None]                # [B, T]
-        mask = np.where(is_pad, -np.inf, 0.0).astype(x.dtype).reshape(b, 1, 1, t)
-    x = _transformer(params, "text", x, cfg.depth, cfg.heads, mask)
+    positions = np.arange(flat.size) - np.repeat(starts, sizes)
+    x = (ad.gather_rows(params["text.tok_embed"], flat)
+         + ad.gather_rows(params["text.pos"], positions))                  # [N, W]
+    run_lengths, run_counts = np.unique(sizes, return_counts=True)
+    runs = [(int(c), int(t)) for c, t in zip(run_counts, run_lengths)]
+    x = _transformer(params, "text", x, cfg.depth, cfg.heads, runs)
     x = ad.layer_norm(x, params["text.ln_f.gain"], params["text.ln_f.bias"])
-    return ad.take_index(ad.matmul(x, params["text.proj"]), 0, axis=1)    # [B, m]
+    first = np.empty_like(starts)
+    first[order] = starts
+    return ad.gather_rows(ad.matmul(x, params["text.proj"]), first)        # [B, m]
 
 
 def project_dino(params: ModelParams, embedding: Tensor) -> Tensor:

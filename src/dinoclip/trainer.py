@@ -36,6 +36,10 @@ LOG_TAU_MAX = float(np.log(5.0))
 
 _TAG_ORDER = 0x4F524452
 
+# Tokens per encode_text call in embed_texts.  Larger packed blocks cost
+# more in page faults than they save in calls (BENCH_text_pack.json).
+TEXT_CHUNK_TOKENS = 512
+
 
 @dataclass
 class TrainConfig:
@@ -245,13 +249,14 @@ def _train_fingerprint(records) -> str:
 _COUNTERS = ("step", "next_epoch", "adam_t")
 
 
-def _flat(config: ModelConfig, arrays) -> np.ndarray:
-    """One tensor group as a flat array, in parameter-spec order."""
-    return np.concatenate([np.ravel(arrays[name]) for name, _ in _parameter_spec(config)])
+def _group(config: ModelConfig, arrays) -> list[np.ndarray]:
+    """One tensor group's arrays in parameter-spec order, which the container
+    stores as one flat array."""
+    return [arrays[name] for name, _ in _parameter_spec(config)]
 
 
 def _unflat(config: ModelConfig, flat, group: str) -> dict[str, np.ndarray]:
-    """Inverse of _flat: the stored config defines every shape."""
+    """Inverse of _group: the stored config defines every shape."""
     spec = list(_parameter_spec(config))
     sizes = [math.prod(shape) for _, shape in spec]
     if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and sum(sizes) == flat.size
@@ -271,10 +276,10 @@ def save_checkpoint(state: TrainState, path):
         "counters": dict(zip(_COUNTERS, (state.step, state.next_epoch, state.adam.t)),
                          train_fingerprint=state.train_fingerprint),
         "center": state.teacher.center,
-        "student": _flat(model, {k: v.data for k, v in state.student.items()}),
-        "teacher": _flat(model, {k: v.data for k, v in state.teacher.params.items()}),
-        "adam_m": _flat(model, state.adam.m),
-        "adam_v": _flat(model, state.adam.v)})
+        "student": _group(model, {k: v.data for k, v in state.student.items()}),
+        "teacher": _group(model, {k: v.data for k, v in state.teacher.params.items()}),
+        "adam_m": _group(model, state.adam.m),
+        "adam_v": _group(model, state.adam.v)})
 
 
 def load_checkpoint(path) -> TrainState:
@@ -326,16 +331,22 @@ def embed_record_images(params: ModelParams, records, data_root=None) -> np.ndar
 def embed_texts(params: ModelParams, texts: list[str]) -> np.ndarray:
     """[N, m] caption embeddings in input order, in the encoder's dtype.
 
-    Texts of one token length are encoded together, unpadded, so each row is
-    bit-identical to the text embedded alone, whatever else is in the list.
+    The texts are sorted by token length and encoded in packed chunks of at
+    most TEXT_CHUNK_TOKENS tokens, so a chunk holds few distinct lengths.
+    encode_text packs without padding, so each row is bit-identical to the
+    text embedded alone, whatever else is in the list.
     """
     max_len = params.config.text.max_length
     token_lists = [tokenize(t, max_len) for t in texts]
-    by_length: dict[int, list[int]] = {}
-    for i, ids in enumerate(token_lists):
-        by_length.setdefault(len(ids), []).append(i)
+    chunks, tokens = [], TEXT_CHUNK_TOKENS
+    for i in sorted(range(len(texts)), key=lambda i: len(token_lists[i])):
+        if tokens + len(token_lists[i]) > TEXT_CHUNK_TOKENS:
+            chunks.append([])
+            tokens = 0
+        chunks[-1].append(i)
+        tokens += len(token_lists[i])
     out = np.empty((len(texts), params.config.embed_dim), dtype=params["text.proj"].dtype)
-    for rows in by_length.values():
+    for rows in chunks:
         out[rows] = encode_text(params, [token_lists[i] for i in rows]).data
     return out
 

@@ -13,8 +13,7 @@ from dinoclip.autodiff import Tape, Tensor, backward
 from dinoclip.errors import ContractError, DomainError, ShapeError
 
 from conftest import parameter
-from gradcheck import (check_gradients, max_gradient_error, relative_error,
-                       reverse_mode_gradients)
+from gradcheck import check_gradients, max_gradient_error, relative_error
 
 # -------------------------------------------------------------------------
 # value semantics
@@ -319,12 +318,6 @@ def test_gradcheck_reports_tolerance_breach():
     assert err > 1e-3
 
 
-def _padding_mask(lengths, t, dtype=np.float64):
-    """[B, 1, 1, T] additive mask: 0 on each row's first lengths[i] keys, -inf after."""
-    is_pad = np.arange(t)[None, :] >= np.asarray(lengths)[:, None]
-    return np.where(is_pad, -np.inf, 0.0).astype(dtype).reshape(len(lengths), 1, 1, t)
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_gradcheck_stacked_matmul(seed):
     """Stacked shapes: a shared weight over [B, T, I] rows, as the encoders
@@ -340,35 +333,43 @@ def test_gradcheck_stacked_matmul(seed):
         {"q": rng.normal(size=(2, 2, 3, 4)), "k": rng.normal(size=(2, 2, 3, 4))})
 
 
+RUNS = [(2, 3), (1, 1), (3, 2)]      # (count, length): 6 + 1 + 6 packed rows
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_gradcheck_attention(seed):
-    """The fused attention over [B, T, W] projections, unmasked and with
-    row 1's last key padded."""
+    """The fused attention over [B, T, W] projections, and over packed rows
+    in runs of unequal length."""
     rng = np.random.default_rng(430 + seed)
-    m = _mask(rng, (2, 3, 8))
-    qkv = {name: rng.normal(size=(2, 3, 8)) for name in "qkv"}
-    for mask in (None, _padding_mask([3, 2], 3)):
+    for shape, runs in (((2, 3, 8), None), ((13, 8), RUNS)):
+        m = _mask(rng, shape)
         check_gradients(lambda t: ad.sum_(ad.mul(
-            ad.attention(t["q"], t["k"], t["v"], 2, mask), m)), qkv)
+            ad.attention(t["q"], t["k"], t["v"], 2, runs), m)),
+            {name: rng.normal(size=shape) for name in "qkv"})
 
 
-def test_attention_padded_key_gets_no_weight_or_gradient():
-    """A key at -inf leaves every output unchanged when its k and v move,
-    and gets exactly zero k and v gradient."""
+def test_attention_packed_runs_equal_each_run_alone():
+    """Packed runs give, bit for bit, each run's output rows and q, k and v
+    gradient rows computed as a [count, length, W] batch of its own: no row
+    sees another sequence."""
     rng = np.random.default_rng(420)
-    q, k, v = (rng.normal(size=(2, 4, 8)) for _ in range(3))
-    mask = _padding_mask([4, 2], 4)
-    k2, v2 = k.copy(), v.copy()
-    k2[1, 2:] += 5.0
-    v2[1, 2:] -= 3.0
-    base = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, mask).data
-    moved = ad.attention(Tensor(q), Tensor(k2), Tensor(v2), 2, mask).data
-    assert np.array_equal(base[1], moved[1])
-    grads = reverse_mode_gradients(
-        lambda t: ad.sum_(ad.attention(t["q"], t["k"], t["v"], 2, mask)),
-        {"q": q, "k": k, "v": v})
-    assert not grads["k"][1, 2:].any() and not grads["v"][1, 2:].any()
-    assert grads["k"][1, :2].any() and grads["v"][1, :2].any()
+    runs = [(3, 2), (2, 5), (1, 7), (4, 1)]
+    n = sum(c * t for c, t in runs)
+    q, k, v, g = (rng.normal(size=(n, 16)).astype(np.float32) for _ in range(4))
+    out, bw = _node_of(lambda *t: ad.attention(*t, 4, runs),
+                       *(parameter(a, name) for a, name in zip((q, k, v), "qkv")))
+    grads = bw(g)
+    assert out.shape == q.shape and all(x.shape == q.shape for x in grads)
+    start = 0
+    for c, t in runs:
+        rows = slice(start, start + c * t)
+        start = rows.stop
+        alone = [parameter(a[rows].reshape(c, t, 16), name)
+                 for a, name in zip((q, k, v), "qkv")]
+        ref, ref_bw = _node_of(lambda *t_: ad.attention(*t_, 4), *alone)
+        _assert_same(out[rows], ref.reshape(c * t, 16))
+        for got, want in zip(grads, ref_bw(g[rows].reshape(c, t, 16))):
+            _assert_same(got[rows], want.reshape(c * t, 16))
 
 
 def test_attention_rejects_mismatched_operands():
@@ -377,6 +378,12 @@ def test_attention_rejects_mismatched_operands():
         ad.attention(x, Tensor(np.zeros((2, 4, 8))), x, 2)
     with pytest.raises(ShapeError):
         ad.attention(x, x, x, 3)
+    packed = Tensor(np.zeros((6, 8)))
+    for runs in (None, [(2, 2)], [(2, 2), (1, 3)], [(0, 4), (3, 2)]):
+        with pytest.raises(ShapeError):
+            ad.attention(packed, packed, packed, 2, runs)
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, x, 2, [(2, 3)])
 
 
 def test_shared_weight_matmul_float32_adjoints_match_float64():
@@ -434,9 +441,8 @@ def _purity_cases():
                            {"a": (2, 2, 3, 4), "b": (2, 2, 3, 4)}),
         "attention": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2),
                       {"q": (2, 3, 8), "k": (2, 3, 8), "v": (2, 3, 8)}),
-        "attention_masked": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2,
-                                                    _padding_mask([3, 1], 3, t["q"].dtype)),
-                             {"q": (2, 3, 8), "k": (2, 3, 8), "v": (2, 3, 8)}),
+        "attention_runs": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2, RUNS),
+                           {"q": (13, 8), "k": (13, 8), "v": (13, 8)}),
         "weight_norm_linear": (lambda t: ad.weight_norm_linear(t["x"], t["d"], t["s"]),
                                {"x": (2, 3), "d": (5, 3), "s": (5,)}),
         "softmax": (lambda t: ad.softmax(t["a"], axis=-1, temperature=0.07), {"a": (3, 6)}),
@@ -593,12 +599,12 @@ def test_rewritten_ops_bit_identical_to_reference_expressions(dtype):
         _assert_same(bw(g)[0], ref_bw(g))
 
 
-def _ref_attention(q, k, v, heads, mask):
+def _ref_attention(q, k, v, heads):
     """The composed chain that ``attention`` replaced, node by node in plain
     numpy: reshape and transpose copies of each head split and of the key's
     transpose, the batched products, ``mul`` by the scale cast to the
-    operands' dtype, the mask ``add``, softmax at temperature 1 and the
-    merge; the adjoints as those nodes' backward functions ran them."""
+    operands' dtype, softmax at temperature 1 and the merge; the adjoints as
+    those nodes' backward functions ran them."""
     b, t, w = q.shape
     hd = w // heads
     scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.dtype)
@@ -609,10 +615,7 @@ def _ref_attention(q, k, v, heads, mask):
 
     qs, ks, vs = split(q), split(k), split(v)
     kt = np.ascontiguousarray(np.transpose(ks, (0, 1, 3, 2)))
-    logits = (qs @ kt) * scale
-    if mask is not None:
-        logits = logits + mask
-    z = logits / 1.0
+    z = (qs @ kt) * scale / 1.0
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     o = p @ vs
@@ -640,19 +643,34 @@ def _ref_attention(q, k, v, heads, mask):
     ((3, 5, 64), 4, None), ((3, 5, 64), 4, [5, 2, 4]), ((80, 9, 64), 4, None),
     ((2, 17, 64), 1, None), ((4, 1, 64), 4, None), ((2, 6, 16), 16, [6, 1])])
 def test_attention_bit_identical_to_composed_chain(shape, heads, lengths):
-    """float32 forward and (gq, gk, gv) equal the composed chain's bits, and
-    gk keeps its strided layout: the k projection's bias gradient sums it in
-    memory order."""
+    """float32 forward and (gq, gk, gv) equal the composed chain's bits.  A
+    [B, T, W] batch keeps gk's strided layout: the k projection's bias
+    gradient sums it in memory order.  With ``lengths``, sequence i holds the
+    first lengths[i] rows of batch entry i; the sequences are packed, one
+    run each, and every one equals the chain run on it alone."""
     rng = np.random.default_rng(610)
     q, k, v, g = (rng.normal(size=shape).astype(np.float32) for _ in range(4))
-    mask = None if lengths is None else _padding_mask(lengths, shape[1], np.float32)
-    out, bw = _node_of(lambda *t: ad.attention(*t, heads, mask),
-                       *(parameter(a, n) for a, n in zip((q, k, v), "qkv")))
-    ref, ref_bw = _ref_attention(q, k, v, heads, mask)
-    _assert_same(out, ref)
-    for got, want in zip(bw(g), ref_bw(g)):
-        _assert_same(got, want)
-        assert got.strides == want.strides
+    if lengths is None:
+        out, bw = _node_of(lambda *t: ad.attention(*t, heads),
+                           *(parameter(a, n) for a, n in zip((q, k, v), "qkv")))
+        ref, ref_bw = _ref_attention(q, k, v, heads)
+        _assert_same(out, ref)
+        for got, want in zip(bw(g), ref_bw(g)):
+            _assert_same(got, want)
+            assert got.strides == want.strides
+        return
+    pack = lambda z: np.concatenate([z[i, :n] for i, n in enumerate(lengths)])
+    out, bw = _node_of(lambda *t: ad.attention(*t, heads, [(1, n) for n in lengths]),
+                       *(parameter(pack(a), n) for a, n in zip((q, k, v), "qkv")))
+    grads = bw(pack(g))
+    ends = np.cumsum([0, *lengths])
+    for i, n in enumerate(lengths):
+        rows = slice(ends[i], ends[i + 1])
+        *qkv, g_alone = (np.ascontiguousarray(a[i:i + 1, :n]) for a in (q, k, v, g))
+        ref, ref_bw = _ref_attention(*qkv, heads)
+        _assert_same(out[rows], ref[0])
+        for got, want in zip(grads, ref_bw(g_alone)):
+            _assert_same(got[rows], want[0])
 
 
 def test_copysign_bits_equal_numpy():

@@ -9,7 +9,7 @@ from dinoclip import autodiff as ad
 from dinoclip import encoders
 from dinoclip.autodiff import Tensor
 from dinoclip.data import AugmentationConfig, make_views
-from dinoclip.encoders import (PAD_ID, ModelParams, VisionEncoderConfig, encode_images,
+from dinoclip.encoders import (ModelParams, VisionEncoderConfig, encode_images,
                                encode_text, init_model_params, project_dino, resize_bicubic)
 from dinoclip.errors import ContractError, DomainError, ShapeError, VocabularyError
 from dinoclip.prng import RandomStream
@@ -102,18 +102,41 @@ def test_encode_text_overlong_is_callers_problem(params):
 
 
 # -------------------------------------------------------------------------
-# padded, masked text batches
+# packed text batches
 # -------------------------------------------------------------------------
 
 MIXED_LENGTHS = [[1, 5, 9, 2], [1, 7, 2], [1, 3, 11, 4, 6, 2], [1, 2]]
 
 
-def test_encode_text_padded_rows_match_batch_of_one(params):
+def test_encode_text_packed_rows_equal_batch_of_one(params, rng):
+    """Bit for bit, also at the default width with lengths from 2 to
+    max_length, where a padded batch moved rows by ~1e-7."""
     batch = encode_text(params, MIXED_LENGTHS).data
     assert batch.shape == (len(MIXED_LENGTHS), 4)
     for i, ids in enumerate(MIXED_LENGTHS):
-        single = encode_text(params, [ids]).data[0]
-        assert np.abs(batch[i] - single).max() <= 1e-6, i
+        assert np.array_equal(batch[i], encode_text(params, [ids]).data[0]), i
+    default = init_model_params(encoders.ModelConfig(), seed=5)
+    top = default.config.text.max_length
+    seqs = [[1, *rng.integers(256, 512, size=n - 2), 2]
+            for n in (top, 2, top // 2 + 1, 3, top - 1)]
+    batch = encode_text(default, seqs).data
+    for i, ids in enumerate(seqs):
+        assert np.array_equal(batch[i], encode_text(default, [ids]).data[0]), len(ids)
+
+
+@pytest.mark.parametrize("m", [2, 3, 17, 511, 2000])
+@pytest.mark.parametrize("k,n", [(64, 64), (64, 256), (64, 32), (256, 64)])
+def test_gemm_rows_do_not_depend_on_row_count(m, k, n):
+    """The packed text encoder's bit-identity rests on this BLAS property: a
+    float32 GEMM row does not depend on how many rows are multiplied (at
+    least two), at the encoder's shapes."""
+    rng = np.random.default_rng(m * k + n)
+    a = rng.normal(size=(2048, k)).astype(np.float32)
+    b = rng.normal(size=(k, n)).astype(np.float32)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert np.array_equal(a[:m] @ b, (a @ b)[:m]), (
+        f"BLAS {blas.get('name')} {blas.get('version')} gives [{m}, {k}] @ [{k}, {n}] "
+        f"rows that depend on the row count; the packed text encoder needs them not to")
 
 
 def test_encode_text_masked_gradients_match_finite_differences(rng):
@@ -133,18 +156,19 @@ def test_encode_text_masked_gradients_match_finite_differences(rng):
     check_gradients(probe, arrays)
 
 
-def test_encode_text_pad_row_gets_zero_gradient(params):
-    """Padded positions are masked out of attention, so nothing flows back
-    to them: the pad id's embedding row gets exactly zero gradient."""
+def test_encode_text_pos_rows_past_longest_get_zero_gradient(params):
+    """Packing leaves no padding: the positional rows past the longest
+    sequence take no part and get exactly zero gradient."""
+    seqs = MIXED_LENGTHS[:2] + MIXED_LENGTHS[3:]           # lengths 4, 3, 2
     tensors = {k: Tensor(v.data, requires_grad=True, name=k) for k, v in params.items()}
     with ad.Tape() as tape:
-        emb = encode_text(ModelParams(params.config, tensors), MIXED_LENGTHS)
+        emb = encode_text(ModelParams(params.config, tensors), seqs)
         loss = ad.sum_(ad.mul(emb, emb))
     grads = dict(zip(tensors, ad.backward(tape, loss, params=tensors.values())))
-    g = grads["text.tok_embed"]
-    assert PAD_ID not in {i for ids in MIXED_LENGTHS for i in ids}
-    assert np.array_equal(g[PAD_ID], np.zeros_like(g[PAD_ID]))
-    assert np.abs(g[1]).max() > 0  # the sentinel row, used by every sequence
+    g = grads["text.pos"]
+    assert g.shape[0] > 4
+    assert np.array_equal(g[4:], np.zeros_like(g[4:]))
+    assert all(np.abs(g[i]).max() > 0 for i in range(4))
 
 
 def test_project_dino_output_length(params, rng):

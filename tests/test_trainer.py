@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import functools
+import io
 import json
 import multiprocessing
 import os
@@ -25,9 +26,9 @@ from dinoclip import trainer
 from dinoclip.autodiff import Tensor, backward
 from dinoclip.checkpoint import FORMAT_VERSION
 from dinoclip.data import (AugmentationConfig, EpochSamplingPolicy, load_manifest,
-                           load_record_image, make_views)
-from dinoclip.encoders import (ModelConfig, ModelParams, encode_images, init_model_params,
-                               project_dino)
+                           load_record_image, make_views, tokenize)
+from dinoclip.encoders import (ModelConfig, ModelParams, _parameter_spec, encode_images,
+                               encode_text, init_model_params, project_dino)
 from dinoclip.errors import (CheckpointError, CheckpointShapeError,
                              CheckpointTruncationError, CheckpointVersionError,
                              ContractError, DomainError, ManifestParseError, NumericError,
@@ -288,6 +289,25 @@ def test_checkpoint_saves_seconds_apart_are_identical(tmp_path):
     time.sleep(2.1)
     save_checkpoint(state, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_checkpoint_groups_hold_the_npy_bytes_of_their_concatenation(tmp_path,
+                                                                    tiny_records):
+    """Each tensor group is streamed tensor by tensor into its member, and
+    the member holds exactly the bytes numpy.lib.format writes for the
+    group's concatenation in parameter-spec order."""
+    state, _ = train(tiny_train_config(epochs=1), tiny_records)
+    save_checkpoint(state, tmp_path / "a.ckpt")
+    names = [name for name, _ in _parameter_spec(state.config.model)]
+    groups = {"student": {k: v.data for k, v in state.student.items()},
+              "teacher": {k: v.data for k, v in state.teacher.params.items()},
+              "adam_m": state.adam.m, "adam_v": state.adam.v}
+    with zipfile.ZipFile(tmp_path / "a.ckpt") as zf:
+        for group, arrays in groups.items():
+            reference = io.BytesIO()
+            np.lib.format.write_array(reference, np.concatenate(
+                [np.ravel(arrays[name]) for name in names]), allow_pickle=False)
+            assert zf.read(f"{group}.npy") == reference.getvalue(), group
 
 
 def test_checkpoint_reads_with_numpy_alone(tmp_path):
@@ -810,12 +830,23 @@ def test_batched_distillation_matches_per_view_reference(rng, average_pairs):
 
 
 @pytest.mark.parametrize("model", [tiny_model_config(), ModelConfig()], ids=["tiny", "default"])
-def test_embed_texts_rows_equal_each_text_alone(model):
-    """Texts of shared and of distinct token lengths; each row is bit-equal
-    to the text embedded on its own."""
+def test_embed_texts_rows_equal_each_text_alone(model, monkeypatch):
+    """Texts of shared and of distinct token lengths, one cut at max_length,
+    spread over several encode_text chunks of at most TEXT_CHUNK_TOKENS
+    tokens; each row is bit-equal to the text embedded on its own."""
     params = init_model_params(model, seed=1)
-    texts = ["ab", "cd", "a", "", "xyz", "ef", "a photo of a river", "a photo of a field"]
+    texts = ["ab", "cd", "a", "", "xyz", "ef", "a photo of a river", "a photo of a field",
+             "y" * 2 * model.text.max_length] + [f"{'w' * (i % 7)}{i}" for i in range(400)]
+    assert len(tokenize(texts[8], model.text.max_length)) == model.text.max_length
+    chunks = []
+
+    def spy(p, token_lists):
+        chunks.append(sum(map(len, token_lists)))
+        return encode_text(p, token_lists)
+
+    monkeypatch.setattr(trainer, "encode_text", spy)
     rows = embed_texts(params, texts)
+    assert len(chunks) >= 2 and max(chunks) <= trainer.TEXT_CHUNK_TOKENS
     assert rows.dtype == np.float32
     for i, text in enumerate(texts):
         assert np.array_equal(rows[i], embed_texts(params, [text])[0]), text
