@@ -134,8 +134,16 @@ def _as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
 
 def _record(op: str, inputs: Sequence[Tensor], out_arr: np.ndarray,
             backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
-    requires = any(t.requires_grad for t in inputs)
-    out = Tensor(out_arr, requires_grad=requires, dtype=out_arr.dtype)
+    requires = False
+    for t in inputs:
+        if t.requires_grad:
+            requires = True
+            break
+    # The op made out_arr itself from valid tensors: a C-contiguous float
+    # array of rank <= MAX_RANK, or a numpy scalar from 0-d operands, so
+    # Tensor.__init__'s checks are skipped.
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.name = np.asarray(out_arr), requires, None
     tape = _active_tape()
     if tape is not None and requires:
         tape.nodes.append(Node(op, tuple(inputs), out, backward_fn))

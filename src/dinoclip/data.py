@@ -18,7 +18,7 @@ import numpy as np
 from .encoders import END_ID, SENTINEL_ID, BYTE_OFFSET, resize_bicubic
 from .errors import (AlignmentError, ContractError, DomainError, ManifestParseError,
                      ValidationError)
-from .prng import RandomStream
+from .prng import RandomStream, substream_outputs
 
 SUPPORTED_LANGUAGES = ("en", "de", "fr", "es", "zh", "pt", "it", "ru", "ko", "nl")
 
@@ -45,6 +45,12 @@ _TAG_SYNTH = 0x53594E
 # configured strength (saturation at half strength)
 JITTER_PROB = 0.8
 BLUR_SIGMA_RANGE = (0.1, 2.0)
+
+# draws per view, in stream order: the crop's area share, top and left; the
+# jitter coin, then its brightness, contrast and saturation factors only
+# when it lands; the blur coin, then its sigma only when it lands; the
+# solarize coin
+VIEW_DRAWS = 10
 
 
 @dataclass
@@ -303,98 +309,137 @@ def load_record_image(record: ImageCaptionRecord, root=None) -> np.ndarray:
     return read_ppm(path)
 
 
-def _random_resized_crop(image: np.ndarray, out_size: int, scale: tuple,
-                         rng: RandomStream) -> np.ndarray:
-    _, h, w = image.shape
-    frac = rng.uniform(scale[0], scale[1])
-    side = int(round(np.sqrt(frac) * min(h, w)))
-    side = max(2, min(side, min(h, w)))
-    top = rng.next_below(h - side + 1)
-    left = rng.next_below(w - side + 1)
-    crop = image[:, top:top + side, left:left + side]
-    return resize_bicubic(crop, out_size)
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """RandomStream.uniform(lo, hi) for each unit draw in u."""
+    return lo + (hi - lo) * u
 
 
-def _color_jitter(image: np.ndarray, strength: float, rng: RandomStream) -> np.ndarray:
-    out = image
-    b = rng.uniform(max(0.0, 1.0 - strength), 1.0 + strength)
-    out = out * b
-    c = rng.uniform(max(0.0, 1.0 - strength), 1.0 + strength)
-    mean = np.ascontiguousarray(out).mean()         # summed in C order, whatever the layout
-    out = (out - mean) * c + mean
-    s = rng.uniform(max(0.0, 1.0 - 0.5 * strength), 1.0 + 0.5 * strength)
-    gray = 0.299 * out[0] + 0.587 * out[1] + 0.114 * out[2]
-    out = out * s + gray[None, :, :] * (1.0 - s)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _blur_matrix(n: int, sigma: float) -> np.ndarray:
-    """[n, n] float64 matrix of a normalized Gaussian along one axis, cut at
-    scipy.ndimage's radius int(4 sigma + 0.5), taps past an edge clamped to it."""
-    radius = int(4.0 * sigma + 0.5)
-    offsets = np.arange(-radius, radius + 1)
-    weights = np.exp(-0.5 / (sigma * sigma) * offsets * offsets)
-    weights /= weights.sum()
-    rows = np.arange(n)[:, None]
-    out = np.zeros((n, n))
-    np.add.at(out, (rows, np.clip(rows + offsets, 0, n - 1)),
-              np.broadcast_to(weights, (n, offsets.size)))
+def _resized_crops(images: list, draws: np.ndarray, size: int,
+                   scale: tuple) -> np.ndarray:
+    """[V * B, 3, size, size] float32, row v * B + i from images[i] by
+    draws[v, i]: a square crop, its area a uniform share in ``scale`` of the
+    shorter side's square, at a uniform position, resized bicubically.
+    Crops of one side are resized in one call."""
+    hw = np.array([image.shape[1:] for image in images], dtype=np.int64)
+    h, w = hw.T
+    short = hw.min(axis=1)
+    frac = _uniform((draws[..., 0] >> np.uint64(11)) * 2.0**-53, *scale)
+    side = np.clip(np.rint(np.sqrt(frac) * short).astype(np.int64), 2, short)
+    top, left = ((draws[..., k] % (n - side + 1).astype(np.uint64)).ravel().tolist()
+                 for k, n in ((1, h), (2, w)))
+    side = side.ravel()
+    out = np.empty((side.size, 3, size, size), dtype=np.float32)
+    for s in np.unique(side).tolist():
+        rows = np.flatnonzero(side == s)
+        out[rows] = resize_bicubic(np.stack([images[r % len(images)][:, top[r]:top[r] + s,
+                                                                     left[r]:left[r] + s]
+                                             for r in rows.tolist()]), size)
     return out
 
 
-def _gaussian_blur(arr: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of [C, H, W] over H and then W, edges clamped,
-    rounded to the input's dtype after each axis (scipy.ndimage's
-    gaussian_filter1d in "nearest" mode, one axis at a time)."""
-    _, h, w = arr.shape
-    rows = _blur_matrix(h, sigma)
-    cols = rows if w == h else _blur_matrix(w, sigma)
-    out = (rows @ arr).astype(arr.dtype)
-    return (out @ cols.T).astype(arr.dtype)
+def _color_jitter(x: np.ndarray, strength: float, u: np.ndarray) -> np.ndarray:
+    """Brightness, contrast and saturation of each view of x [V, 3, H, W],
+    by factors from the unit draws u [V, 3]; each contrast mean sums its
+    view in C order, whatever the layout."""
+    lo, hi = max(0.0, 1.0 - strength), 1.0 + strength
+    b, c = (_uniform(u[:, k], lo, hi).astype(np.float32)[:, None, None, None]
+            for k in (0, 1))
+    s = _uniform(u[:, 2], max(0.0, 1.0 - 0.5 * strength), 1.0 + 0.5 * strength)
+    out = x * b
+    mean = out.reshape(len(out), -1).mean(axis=1)[:, None, None, None]
+    out -= mean                                   # (out - mean) * c + mean
+    out *= c
+    out += mean
+    gray = 0.299 * out[:, 0]                      # 0.299 r + 0.587 g + 0.114 b
+    gray += 0.587 * out[:, 1]
+    gray += 0.114 * out[:, 2]
+    gray = gray[:, None] * (1.0 - s).astype(np.float32)[:, None, None, None]
+    out *= s.astype(np.float32)[:, None, None, None]
+    out += gray                                   # out * s + gray * (1 - s)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _augment_view(view: np.ndarray, config: AugmentationConfig,
-                  rng: RandomStream) -> np.ndarray:
-    out = view.astype(np.float32)
-    if rng.uniform() < JITTER_PROB and config.jitter_strength > 0:
-        out = _color_jitter(out, config.jitter_strength, rng).astype(np.float32)
-    if rng.uniform() < config.blur_prob:
-        sigma = rng.uniform(*BLUR_SIGMA_RANGE)
-        out = _gaussian_blur(out, sigma)
-    if rng.uniform() < config.solarize_prob:
-        out = np.where(out >= config.solarize_threshold, 1.0 - out, out).astype(np.float32)
-    return np.clip(out, 0.0, 1.0).astype(np.float32)
+def _blur_matrices(n: int, sigmas: np.ndarray) -> np.ndarray:
+    """[V, n, n] float64: for each sigma, the matrix of a normalized Gaussian
+    along one axis, cut at scipy.ndimage's radius int(4 sigma + 0.5), taps
+    past an edge clamped to it and summed there in tap order."""
+    radius = (4.0 * sigmas + 0.5).astype(np.int64)
+    widest = radius.max()
+    offsets = np.arange(-widest, widest + 1)
+    weights = np.exp(-0.5 / (sigmas * sigmas)[:, None] * offsets * offsets)
+    weights[np.abs(offsets) > radius[:, None]] = 0.0
+    for row, r in zip(weights, radius):
+        taps = row[widest - r:widest + r + 1]
+        taps /= taps.sum()
+    rows = np.arange(n)
+    out = np.zeros((len(sigmas), n, n))
+    for tap, offset in enumerate(offsets):
+        out[:, rows, np.clip(rows + offset, 0, n - 1)] += weights[:, tap, None]
+    return out
 
 
-def make_views(image: np.ndarray, config: AugmentationConfig, stream: RandomStream,
+def _gaussian_blur(x: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Separable Gaussian blur of each view of x [V, C, H, W] over H and then
+    W, edges clamped, rounded to the input's dtype after each axis
+    (scipy.ndimage's gaussian_filter1d in "nearest" mode, one axis at a
+    time)."""
+    h, w = x.shape[-2:]
+    rows = _blur_matrices(h, sigmas)[:, None]
+    cols = rows if w == h else _blur_matrices(w, sigmas)[:, None]
+    out = (rows @ x).astype(x.dtype)
+    return (out @ cols.swapaxes(-1, -2)).astype(x.dtype)
+
+
+def _augment(x: np.ndarray, config: AugmentationConfig, draws: np.ndarray):
+    """Jitter, blur and solarize each view of x [V, 3, S, S] in place by its
+    draws [V, VIEW_DRAWS], then clip to [0, 1]."""
+    u = (draws >> np.uint64(11)) * 2.0**-53
+    views = np.arange(len(x))
+    jitter = (u[:, 3] < JITTER_PROB) & (config.jitter_strength > 0)
+    if jitter.any():
+        x[jitter] = _color_jitter(x[jitter], config.jitter_strength, u[jitter, 4:7])
+    coin = np.where(jitter, 7, 4)                 # past the jitter factors, if drawn
+    blur = u[views, coin] < config.blur_prob
+    if blur.any():
+        x[blur] = _gaussian_blur(x[blur], _uniform(u[views, coin + 1][blur],
+                                                   *BLUR_SIGMA_RANGE))
+    coin += np.where(blur, 2, 1)                  # past the sigma, if drawn
+    solarize = u[views, coin] < config.solarize_prob
+    if solarize.any():
+        y = x[solarize]
+        x[solarize] = np.where(y >= config.solarize_threshold, 1.0 - y, y)
+    np.clip(x, 0.0, 1.0, out=x)
+
+
+def make_views(images, config: AugmentationConfig, streams,
                n_global: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """The first n_global of two global crops and n_local local crops at their
-    own (smaller) size, with jitter/blur/solarize draws keyed on the view index.
+    """A batch's views, view-major: the first n_global of two global crops
+    and n_local local crops at their own (smaller) size of each image, with
+    crop, jitter, blur and solarize draws keyed on streams[i] (the stream of
+    images[i]) and the view index.
 
-    Returns (globals [n_global, 3, G, G], locals [n_local, 3, L, L]), float32;
-    locals is empty when n_local is 0.  Global view 0 feeds the contrastive
-    branch."""
-    image = np.asarray(image, dtype=np.float32)
-    if image.ndim != 3:
-        raise ContractError(f"expected [3, H, W] image, got shape {image.shape}")
-    _, h, w = image.shape
-    if min(h, w) < config.local_crop_size:
-        raise ContractError(f"image {h}x{w} smaller than local crop size "
-                            f"{config.local_crop_size}")
-    views = []
-    for view_idx in [*range(n_global), *range(2, 2 + config.n_local)]:
-        rng = stream.substream(_TAG_VIEWS, view_idx)
-        if view_idx < 2:
-            crop = _random_resized_crop(image, config.global_crop_size,
-                                        config.global_scale, rng)
-        else:
-            crop = _random_resized_crop(image, config.local_crop_size,
-                                        config.local_scale, rng)
-        views.append(_augment_view(crop, config, rng))
-    size = config.local_crop_size
-    local = np.stack(views[n_global:]) if config.n_local else np.empty((0, 3, size, size),
-                                                                       dtype=np.float32)
-    return np.stack(views[:n_global]), local
+    Returns (globals [n_global * B, 3, G, G], locals [n_local * B, 3, L, L]),
+    float32, row v * B + i holding view v of image i; locals is empty when
+    n_local is 0.  Global view 0 feeds the contrastive branch."""
+    images = [np.asarray(image, dtype=np.float32) for image in images]
+    if len(streams) != len(images):
+        raise ContractError(f"{len(images)} images need as many streams, got {len(streams)}")
+    for image in images:
+        if image.ndim != 3 or image.shape[0] != 3:
+            raise ContractError(f"expected [3, H, W] image, got shape {image.shape}")
+        _, h, w = image.shape
+        if min(h, w) < config.local_crop_size:
+            raise ContractError(f"image {h}x{w} smaller than local crop size "
+                                f"{config.local_crop_size}")
+    draws = substream_outputs(streams, _TAG_VIEWS,
+                              [*range(n_global), *range(2, 2 + config.n_local)], VIEW_DRAWS)
+    out = []
+    for part, size, scale in ((draws[:n_global], config.global_crop_size, config.global_scale),
+                              (draws[n_global:], config.local_crop_size, config.local_scale)):
+        views = _resized_crops(images, part, size, scale)
+        _augment(views, config, part.reshape(-1, VIEW_DRAWS))
+        out.append(views)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

@@ -358,17 +358,18 @@ def _resize_matrix(src: int, dst: int) -> np.ndarray:
 
 
 def resize_bicubic(arr: np.ndarray, target: int) -> np.ndarray:
-    """Separable Catmull-Rom resize of [C, H, W] to [C, target, target]: one
-    resize matrix per axis, R_H @ arr @ R_W.T in float64.
+    """Separable Catmull-Rom resize of [..., H, W] to [..., target, target]:
+    one resize matrix per axis, R_H @ arr @ R_W.T in float64, so a stack of
+    equal-sized images resizes in one call, each as it would alone.
 
     Edge-clamped sampling; forward-only (sits on the data path, before the
     differentiated graph).
     """
     if target < 1:
         raise DomainError(f"resize target must be >= 1, got {target}")
-    if arr.ndim != 3:
-        raise ShapeError(f"resize_bicubic expects [C, H, W], got shape {arr.shape}")
-    _, h, w = arr.shape
+    if arr.ndim < 2:
+        raise ShapeError(f"resize_bicubic expects [..., H, W], got shape {arr.shape}")
+    h, w = arr.shape[-2:]
     if min(h, w) < 2:
         raise ContractError(f"source size {h}x{w} too small to interpolate")
     out = _resize_matrix(h, target) @ arr.astype(np.float64) @ _resize_matrix(w, target).T

@@ -71,8 +71,3 @@ class CheckpointTruncationError(CheckpointError):
 
 class CheckpointShapeError(CheckpointError):
     """A stored tensor group's length or dtype disagrees with the config."""
-
-
-class ViewWorkerError(DinoClipError):
-    """The training view worker ended without sending a step's views; the
-    message names its exit code (negative: the signal that killed it)."""

@@ -124,6 +124,18 @@ class RandomStream:
         return out * std
 
 
+def substream_outputs(streams, tag: int, indices, n: int) -> np.ndarray:
+    """[len(indices), len(streams), n] uint64: at [v, i], the first n
+    next_u64 outputs of streams[i].substream(tag, indices[v]), all at once."""
+    key = np.uint64(0)
+    with np.errstate(over="ignore"):
+        for word in (np.array([s._key for s in streams], dtype=np.uint64), np.uint64(tag),
+                     np.asarray(indices, dtype=np.uint64)[:, None]):
+            key = _mix64_array((key + np.uint64(GAMMA)) ^ word)
+        return _mix64_array(key[..., None]
+                            + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA))
+
+
 def fisher_yates(items: list, rng) -> list:
     """Return a shuffled copy; swap partner drawn from rng.next_below."""
     out = list(items)

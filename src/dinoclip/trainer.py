@@ -8,10 +8,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import multiprocessing
-import signal
 import sys
-import traceback
 import zlib
 from dataclasses import dataclass, field
 
@@ -25,7 +22,7 @@ from .data import (AugmentationConfig, EpochSamplingPolicy, load_record_image,
 from .encoders import (ModelConfig, ModelParams, _parameter_spec, encode_images,
                        encode_text, init_model_params, project_dino, resize_bicubic)
 from .errors import (CheckpointError, CheckpointShapeError, ContractError, DomainError,
-                     NumericError, ValidationError, ViewWorkerError)
+                     NumericError, ValidationError)
 from .objectives import (ContrastiveBatch, TeacherState, combined_loss, ema_update,
                          info_nce_loss, make_teacher, soft_distillation_terms,
                          teacher_distribution, update_center)
@@ -369,71 +366,15 @@ def _epoch_batches(records, batch_size: int, seed: int, epoch: int) -> list[list
             for start in range(0, len(order) - batch_size + 1, batch_size)]
 
 
-def _view_batches(config: TrainConfig, records, epochs, data_root=None):
-    """Each step's view-major (globals_ [2B, 3, G, G], locals_ [nB, 3, L, L])
-    over ``epochs``, in the loop's batch order: row v * B + i is view v of
-    record i.  Views are keyed on (seed, epoch, record, view), so they do not
-    depend on where or when they are built.  Under infonce_only only global
-    view 0, the one the contrastive loss encodes, is built (globals_ [B, ...])."""
-    aug, n_global = config.augmentation, 2
-    if config.loss_mode != "combined":
-        aug, n_global = dataclasses.replace(aug, n_local=0), 1
-    image_cache: dict[int, np.ndarray] = {}
-    for epoch in epochs:
-        for batch in _epoch_batches(records, config.batch_size, config.seed, epoch):
-            views = []
-            for rec in batch:
-                if rec.index not in image_cache:
-                    image_cache[rec.index] = load_record_image(rec, root=data_root)
-                stream = RandomStream(config.seed, epoch, rec.index)
-                views.append(make_views(image_cache[rec.index], aug, stream, n_global))
-            yield tuple(np.stack(v, axis=1).reshape(-1, *v[0].shape[1:])
-                        for v in zip(*views))
-
-
-class _WorkerTraceback(Exception):
-    """The view worker's traceback, chained as the cause of the exception it
-    sent."""
-
-    def __str__(self):
-        return self.args[0]
-
-
-def _view_worker(conn, batches):
-    """Worker process body: send each view batch in step order; the blocking
-    send holds it one batch ahead.  An exception takes the place of the batch
-    it stopped, so the parent raises it at that step."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops the worker
-    try:
-        for views in batches:
-            conn.send(views)
-    except Exception as e:
-        e.worker_traceback = traceback.format_exc()
-        conn.send(e)
-
-
-def _receive_views(conn, worker, step: int):
-    try:
-        views = conn.recv()
-    except (EOFError, OSError):
-        worker.join(timeout=1.0)
-        raise ViewWorkerError(f"view worker exited with code {worker.exitcode} before "
-                              f"sending the views of step {step}") from None
-    if isinstance(views, Exception):
-        raise views from _WorkerTraceback(views.worker_traceback)
-    return views
-
-
 def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = None,
           stop_after_epoch: int = None, epoch_callback=None):
     """Run the combined-objective loop over the train split.
 
     Deterministic in (config, manifest): batch order, caption choice, and
-    augmentation draws are all keyed on (seed, epoch, record index).  The
-    views are built one step ahead in a forked worker process, which loads
-    the images and is stopped before this returns or raises; an error it
-    meets is raised at the step that needed the batch, and a worker that
-    dies without sending raises ViewWorkerError.
+    augmentation draws are all keyed on (seed, epoch, record index).  Each
+    step loads the images it has not seen yet and builds its batch's
+    view-major views in one make_views call; under infonce_only only global
+    view 0, the one the contrastive loss encodes, is built.
     Returns (TrainState, MetricsLog).
     """
     train_records = [r for r in records if r.split == "train"]
@@ -464,87 +405,81 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
     metrics = MetricsLog()
     last_epoch = config.epochs if stop_after_epoch is None else min(stop_after_epoch,
                                                                     config.epochs)
-    epochs = range(state.next_epoch, last_epoch)
+    aug, n_global = config.augmentation, 2
+    if not distill:
+        aug, n_global = dataclasses.replace(aug, n_local=0), 1
+    images: dict[int, np.ndarray] = {}
 
-    ctx = multiprocessing.get_context("fork")
-    conn, send_end = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_view_worker, daemon=True, name="dinoclip-views",
-                         args=(send_end, _view_batches(config, train_records, epochs,
-                                                       data_root)))
-    worker.start()
-    send_end.close()   # the worker holds the only send end: its death reads as EOF
-    try:
-        for epoch in epochs:
-            for batch in _epoch_batches(train_records, config.batch_size, config.seed,
-                                        epoch):
-                lr = lr_schedule(state.step, total_steps, warmup_steps,
-                                 config.learning_rate)
-                captions = [sample_caption(rec, epoch, policy) for rec in batch]
-                globals_, locals_ = _receive_views(conn, worker, state.step)
-                b = len(batch)
+    for epoch in range(state.next_epoch, last_epoch):
+        for batch in _epoch_batches(train_records, config.batch_size, config.seed, epoch):
+            lr = lr_schedule(state.step, total_steps, warmup_steps, config.learning_rate)
+            captions = [sample_caption(rec, epoch, policy) for rec in batch]
+            for rec in batch:
+                if rec.index not in images:
+                    images[rec.index] = load_record_image(rec, root=data_root)
+            globals_, locals_ = make_views([images[rec.index] for rec in batch], aug,
+                                           [RandomStream(config.seed, epoch, rec.index)
+                                            for rec in batch], n_global)
+            b = len(batch)
 
-                teacher_entropy = None
+            teacher_entropy = None
+            if distill:
+                teacher_logits = project_dino(state.teacher.params,
+                                              encode_images(state.teacher.params,
+                                                            Tensor(globals_))).data
+                dists = teacher_distribution(teacher_logits, state.teacher)   # [2B, K]
+                teacher_dists = dists.reshape(2, b, -1)
+                teacher_entropy = _entropy(dists.mean(axis=0))
+
+            with Tape() as tape:
+                u = encode_text(state.student,
+                                [tokenize(c.text, max_len) for c in captions])
+                tau = ad.exp(state.student.log_tau)
                 if distill:
-                    teacher_logits = project_dino(state.teacher.params,
-                                                  encode_images(state.teacher.params,
-                                                                Tensor(globals_))).data
-                    dists = teacher_distribution(teacher_logits, state.teacher)   # [2B, K]
-                    teacher_dists = dists.reshape(2, b, -1)
-                    teacher_entropy = _entropy(dists.mean(axis=0))
-
-                with Tape() as tape:
-                    u = encode_text(state.student,
-                                    [tokenize(c.text, max_len) for c in captions])
-                    tau = ad.exp(state.student.log_tau)
-                    if distill:
-                        emb = encode_images(state.student, Tensor(globals_))      # [2B, m]
-                        v_first = ad.gather_rows(emb, np.arange(b))
-                        if len(locals_):
-                            emb = ad.concat([emb, encode_images(state.student,
-                                                                Tensor(locals_))])
-                    else:
-                        v_first = encode_images(state.student, Tensor(globals_))
-                    loss_nce = info_nce_loss(ContrastiveBatch(captions=u, images=v_first,
-                                                              tau=tau))
-                    if distill:
-                        probs = ad.softmax(project_dino(state.student, emb), axis=-1,
-                                           temperature=config.tau_student)
-                        loss_dist = soft_distillation_terms(teacher_dists, probs,
-                                                            config.average_pairs)
-                        loss = combined_loss(loss_nce, loss_dist)
-                    else:
-                        loss, loss_dist = loss_nce, None
-
-                loss_val, nce_val = loss.item(), loss_nce.item()
-                dist_val = None if loss_dist is None else loss_dist.item()
-                if not np.isfinite(loss_val):
-                    raise NumericError(f"non-finite loss {loss_val} at step {state.step} "
-                                       f"(epoch {epoch}, lr {lr:.3e}): InfoNCE {nce_val}, "
-                                       f"distillation {dist_val}")
-
-                tensors = state.student.tensors
-                grads = dict(zip(tensors, backward(tape, loss, params=tensors.values())))
-                adamw_step(state.student, grads, state.adam, lr, betas=config.betas,
-                           eps=config.adam_eps, weight_decay=config.weight_decay,
-                           skip=skip)
-                clamped = np.clip(state.student.log_tau.data, LOG_TAU_MIN, LOG_TAU_MAX)
-                state.student.tensors["log_tau"] = Tensor(clamped, requires_grad=True,
-                                                          name="log_tau",
-                                                          dtype=clamped.dtype)
-
+                    emb = encode_images(state.student, Tensor(globals_))      # [2B, m]
+                    v_first = ad.gather_rows(emb, np.arange(b))
+                    if len(locals_):
+                        emb = ad.concat([emb, encode_images(state.student,
+                                                            Tensor(locals_))])
+                else:
+                    v_first = encode_images(state.student, Tensor(globals_))
+                loss_nce = info_nce_loss(ContrastiveBatch(captions=u, images=v_first,
+                                                          tau=tau))
                 if distill:
-                    ema_update(state.teacher, state.student)
-                    update_center(state.teacher, teacher_logits)
+                    probs = ad.softmax(project_dino(state.student, emb), axis=-1,
+                                       temperature=config.tau_student)
+                    loss_dist = soft_distillation_terms(teacher_dists, probs,
+                                                        config.average_pairs)
+                    loss = combined_loss(loss_nce, loss_dist)
+                else:
+                    loss, loss_dist = loss_nce, None
 
-                state.step += 1
-                metrics.append(step=state.step, epoch=epoch, loss_infonce=nce_val,
-                               loss_distill=dist_val, loss_combined=loss_val, lr=float(lr),
-                               teacher_entropy=teacher_entropy)
-            state.next_epoch = epoch + 1
-            if epoch_callback is not None and epoch_callback(state, metrics):
-                break
-    finally:
-        worker.kill()
-        worker.join()
-        conn.close()
+            loss_val, nce_val = loss.item(), loss_nce.item()
+            dist_val = None if loss_dist is None else loss_dist.item()
+            if not np.isfinite(loss_val):
+                raise NumericError(f"non-finite loss {loss_val} at step {state.step} "
+                                   f"(epoch {epoch}, lr {lr:.3e}): InfoNCE {nce_val}, "
+                                   f"distillation {dist_val}")
+
+            tensors = state.student.tensors
+            grads = dict(zip(tensors, backward(tape, loss, params=tensors.values())))
+            adamw_step(state.student, grads, state.adam, lr, betas=config.betas,
+                       eps=config.adam_eps, weight_decay=config.weight_decay,
+                       skip=skip)
+            clamped = np.clip(state.student.log_tau.data, LOG_TAU_MIN, LOG_TAU_MAX)
+            state.student.tensors["log_tau"] = Tensor(clamped, requires_grad=True,
+                                                      name="log_tau",
+                                                      dtype=clamped.dtype)
+
+            if distill:
+                ema_update(state.teacher, state.student)
+                update_center(state.teacher, teacher_logits)
+
+            state.step += 1
+            metrics.append(step=state.step, epoch=epoch, loss_infonce=nce_val,
+                           loss_distill=dist_val, loss_combined=loss_val, lr=float(lr),
+                           teacher_entropy=teacher_entropy)
+        state.next_epoch = epoch + 1
+        if epoch_callback is not None and epoch_callback(state, metrics):
+            break
     return state, metrics

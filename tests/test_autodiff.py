@@ -492,6 +492,9 @@ def test_adjoints_write_only_into_their_own_arrays(case, dtype):
         build(_purity_inputs(spec, rng, dtype))
     assert tape.nodes
     for node in tape.nodes:
+        out = node.output.data   # recorded unchecked: the op's own array
+        assert type(out) is np.ndarray and out.flags.c_contiguous, node.op
+        assert out.dtype == dtype and out.ndim <= ad.MAX_RANK, node.op
         base = np.asarray(rng.normal(size=node.output.shape + (2,)), dtype=dtype)
         for g in (base[..., 0].copy(), base[..., 1]):     # the second is strided
             before = [g.copy(), node.output.data.copy()] + [t.data.copy() for t in node.inputs]

@@ -518,8 +518,8 @@ def _small_ppm(path):
     (_small_ppm, 2, "smaller than local crop size"),
 ], ids=["truncated-ppm", "missing-file", "smaller-than-local-crop"])
 def test_train_bad_image_exit_code(workdir, capsys, write_last, code, message):
-    """Images are read in the view worker; its errors keep their kind, and so
-    their exit code, across the process boundary."""
+    """An image that cannot be read or is too small for its crops stops
+    training at the step that needs it, with its error's exit code."""
     lines = []
     for i in range(4):
         name = f"img{i}.ppm"

@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.ndimage import gaussian_filter1d
 from scipy.stats import chisquare
 
@@ -23,6 +23,7 @@ from dinoclip.errors import (AlignmentError, ContractError, DomainError,
 from dinoclip.prng import RandomStream
 
 from conftest import byte_mutations, detokenize, write_ppm, write_synthetic_manifest
+from view_oracle import make_views_oracle
 
 
 # -------------------------------------------------------------------------
@@ -314,26 +315,35 @@ def _plain_config(**kwargs):
     return AugmentationConfig(**defaults)
 
 
+def _views(image, config, stream, n_global=2):
+    """make_views on a batch of one image."""
+    return make_views([image], config, [stream], n_global)
+
+
 def test_color_jitter_bits_do_not_depend_on_memory_layout():
     """A channel-fastest input (a transposed view) gives the bits of its
     C-contiguous copy: the contrast mean sums in C order."""
     for seed in range(3):
-        hwc = np.random.default_rng(seed).uniform(size=(32, 32, 3)).astype(np.float32)
-        chw = hwc.transpose(2, 0, 1)
+        hwc = np.random.default_rng(seed).uniform(size=(2, 32, 32, 3)).astype(np.float32)
+        chw = hwc.transpose(0, 3, 1, 2)
         assert not chw.flags["C_CONTIGUOUS"]
-        got = _color_jitter(chw, 0.8, RandomStream(4))
-        want = _color_jitter(np.ascontiguousarray(chw), 0.8, RandomStream(4))
+        u = RandomStream(4).uniforms(6).reshape(2, 3)
+        got = _color_jitter(chw, 0.8, u)
+        want = _color_jitter(np.ascontiguousarray(chw), 0.8, u)
         assert np.array_equal(got, want)
 
 
 def test_make_views_counts_and_sizes():
     img = synthetic_image(0, 24)
-    globals_, locals_ = make_views(img, _plain_config(), RandomStream(1))
+    globals_, locals_ = _views(img, _plain_config(), RandomStream(1))
     assert globals_.shape == (2, 3, 16, 16)
     assert locals_.shape == (8, 3, 8, 8)
     assert globals_.dtype == locals_.dtype == np.float32
-    _, none = make_views(img, _plain_config(n_local=0), RandomStream(1))
+    _, none = _views(img, _plain_config(n_local=0), RandomStream(1))
     assert none.shape == (0, 3, 8, 8) and none.dtype == np.float32
+    globals_, locals_ = make_views([img, synthetic_image(1, 20), img], _plain_config(),
+                                   [RandomStream(1), RandomStream(2), RandomStream(3)], 1)
+    assert globals_.shape == (3, 3, 16, 16) and locals_.shape == (24, 3, 8, 8)
 
 
 def test_make_views_augmentation_off_reproduces_input():
@@ -343,7 +353,7 @@ def test_make_views_augmentation_off_reproduces_input():
     img = synthetic_image(3, 16).astype(np.float32)
     config = _plain_config(jitter_strength=0.0, blur_prob=0.0, solarize_prob=0.0,
                            global_scale=(1.0, 1.0), local_scale=(1.0, 1.0))
-    globals_, locals_ = make_views(img, config, RandomStream(4))
+    globals_, locals_ = _views(img, config, RandomStream(4))
     for view in globals_:
         assert np.allclose(view, img, atol=1e-6)
     for view in locals_:
@@ -353,10 +363,10 @@ def test_make_views_augmentation_off_reproduces_input():
 def test_make_views_deterministic():
     img = synthetic_image(5, 24)
     config = _plain_config()
-    a = make_views(img, config, RandomStream(42, 7))
-    b = make_views(img, config, RandomStream(42, 7))
+    a = _views(img, config, RandomStream(42, 7))
+    b = _views(img, config, RandomStream(42, 7))
     assert all(np.array_equal(va, vb) for va, vb in zip(a, b))
-    c = make_views(img, config, RandomStream(42, 8))
+    c = _views(img, config, RandomStream(42, 8))
     for va, vc in zip(a, c):
         assert any(not np.array_equal(x, y) for x, y in zip(va, vc))
 
@@ -365,29 +375,75 @@ def test_make_views_output_range():
     config = _plain_config(jitter_strength=1.0, blur_prob=1.0, solarize_prob=1.0)
     for seed in range(5):
         img = synthetic_image(seed, 24)
-        for views in make_views(img, config, RandomStream(seed)):
+        for views in _views(img, config, RandomStream(seed)):
             assert views.min() >= 0.0 and views.max() <= 1.0
 
 
 def test_gaussian_blur_matches_scipy_within_one_ulp():
     """The blur matrices against scipy.ndimage's two-pass gaussian_filter1d in
-    "nearest" mode (all 600 seeded cases were bit-identical when written)."""
+    "nearest" mode (all 600 seeded cases were bit-identical when written),
+    blurred 20 views to a call."""
     rng = np.random.default_rng(602)
-    for _ in range(600):
+    for _ in range(30):
         h, w = rng.choice([8, 16, 32], size=2)
-        sigma = rng.uniform(*BLUR_SIGMA_RANGE)
-        x = rng.random((3, h, w)).astype(np.float32)
-        want = gaussian_filter1d(x, sigma, axis=1, mode="nearest")
-        want = gaussian_filter1d(want, sigma, axis=2, mode="nearest")
-        got = _gaussian_blur(x, sigma)
+        sigmas = rng.uniform(*BLUR_SIGMA_RANGE, size=20)
+        x = rng.random((20, 3, h, w)).astype(np.float32)
+        got = _gaussian_blur(x, sigmas)
         assert got.dtype == np.float32
-        np.testing.assert_array_max_ulp(got, want, maxulp=1)
+        for view, sigma, out in zip(x, sigmas, got):
+            want = gaussian_filter1d(view, sigma, axis=1, mode="nearest")
+            want = gaussian_filter1d(want, sigma, axis=2, mode="nearest")
+            np.testing.assert_array_max_ulp(out, want, maxulp=1)
 
 
 def test_make_views_rejects_too_small_images():
     img = synthetic_image(0, 6)
     with pytest.raises(ContractError, match="smaller"):
-        make_views(img, _plain_config(), RandomStream(0))
+        _views(img, _plain_config(), RandomStream(0))
+    with pytest.raises(ContractError, match="smaller"):   # one small image in a batch
+        make_views([synthetic_image(1, 24), img], _plain_config(),
+                   [RandomStream(0), RandomStream(1)])
+
+
+@st.composite
+def _view_cases(draw):
+    """An augmentation config, one to three images of their own (not always
+    square) sizes, and n_global."""
+    unit = st.floats(0.0, 1.0)
+
+    def scale():
+        lo = draw(st.floats(0.01, 1.0))
+        return lo, draw(st.floats(lo, 1.0))
+
+    local = draw(st.sampled_from([2, 4, 5, 8]))
+    config = AugmentationConfig(
+        global_crop_size=draw(st.sampled_from([local, 8, 16])), local_crop_size=local,
+        n_local=draw(st.integers(0, 8)),
+        jitter_strength=draw(st.sampled_from([0.0, 0.4]) | st.floats(0.0, 1.5)),
+        blur_prob=draw(st.sampled_from([0.0, 1.0]) | unit),
+        solarize_prob=draw(st.sampled_from([0.0, 1.0]) | unit),
+        solarize_threshold=draw(unit), global_scale=scale(), local_scale=scale())
+    shapes = draw(st.lists(st.tuples(st.integers(local, 24), st.integers(local, 24)),
+                           min_size=1, max_size=3))
+    return config, shapes, draw(st.integers(1, 2)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=_view_cases())
+def test_make_views_equals_per_view_oracle(case):
+    """The batch form gives the per-view reference's bits for every view,
+    row v * B + i holding view v of image i."""
+    config, shapes, n_global, seed = case
+    rng = np.random.default_rng(seed)
+    images = [rng.random((3, h, w), dtype=np.float32) for h, w in shapes]
+    streams = [RandomStream(seed, 1, i) for i in range(len(images))]
+    got = make_views(images, config, streams, n_global)
+    want = [make_views_oracle(image, config, RandomStream(seed, 1, i), n_global)
+            for i, image in enumerate(images)]
+    for part, views in enumerate(got):
+        rows = np.stack([w[part] for w in want], axis=1).reshape(-1, *views.shape[1:])
+        assert views.dtype == np.float32
+        assert np.array_equal(views, rows)   # shapes included
 
 
 # -------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_gemm_rows_do_not_depend_on_row_count(m, k, n):
         f"rows that depend on the row count; the packed text encoder needs them not to")
 
 
-def test_encode_text_masked_gradients_match_finite_differences(rng):
+def test_encode_text_packed_gradients_match_finite_differences(rng):
     cfg = tiny_model_config(vocab=16)
     base = init_model_params(cfg, seed=6, dtype=np.float64)
     weights = rng.normal(size=(len(MIXED_LENGTHS), 4))
@@ -305,6 +305,16 @@ def test_resize_matches_per_pixel_oracle(rng, dtype):
             assert np.abs(out - bicubic_resize_oracle(view, target)).max() <= tol
 
 
+def test_resize_stack_equals_each_image_alone(rng):
+    """[..., H, W]: a stack of crops resizes in one call to the bits of each
+    crop resized alone."""
+    stack = rng.random((4, 3, 11, 7)).astype(np.float32)
+    out = resize_bicubic(stack, 6)
+    assert out.shape == (4, 3, 6, 6) and out.dtype == np.float32
+    for image, got in zip(stack, out):
+        assert np.array_equal(got, resize_bicubic(image, 6))
+
+
 def test_resize_matrix_cached_read_only():
     axis = encoders._resize_matrix(7, 4)
     assert encoders._resize_matrix(7, 4) is axis
@@ -318,11 +328,11 @@ def test_resize_cached_matrix_bit_identical_to_uncached(monkeypatch, rng):
     img = rng.random((3, 12, 12), dtype=np.float32)
     aug = AugmentationConfig(global_crop_size=8, local_crop_size=4, n_local=3)
     cached = [resize_bicubic(img, t) for t in (5, 8, 16)]
-    cached_views = make_views(img, aug, RandomStream(4, 0, 1))
+    cached_views = make_views([img], aug, [RandomStream(4, 0, 1)])
     monkeypatch.setattr(encoders, "_resize_matrix", encoders._resize_matrix.__wrapped__)
     for t, out in zip((5, 8, 16), cached):
         assert np.array_equal(resize_bicubic(img, t), out)
-    uncached_views = make_views(img, aug, RandomStream(4, 0, 1))
+    uncached_views = make_views([img], aug, [RandomStream(4, 0, 1)])
     assert all(np.array_equal(a, b) for a, b in zip(uncached_views, cached_views))
 
 

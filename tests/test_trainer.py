@@ -7,7 +7,6 @@ import io
 import json
 import multiprocessing
 import os
-import signal
 import struct
 import subprocess
 import sys
@@ -21,18 +20,17 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dinoclip import autodiff as ad
 from dinoclip import checkpoint as ckpt
-from dinoclip import data as data_module
 from dinoclip import trainer
 from dinoclip.autodiff import Tensor, backward
 from dinoclip.checkpoint import FORMAT_VERSION
 from dinoclip.data import (AugmentationConfig, EpochSamplingPolicy, load_manifest,
-                           load_record_image, make_views, tokenize)
+                           load_record_image, tokenize)
 from dinoclip.encoders import (ModelConfig, ModelParams, _parameter_spec, encode_images,
                                encode_text, init_model_params, project_dino)
 from dinoclip.errors import (CheckpointError, CheckpointShapeError,
                              CheckpointTruncationError, CheckpointVersionError,
                              ContractError, DomainError, ManifestParseError, NumericError,
-                             ValidationError, ViewWorkerError)
+                             ValidationError)
 from dinoclip.objectives import soft_distillation_terms
 from dinoclip.trainer import (AdamState, MetricsLog, TrainConfig, adamw_step,
                               embed_record_images, embed_texts, init_train_state,
@@ -42,6 +40,7 @@ from dinoclip.prng import RandomStream
 from conftest import (DistributionSet, byte_mutations, flip_bit, self_distillation_loss,
                       tiny_model_config, write_synthetic_manifest)
 from gradcheck import reverse_mode_gradients
+from view_oracle import make_views_oracle
 
 
 def tiny_train_config(**overrides) -> TrainConfig:
@@ -603,11 +602,11 @@ def test_training_step_records_one_attention_node_per_block(tiny_records, monkey
 
 
 # -------------------------------------------------------------------------
-# the view worker
+# the views each step builds
 # -------------------------------------------------------------------------
 
 def _reference_views(config, records, epoch):
-    """One epoch's batches as per-record make_views calls, stacked view-major
+    """One epoch's batches as per-record oracle calls, stacked view-major
     here: row v * B + i is view v of record i.  Under infonce_only only
     global view 0 is kept, with the bits it has when both are built."""
     aug = config.augmentation
@@ -615,8 +614,8 @@ def _reference_views(config, records, epoch):
         aug = dataclasses.replace(aug, n_local=0)
     out = []
     for batch in trainer._epoch_batches(records, config.batch_size, config.seed, epoch):
-        per_record = [make_views(load_record_image(rec), aug,
-                                 RandomStream(config.seed, epoch, rec.index))
+        per_record = [make_views_oracle(load_record_image(rec), aug,
+                                        RandomStream(config.seed, epoch, rec.index))
                       for rec in batch]
         if config.loss_mode != "combined":
             per_record = [(globals_[:1], locals_) for globals_, locals_ in per_record]
@@ -638,57 +637,52 @@ def _assert_same_views(got, want):
             assert np.array_equal(a, b)   # shapes included
 
 
+def _spy_on_make_views(monkeypatch) -> list:
+    """Each make_views call the loop makes, as (n_global, n_local, views)."""
+    calls = []
+
+    def spy(images, config, streams, n_global):
+        views = build(images, config, streams, n_global)
+        calls.append((n_global, config.n_local, views))
+        return views
+
+    build = trainer.make_views
+    monkeypatch.setattr(trainer, "make_views", spy)
+    return calls
+
+
 @pytest.mark.parametrize("loss_mode,n_local", [("combined", 1), ("infonce_only", 1),
                                                ("combined", 0)])
-def test_view_batches_equal_per_record_views(tiny_records, loss_mode, n_local):
-    """The worker's generator over a 3-epoch run of two steps per epoch."""
+def test_view_batches_equal_per_record_views(tiny_records, loss_mode, n_local,
+                                             monkeypatch):
+    """The loop's views over a 3-epoch run of two steps per epoch."""
     aug = dataclasses.replace(tiny_train_config().augmentation, n_local=n_local)
     cfg = tiny_train_config(epochs=3, batch_size=2, loss_mode=loss_mode, augmentation=aug)
-    got = list(trainer._view_batches(cfg, tiny_records, range(3)))
+    calls = _spy_on_make_views(monkeypatch)
+    train(cfg, tiny_records)
     want = [pair for epoch in range(3) for pair in _reference_views(cfg, tiny_records, epoch)]
     assert len(want) == 6
-    _assert_same_views(got, want)
+    _assert_same_views([views for _, _, views in calls], want)
 
 
 def test_infonce_only_builds_and_pipes_only_global_view_0(tiny_records, monkeypatch):
-    """One step of 4 records: 4 crops resized (global view 0 of each), and
-    the loop receives [4, 3, 8, 8] globals and no locals."""
-    cfg = tiny_train_config(epochs=1, loss_mode="infonce_only")
-    resized = []
-
-    def resize_spy(img, size):
-        resized.append(size)
-        return resize(img, size)
-
-    resize = data_module.resize_bicubic
-    monkeypatch.setattr(data_module, "resize_bicubic", resize_spy)
-    list(trainer._view_batches(cfg, tiny_records, range(1)))
-    assert resized == [8] * 4
-
-    received = []
-
-    def receive_spy(conn, worker, step):
-        views = receive(conn, worker, step)
-        received.append([v.shape for v in views])
-        return views
-
-    receive = trainer._receive_views
-    monkeypatch.setattr(trainer, "_receive_views", receive_spy)
-    train(cfg, tiny_records)
-    assert received == [[(4, 3, 8, 8), (0, 3, 4, 4)]]
+    """One step of 4 records: its one make_views call builds global view 0
+    of each record and no local view, and the loop gets [4, 3, 8, 8] globals
+    and no locals."""
+    calls = _spy_on_make_views(monkeypatch)
+    train(tiny_train_config(epochs=1, loss_mode="infonce_only"), tiny_records)
+    assert [(n_global, n_local, [v.shape for v in views])
+            for n_global, n_local, views in calls] == [(1, 0, [(4, 3, 8, 8), (0, 3, 4, 4)])]
 
 
 def test_resumed_run_receives_reference_views(tmp_path, tiny_records, monkeypatch):
-    """Resumed from an epoch-2 checkpoint, the generator starts at epoch 2,
-    and the globals the teacher encodes in the training process are its
-    batches, bit for bit."""
+    """Resumed from an epoch-2 checkpoint, the loop starts at epoch 2, and
+    the globals the teacher encodes are the reference's, bit for bit."""
     half, _ = train(tiny_train_config(epochs=3, batch_size=2), tiny_records,
                     stop_after_epoch=2)
     save_checkpoint(half, tmp_path / "mid.ckpt")
     state = load_checkpoint(tmp_path / "mid.ckpt")
     want = _reference_views(state.config, tiny_records, 2)
-    _assert_same_views(list(trainer._view_batches(state.config, tiny_records,
-                                                  range(state.next_epoch, 3))), want)
 
     seen = []
 
@@ -712,8 +706,8 @@ def _missing_image(records, index):
 @pytest.mark.parametrize("how", ["return", "stop_after_epoch", "callback", "numeric",
                                  "worker_error"])
 def test_no_process_outlives_train(tmp_path, tiny_records, monkeypatch, how):
-    """A stop after the first step leaves 199 epochs of batches, more than the
-    pipe holds, so the worker is still running when train stops."""
+    """However train stops (a return, stop_after_epoch, a callback stop, a
+    NumericError or an image error), it leaves no child process behind."""
     records, kwargs, raises, epochs = tiny_records, {}, None, 3
     if how == "stop_after_epoch":
         kwargs["stop_after_epoch"] = 1
@@ -734,8 +728,7 @@ def test_no_process_outlives_train(tmp_path, tiny_records, monkeypatch, how):
 def test_worker_error_raised_at_the_step_that_needs_the_batch(tmp_path, tiny_records,
                                                               monkeypatch):
     """A missing image in epoch 0's second batch: the first step completes,
-    then the worker's FileNotFoundError is raised with its message, chained
-    to the worker's traceback."""
+    then its FileNotFoundError is raised with its message."""
     cfg = tiny_train_config(epochs=3, batch_size=2)
     second = trainer._epoch_batches(tiny_records, 2, cfg.seed, 0)[1]
     steps = []
@@ -745,45 +738,22 @@ def test_worker_error_raised_at_the_step_that_needs_the_batch(tmp_path, tiny_rec
         return adamw_step(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "adamw_step", counting_adamw)
-    with pytest.raises(FileNotFoundError, match="missing.ppm") as raised:
+    with pytest.raises(FileNotFoundError, match="missing.ppm"):
         train(cfg, _missing_image(tiny_records, second[0].index), data_root=tmp_path)
     assert len(steps) == 1
-    assert "in load_record_image" in str(raised.value.__cause__)   # the worker's traceback
 
 
 def test_worker_manifest_parse_error_reraised_with_type_and_message(tiny_records,
                                                                    monkeypatch):
     """An error whose constructor takes other arguments than its message
-    crosses the pipe intact."""
+    reaches the caller with its type, message and fields."""
     def bad_image(rec, root=None):
         raise ManifestParseError(7, "bad record")
 
-    monkeypatch.setattr(trainer, "load_record_image", bad_image)   # the worker is forked
+    monkeypatch.setattr(trainer, "load_record_image", bad_image)
     with pytest.raises(ManifestParseError, match="^manifest line 7: bad record$") as raised:
         train(tiny_train_config(epochs=2), tiny_records)
     assert raised.value.line_no == 7
-    assert "in bad_image" in str(raised.value.__cause__)   # the worker's traceback
-    assert multiprocessing.active_children() == []
-
-
-def test_killed_view_worker_raises_at_once(tiny_records):
-    """SIGKILL the worker after the first epoch: the steps whose batches
-    already sit in the pipe run, then ViewWorkerError names the signal.  200
-    epochs of batches do not fit in the pipe, so the worker is still
-    running when it is killed."""
-    killed = []
-
-    def kill_worker(state, metrics):
-        if not killed:
-            for child in multiprocessing.active_children():
-                os.kill(child.pid, signal.SIGKILL)
-            killed.append(time.perf_counter())
-        return False
-
-    with pytest.raises(ViewWorkerError, match="exited with code -9"):
-        train(tiny_train_config(epochs=200), tiny_records, epoch_callback=kill_worker)
-    assert time.perf_counter() - killed[0] < 1.0
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("average_pairs", [True, False])
