@@ -15,8 +15,7 @@ import numpy as np
 from .data import (LANGUAGE_NAMES, ImageCaptionRecord, build_translation_prompts,
                    ingest_translations, load_manifest, save_manifest, split_records,
                    tokenize, write_record_file, read_record_file)
-from .errors import (CheckpointError, ContractError, DinoClipError, DomainError,
-                     NumericError, ShapeError, ValidationError)
+from .errors import CheckpointError, DinoClipError, NumericError, ValidationError
 from .evaluation import (LMCAP_DEFAULT_RETRIEVED, ZeroShotTemplate, build_lmcap_prompt,
                          cosine_matrix, retrieval_report, split_80_20, top_k_rows,
                          zero_shot_classify)
@@ -329,7 +328,7 @@ def main(argv=None) -> int:
     except (CheckpointError, OSError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (ValidationError, ContractError, DomainError, ShapeError, DinoClipError) as e:
+    except DinoClipError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

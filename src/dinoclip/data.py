@@ -496,18 +496,9 @@ def read_record_file(path) -> list[str]:
     return blocks
 
 
-def english_captions_in_order(records) -> list[tuple[int, int, str]]:
-    """(record index, caption index, text) for every English caption."""
-    out = []
-    for rec in records:
-        for ci, text in enumerate(rec.captions["en"]):
-            out.append((rec.index, ci, text))
-    return out
-
-
 def build_translation_prompts(records, target_language_name: str) -> list[str]:
     return [build_translation_prompt(text, target_language_name)
-            for _, _, text in english_captions_in_order(records)]
+            for rec in records for text in rec.captions["en"]]
 
 
 def ingest_translations(records, responses_path, language: str):
@@ -518,10 +509,10 @@ def ingest_translations(records, responses_path, language: str):
     """
     if language not in SUPPORTED_LANGUAGES or language == "en":
         raise ValidationError(f"cannot ingest translations for language {language!r}")
-    order = english_captions_in_order(records)
+    expected = sum(len(rec.captions["en"]) for rec in records)
     blocks = [b.strip("\n") for b in read_record_file(responses_path)]
-    if len(blocks) != len(order):
-        raise AlignmentError(expected=len(order), actual=len(blocks))
+    if len(blocks) != expected:
+        raise AlignmentError(expected=expected, actual=len(blocks))
     for block in blocks:
         if not block:
             raise ValidationError("empty translation record in response file")

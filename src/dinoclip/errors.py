@@ -31,10 +31,6 @@ class ManifestParseError(ValidationError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"manifest line {line_no}: {message}")
         self.line_no = line_no
-        self.detail = message
-
-    def __reduce__(self):   # pickle rebuilds from the constructor's arguments
-        return type(self), (self.line_no, self.detail), self.__dict__
 
 
 class AlignmentError(ValidationError):
@@ -44,9 +40,6 @@ class AlignmentError(ValidationError):
         super().__init__(f"expected {expected} response records, got {actual}")
         self.expected = expected
         self.actual = actual
-
-    def __reduce__(self):   # pickle rebuilds from the constructor's arguments
-        return type(self), (self.expected, self.actual), self.__dict__
 
 
 class VocabularyError(ValidationError):

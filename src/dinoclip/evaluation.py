@@ -162,18 +162,6 @@ def top_k_rows(sims: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-sims, axis=1, kind="stable")[:, :k]
 
 
-def retrieve_top_k(query_embedding: np.ndarray, gallery_embeddings: np.ndarray,
-                   k: int) -> list[int]:
-    """Top-k gallery indices by cosine similarity to the query (top_k_rows)."""
-    q = np.asarray(query_embedding, dtype=np.float64)
-    g = np.asarray(gallery_embeddings, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] == 0:
-        raise ContractError(f"gallery must be a non-empty [G, m] matrix, got {g.shape}")
-    if q.shape != (g.shape[1],):
-        raise ContractError(f"query shape {q.shape} vs gallery rows of {g.shape[1]}")
-    return top_k_rows(cosine_matrix(q[None, :], g), k)[0].tolist()
-
-
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities between rows of a and rows of b."""
     a = np.asarray(a, dtype=np.float64)

@@ -81,12 +81,6 @@ class RandomStream:
         self._key = fold_key(*words)
         self._counter = 0
 
-    def substream(self, *words: int) -> "RandomStream":
-        """Independent child stream keyed on this key plus extra words."""
-        child = RandomStream()
-        child._key = fold_key(self._key, *words)
-        return child
-
     def next_u64(self) -> int:
         self._counter += 1
         return mix64((self._key + self._counter * GAMMA) & MASK64)
@@ -125,8 +119,8 @@ class RandomStream:
 
 
 def substream_outputs(streams, tag: int, indices, n: int) -> np.ndarray:
-    """[len(indices), len(streams), n] uint64: at [v, i], the first n
-    next_u64 outputs of streams[i].substream(tag, indices[v]), all at once."""
+    """[len(indices), len(streams), n] uint64: at [v, i], the first n next_u64
+    outputs of the stream keyed on fold_key(streams[i]'s key, tag, indices[v])."""
     key = np.uint64(0)
     with np.errstate(over="ignore"):
         for word in (np.array([s._key for s in streams], dtype=np.uint64), np.uint64(tag),

@@ -435,14 +435,10 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
                 u = encode_text(state.student,
                                 [tokenize(c.text, max_len) for c in captions])
                 tau = ad.exp(state.student.log_tau)
-                if distill:
-                    emb = encode_images(state.student, Tensor(globals_))      # [2B, m]
-                    v_first = ad.gather_rows(emb, np.arange(b))
-                    if len(locals_):
-                        emb = ad.concat([emb, encode_images(state.student,
-                                                            Tensor(locals_))])
-                else:
-                    v_first = encode_images(state.student, Tensor(globals_))
+                emb = encode_images(state.student, Tensor(globals_))   # [n_global*B, m]
+                v_first = ad.gather_rows(emb, np.arange(b))
+                if len(locals_):
+                    emb = ad.concat([emb, encode_images(state.student, Tensor(locals_))])
                 loss_nce = info_nce_loss(ContrastiveBatch(captions=u, images=v_first,
                                                           tau=tau))
                 if distill:

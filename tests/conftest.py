@@ -13,7 +13,7 @@ from dinoclip import encoders, objectives
 from dinoclip.encoders import (BYTE_OFFSET, DinoProjectorConfig, ModelConfig,
                                TextEncoderConfig, VisionEncoderConfig)
 from dinoclip.errors import ContractError
-from dinoclip.evaluation import format_lmcap_block
+from dinoclip.evaluation import cosine_matrix, format_lmcap_block, top_k_rows
 
 FIXTURE_CAPTIONS_EN = [
     "airport with runways", "dense residential area", "baseball field",
@@ -145,6 +145,12 @@ def format_lmcap_example(retrieved_captions: list[str], language_name: str,
                          completion: str) -> str:
     """One few-shot block: the query template with its answer appended."""
     return format_lmcap_block(retrieved_captions, language_name) + f" {completion}\n\n"
+
+
+def retrieve_top_k(query: np.ndarray, gallery: np.ndarray, k: int) -> list[int]:
+    """One query's top-k gallery indices through the library's ranking, as
+    build-lmcap-prompts ranks every query row at once."""
+    return top_k_rows(cosine_matrix(query[None], gallery), k)[0].tolist()
 
 
 # -------------------------------------------------------------------------

@@ -19,14 +19,14 @@ from dinoclip.encoders import (DinoProjectorConfig, ModelConfig, ModelParams,
 from dinoclip.evaluation import (GroundTruth, SimilarityMatrix, ZeroShotTemplate,
                                  build_lmcap_prompt, cosine_matrix, format_lmcap_block,
                                  mean_recall, recall_at_k, retrieval_report,
-                                 retrieve_top_k, split_80_20, zero_shot_classify)
+                                 split_80_20, zero_shot_classify)
 from dinoclip.objectives import (ContrastiveBatch, combined_loss, ema_update,
                                  info_nce_loss, make_teacher)
 from dinoclip.trainer import (TrainConfig, embed_record_images, embed_texts,
                               load_checkpoint, save_checkpoint, train)
 
 from conftest import (DistributionSet, distillation_pair_count, encode_text,
-                      format_lmcap_example, self_distillation_loss,
+                      format_lmcap_example, retrieve_top_k, self_distillation_loss,
                       soft_distillation_terms, tiny_model_config, write_synthetic_manifest)
 from gradcheck import max_gradient_error
 

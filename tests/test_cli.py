@@ -11,17 +11,16 @@ from hypothesis import HealthCheck, given, settings
 
 import dinoclip
 from dinoclip import checkpoint as ckpt
-from dinoclip import trainer
+from dinoclip import cli, errors, trainer
 from dinoclip.autodiff import Tensor
 from dinoclip.cli import main
 from dinoclip.data import (ImageCaptionRecord, load_manifest, read_record_file,
                            write_record_file)
 from dinoclip.errors import CheckpointError
-from dinoclip.evaluation import (ZeroShotTemplate, build_lmcap_prompt, retrieve_top_k,
-                                 zero_shot_classify)
+from dinoclip.evaluation import ZeroShotTemplate, build_lmcap_prompt, zero_shot_classify
 from dinoclip.trainer import TrainConfig, embed_record_images, embed_texts, load_checkpoint
 
-from conftest import write_ppm, write_synthetic_manifest
+from conftest import retrieve_top_k, write_ppm, write_synthetic_manifest
 from test_trainer import checkpoint_mutations, set_config_field, tiny_train_config
 
 
@@ -536,6 +535,22 @@ def test_train_bad_image_exit_code(workdir, capsys, write_last, code, message):
     assert rc == code
     assert message in capsys.readouterr().err
     assert not (workdir / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("kind,code", [
+    (errors.ShapeError, 2), (errors.DomainError, 2), (errors.ContractError, 2),
+    (errors.ValidationError, 2), (errors.NumericError, 3), (errors.CheckpointError, 4),
+    (OSError, 4),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_exit_code_of_each_error_kind(tmp_path, capsys, monkeypatch, kind, code):
+    """main maps each error kind a command raises to its exit code."""
+    def command(args):
+        raise kind("stub failure")
+    monkeypatch.setattr(cli, "cmd_make_splits", command)
+    rc = main(["make-splits", "--class-index", str(tmp_path / "c.json"),
+               "--out", str(tmp_path / "s.json")])
+    assert rc == code
+    assert "stub failure" in capsys.readouterr().err
 
 
 def test_config_round_trip():

@@ -7,10 +7,9 @@ from dinoclip.errors import ContractError, DomainError, NumericError, Validation
 from dinoclip.evaluation import (GroundTruth, RetrievalReport, SimilarityMatrix,
                                  ZeroShotTemplate, build_lmcap_prompt, cosine_matrix,
                                  format_lmcap_block, mean_recall, recall_at_k,
-                                 retrieval_report, retrieve_top_k, split_80_20,
-                                 zero_shot_classify)
+                                 retrieval_report, split_80_20, zero_shot_classify)
 
-from conftest import format_lmcap_example
+from conftest import format_lmcap_example, retrieve_top_k
 
 
 # -------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def test_mean_recall_permutation_invariant(rng):
 
 
 # -------------------------------------------------------------------------
-# retrieve_top_k
+# retrieve_top_k: one query ranked through top_k_rows and cosine_matrix
 # -------------------------------------------------------------------------
 
 def test_retrieve_full_gallery_is_permutation(rng):
@@ -150,7 +149,8 @@ def test_retrieve_matches_full_sort_oracle(rng):
 
 
 def test_retrieve_empty_gallery():
-    with pytest.raises(ContractError):
+    """An empty gallery has no k columns to rank, so top_k_rows refuses it."""
+    with pytest.raises(DomainError):
         retrieve_top_k(np.ones(3), np.zeros((0, 3)), 1)
 
 

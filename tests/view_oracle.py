@@ -8,7 +8,14 @@ import numpy as np
 from dinoclip.data import _TAG_VIEWS, BLUR_SIGMA_RANGE, JITTER_PROB, AugmentationConfig
 from dinoclip.encoders import resize_bicubic
 from dinoclip.errors import ContractError
-from dinoclip.prng import RandomStream
+from dinoclip.prng import RandomStream, fold_key
+
+
+def _substream(stream: RandomStream, *words: int) -> RandomStream:
+    """The child stream keyed on the parent's key plus extra words."""
+    child = RandomStream()
+    child._key = fold_key(stream._key, *words)
+    return child
 
 
 def _random_resized_crop(image: np.ndarray, out_size: int, scale: tuple,
@@ -91,7 +98,7 @@ def make_views_oracle(image: np.ndarray, config: AugmentationConfig, stream: Ran
                             f"{config.local_crop_size}")
     views = []
     for view_idx in [*range(n_global), *range(2, 2 + config.n_local)]:
-        rng = stream.substream(_TAG_VIEWS, view_idx)
+        rng = _substream(stream, _TAG_VIEWS, view_idx)
         if view_idx < 2:
             crop = _random_resized_crop(image, config.global_crop_size,
                                         config.global_scale, rng)
