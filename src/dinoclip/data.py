@@ -18,7 +18,7 @@ import numpy as np
 from .encoders import END_ID, SENTINEL_ID, BYTE_OFFSET, resize_bicubic
 from .errors import (AlignmentError, ContractError, DomainError, ManifestParseError,
                      ValidationError)
-from .prng import RandomStream, substream_outputs
+from .prng import RandomStream, substream_outputs, unit_floats
 
 SUPPORTED_LANGUAGES = ("en", "de", "fr", "es", "zh", "pt", "it", "ru", "ko", "nl")
 
@@ -323,7 +323,7 @@ def _resized_crops(images: list, draws: np.ndarray, size: int,
     hw = np.array([image.shape[1:] for image in images], dtype=np.int64)
     h, w = hw.T
     short = hw.min(axis=1)
-    frac = _uniform((draws[..., 0] >> np.uint64(11)) * 2.0**-53, *scale)
+    frac = _uniform(unit_floats(draws[..., 0]), *scale)
     side = np.clip(np.rint(np.sqrt(frac) * short).astype(np.int64), 2, short)
     top, left = ((draws[..., k] % (n - side + 1).astype(np.uint64)).ravel().tolist()
                  for k, n in ((1, h), (2, w)))
@@ -393,7 +393,7 @@ def _gaussian_blur(x: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 def _augment(x: np.ndarray, config: AugmentationConfig, draws: np.ndarray):
     """Jitter, blur and solarize each view of x [V, 3, S, S] in place by its
     draws [V, VIEW_DRAWS], then clip to [0, 1]."""
-    u = (draws >> np.uint64(11)) * 2.0**-53
+    u = unit_floats(draws)
     views = np.arange(len(x))
     jitter = (u[:, 3] < JITTER_PROB) & (config.jitter_strength > 0)
     if jitter.any():

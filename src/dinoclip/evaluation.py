@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError, NumericError, ValidationError
-from .prng import SplitMix64, fisher_yates, stable_hash
+from .prng import RandomStream, fisher_yates, stable_hash
 
 ZERO_SHOT_TEMPLATE = "a satellite photo of {class name}"
 TEMPLATE_SLOT = "{class name}"
@@ -24,43 +24,6 @@ LMCAP_TEMPLATE = ("You are an intelligent image captioning bot tasked with descr
                   "in {language} is:")
 
 LMCAP_DEFAULT_RETRIEVED = 4  # K
-
-
-@dataclass
-class SimilarityMatrix:
-    """Cosine similarities between Q queries (rows) and G gallery items."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ContractError(f"similarity matrix must be 2-D, got {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise NumericError("similarity matrix has non-finite entries")
-        if (np.abs(self.values) > 1.0 + 1e-5).any():
-            raise ValidationError("similarity entries fall outside [-1, 1]")
-
-
-@dataclass
-class GroundTruth:
-    """Correct gallery indices per query; every query needs at least one."""
-
-    correct: dict[int, set]
-
-    def mask(self, num_queries: int, num_gallery: int) -> np.ndarray:
-        """[Q, G] mask of correct items; keys that are not query rows are ignored."""
-        correct = np.zeros((num_queries, num_gallery), dtype=bool)
-        for q in range(num_queries):
-            hits = self.correct.get(q)
-            if not hits:
-                raise ContractError(f"query {q} has no correct gallery index")
-            for g in hits:
-                if not 0 <= g < num_gallery:
-                    raise ContractError(f"query {q}: gallery index {g} out of range "
-                                        f"[0, {num_gallery})")
-                correct[q, g] = True
-        return correct
 
 
 @dataclass
@@ -133,15 +96,10 @@ def _best_correct_rank(values: np.ndarray, correct: np.ndarray) -> np.ndarray:
     return (values > score).sum(axis=1) + ((values == score) & before).sum(axis=1)
 
 
-def recall_at_k(sim: SimilarityMatrix, gt: GroundTruth, k: int) -> float:
-    """Percentage of queries whose top-k ranking contains a correct item."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    num_queries, num_gallery = sim.values.shape
-    if k > num_gallery:
-        raise DomainError(f"k={k} exceeds gallery size {num_gallery}")
-    ranks = _best_correct_rank(sim.values, gt.mask(num_queries, num_gallery))
-    return 100.0 * int((ranks < k).sum()) / num_queries
+def recall_at_k(ranks: np.ndarray, k: int) -> float:
+    """Percentage of queries whose best correct item ranks inside the top k,
+    from the 0-based ranks of _best_correct_rank."""
+    return 100.0 * int((ranks < k).sum()) / len(ranks)
 
 
 def mean_recall(six_values) -> float:
@@ -194,14 +152,14 @@ def zero_shot_classify(image_embeddings: np.ndarray, class_names: list[str],
 # ---------------------------------------------------------------------------
 
 def split_80_20(class_to_filenames: dict[str, list[str]], seed: int = 42):
-    """Per class: Fisher-Yates shuffle (SplitMix64 keyed on seed XOR a stable
-    hash of the class name), first floor(0.8 n) to train and the rest to
-    test."""
+    """Per class: Fisher-Yates shuffle (the SplitMix64 stream on the key seed
+    XOR a stable hash of the class name), first floor(0.8 n) to train and the
+    rest to test."""
     train, test = {}, {}
     for cls, files in class_to_filenames.items():
         if not files:
             raise ContractError(f"class {cls!r} has no filenames")
-        rng = SplitMix64(seed ^ stable_hash(cls))
+        rng = RandomStream.from_key(seed ^ stable_hash(cls))
         shuffled = fisher_yates(list(files), rng)
         cut = int(0.8 * len(shuffled))
         train[cls] = shuffled[:cut]
@@ -262,6 +220,5 @@ def retrieval_report(image_embeddings: np.ndarray, caption_embeddings: np.ndarra
         raise NumericError(f"image-to-text similarity of image {i} and caption {j} is not finite")
     i2t = _best_correct_rank(sim, owned)
     t2i = _best_correct_rank(sim.T, owned.T)
-    return RetrievalReport.from_recalls(
-        tuple(100.0 * int((i2t < min(k, n_cap)).sum()) / n_img for k in (1, 5, 10)),
-        tuple(100.0 * int((t2i < min(k, n_img)).sum()) / n_cap for k in (1, 5, 10)))
+    return RetrievalReport.from_recalls(tuple(recall_at_k(i2t, k) for k in (1, 5, 10)),
+                                        tuple(recall_at_k(t2i, k) for k in (1, 5, 10)))

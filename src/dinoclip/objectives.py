@@ -90,10 +90,7 @@ def info_nce_loss(batch: ContrastiveBatch) -> Tensor:
     u = ad.l2_normalize(batch.captions, axis=-1)
     v = ad.l2_normalize(batch.images, axis=-1)
     sims = ad.matmul(u, ad.transpose(v))                      # [N, N], row i = caption i
-    if isinstance(batch.tau, Tensor):
-        logits = ad.div(sims, batch.tau)
-    else:
-        logits = ad.mul(sims, 1.0 / float(batch.tau))
+    logits = ad.div(sims, batch.tau)
     eye = np.eye(n, dtype=logits.dtype)
     t2i = ad.neg(ad.mul(ad.sum_(ad.mul(ad.log_softmax(logits, axis=1), eye)), 1.0 / n))
     i2t = ad.neg(ad.mul(ad.sum_(ad.mul(ad.log_softmax(logits, axis=0), eye)), 1.0 / n))
@@ -139,9 +136,7 @@ def soft_distillation_terms(teacher_dists, student_probs: Tensor,
 
 def combined_loss(contrastive, distillation) -> Tensor:
     """Average of the two objectives, tensors or plain numbers."""
-    c = contrastive if isinstance(contrastive, Tensor) else Tensor(np.asarray(contrastive))
-    d = distillation if isinstance(distillation, Tensor) else Tensor(np.asarray(distillation))
-    return ad.mul(ad.add(c, d), 0.5)
+    return ad.mul(ad.add(contrastive, distillation), 0.5)
 
 
 # ---------------------------------------------------------------------------

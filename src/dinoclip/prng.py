@@ -37,6 +37,11 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def unit_floats(draws: np.ndarray) -> np.ndarray:
+    """Each uint64 draw's top 53 bits as a float64 in [0, 1)."""
+    return (draws >> np.uint64(11)) * 2.0**-53
+
+
 def fold_key(*words: int) -> int:
     """Fold integer key words into one 64-bit key, order-sensitively."""
     key = 0
@@ -53,23 +58,6 @@ def stable_hash(text: str) -> int:
     return h
 
 
-class SplitMix64:
-    """Sequential SplitMix64 stream; used where the contract pins it by name."""
-
-    def __init__(self, seed: int):
-        self.state = int(seed) & MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + GAMMA) & MASK64
-        return mix64(self.state)
-
-    def next_below(self, n: int) -> int:
-        """Integer in [0, n); modulo reduction, pinned for reproducibility."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.next_u64() % n
-
-
 class RandomStream:
     """Counter-based stream keyed on integer words.
 
@@ -80,6 +68,14 @@ class RandomStream:
     def __init__(self, *words: int):
         self._key = fold_key(*words)
         self._counter = 0
+
+    @classmethod
+    def from_key(cls, key: int) -> "RandomStream":
+        """The stream on key itself, unfolded and masked to 64 bits: the
+        sequential SplitMix64 generator seeded with key."""
+        stream = cls()
+        stream._key = int(key) & MASK64
+        return stream
 
     def next_u64(self) -> int:
         self._counter += 1
@@ -101,7 +97,7 @@ class RandomStream:
         idx = np.arange(start, start + n, dtype=np.uint64)
         with np.errstate(over="ignore"):
             states = np.uint64(self._key) + idx * np.uint64(GAMMA)
-        return (_mix64_array(states) >> np.uint64(11)) * 2.0**-53
+        return unit_floats(_mix64_array(states))
 
     def truncated_normals(self, n: int, std: float = 1.0, bound: float = 2.0) -> np.ndarray:
         """n normals with |z| <= bound (in std units), via vectorized rejection."""

@@ -64,6 +64,10 @@ class TrainConfig:
             raise DomainError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise DomainError("learning_rate must be positive")
+        if not all(0 <= beta < 1 for beta in self.betas):
+            raise DomainError(f"betas {self.betas} must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise DomainError(f"adam_eps must be positive, got {self.adam_eps}")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise DomainError(f"warmup_epochs {self.warmup_epochs} must not exceed "
                               f"epochs {self.epochs}")
@@ -385,9 +389,10 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
                             f"of {len(train_records)} records (last incomplete "
                             "batch is dropped)")
 
+    if resume is not None and config != resume.config:
+        raise ContractError("a resumed run trains on its state's config; "
+                            "pass resume.config as config")
     state = resume if resume is not None else init_train_state(config)
-    if resume is not None:
-        config = state.config
     fingerprint = _train_fingerprint(train_records)
     if state.train_fingerprint not in (None, fingerprint):
         raise ValidationError(f"cannot resume on different train records: the state has "

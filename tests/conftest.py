@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from dinoclip import autodiff as ad
 from dinoclip.autodiff import Tensor
 from dinoclip.data import load_manifest
-from dinoclip import encoders, objectives
+from dinoclip import encoders, evaluation, objectives
 from dinoclip.encoders import (BYTE_OFFSET, DinoProjectorConfig, ModelConfig,
                                TextEncoderConfig, VisionEncoderConfig)
-from dinoclip.errors import ContractError
+from dinoclip.errors import ContractError, DomainError, NumericError, ValidationError
 from dinoclip.evaluation import cosine_matrix, format_lmcap_block, top_k_rows
 
 FIXTURE_CAPTIONS_EN = [
@@ -151,6 +151,56 @@ def retrieve_top_k(query: np.ndarray, gallery: np.ndarray, k: int) -> list[int]:
     """One query's top-k gallery indices through the library's ranking, as
     build-lmcap-prompts ranks every query row at once."""
     return top_k_rows(cosine_matrix(query[None], gallery), k)[0].tolist()
+
+
+@dataclass
+class SimilarityMatrix:
+    """Cosine similarities between Q queries (rows) and G gallery items."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 2:
+            raise ContractError(f"similarity matrix must be 2-D, got {self.values.shape}")
+        if not np.isfinite(self.values).all():
+            raise NumericError("similarity matrix has non-finite entries")
+        if (np.abs(self.values) > 1.0 + 1e-5).any():
+            raise ValidationError("similarity entries fall outside [-1, 1]")
+
+
+@dataclass
+class GroundTruth:
+    """Correct gallery indices per query; every query needs at least one."""
+
+    correct: dict[int, set]
+
+    def mask(self, num_queries: int, num_gallery: int) -> np.ndarray:
+        """[Q, G] mask of correct items; keys that are not query rows are ignored."""
+        correct = np.zeros((num_queries, num_gallery), dtype=bool)
+        for q in range(num_queries):
+            hits = self.correct.get(q)
+            if not hits:
+                raise ContractError(f"query {q} has no correct gallery index")
+            for g in hits:
+                if not 0 <= g < num_gallery:
+                    raise ContractError(f"query {q}: gallery index {g} out of range "
+                                        f"[0, {num_gallery})")
+                correct[q, g] = True
+        return correct
+
+
+def recall_at_k(sim: SimilarityMatrix, gt: GroundTruth, k: int) -> float:
+    """Percentage of queries whose top-k ranking contains a correct item,
+    ranked by the library's rank rule and counted by its recall_at_k, as
+    retrieval_report does for each direction."""
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    num_queries, num_gallery = sim.values.shape
+    if k > num_gallery:
+        raise DomainError(f"k={k} exceeds gallery size {num_gallery}")
+    ranks = evaluation._best_correct_rank(sim.values, gt.mask(num_queries, num_gallery))
+    return evaluation.recall_at_k(ranks, k)
 
 
 # -------------------------------------------------------------------------

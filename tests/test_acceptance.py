@@ -16,17 +16,17 @@ from dinoclip.data import (AugmentationConfig, EpochSamplingPolicy,
 from dinoclip.encoders import (DinoProjectorConfig, ModelConfig, ModelParams,
                                encode_images, init_model_params, project_dino,
                                _parameter_spec)
-from dinoclip.evaluation import (GroundTruth, SimilarityMatrix, ZeroShotTemplate,
-                                 build_lmcap_prompt, cosine_matrix, format_lmcap_block,
-                                 mean_recall, recall_at_k, retrieval_report,
+from dinoclip.evaluation import (ZeroShotTemplate, build_lmcap_prompt, cosine_matrix,
+                                 format_lmcap_block, mean_recall, retrieval_report,
                                  split_80_20, zero_shot_classify)
 from dinoclip.objectives import (ContrastiveBatch, combined_loss, ema_update,
                                  info_nce_loss, make_teacher)
 from dinoclip.trainer import (TrainConfig, embed_record_images, embed_texts,
                               load_checkpoint, save_checkpoint, train)
 
-from conftest import (DistributionSet, distillation_pair_count, encode_text,
-                      format_lmcap_example, retrieve_top_k, self_distillation_loss,
+from conftest import (DistributionSet, GroundTruth, SimilarityMatrix,
+                      distillation_pair_count, encode_text, format_lmcap_example,
+                      recall_at_k, retrieve_top_k, self_distillation_loss,
                       soft_distillation_terms, tiny_model_config, write_synthetic_manifest)
 from gradcheck import max_gradient_error
 

@@ -25,10 +25,17 @@ def test_every_traced_name_is_bound():
     assert all(callable(fn) for fn in found.values())
 
 
-def test_retrieval_report_builds_one_similarity_matrix(rng):
-    """retrieval_report reaches cosine_matrix through module globals and
-    builds one matrix for both directions; it ranks each direction once
-    itself, without calling recall_at_k."""
+def test_retrieval_report_builds_one_similarity_matrix(rng, monkeypatch):
+    """retrieval_report reaches cosine_matrix and recall_at_k through module
+    globals, builds one matrix for both directions, ranks each direction
+    once and counts R@1/5/10 from those ranks."""
+    rank, ranked = evaluation._best_correct_rank, []
+
+    def counted_rank(values, correct):
+        ranked.append(values.shape)
+        return rank(values, correct)
+
+    monkeypatch.setattr(evaluation, "_best_correct_rank", counted_rank)
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -38,4 +45,5 @@ def test_retrieval_report_builds_one_similarity_matrix(rng):
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
     assert names.count("evaluation.cosine_matrix") == 1
-    assert names.count("evaluation.recall_at_k") == 0
+    assert names.count("evaluation.recall_at_k") == 6
+    assert ranked == [(4, 8), (8, 4)]

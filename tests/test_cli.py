@@ -394,13 +394,18 @@ def test_train_bad_config_is_validation_error(workdir, capsys, path, value):
     (("model", "vision", "patch_size"), 0), (("model", "vision", "heads"), 0),
     (("model", "text", "heads"), -4), (("learning_rate",), 10 ** 400),
     (("augmentation", "global_scale"), [0.4, -10 ** 400]),
-    (("learning_rate",), float("nan")), (("tau_student",), float("inf")), (None, None)],
+    (("learning_rate",), float("nan")), (("tau_student",), float("inf")), (None, None),
+    (("betas",), [1.0, 0.98]), (("betas",), [0.9, -0.5]), (("adam_eps",), 0.0),
+    (("adam_eps",), -1.0)],
     ids=["patch-size-0", "vision-heads-0", "text-heads-negative", "float-past-range",
-         "tuple-item-past-range", "float-nan", "float-inf", "nested-too-deep"])
+         "tuple-item-past-range", "float-nan", "float-inf", "nested-too-deep",
+         "beta-1", "beta-negative", "adam-eps-0", "adam-eps-negative"])
 def test_train_degenerate_config_exits_2(workdir, capsys, path, value):
     """A zero divisor, a float field that is not finite (NaN, an infinity,
-    an int past float's range) and JSON nested past the parser's depth are
-    validation errors, not tracebacks or a run on non-finite settings."""
+    an int past float's range), JSON nested past the parser's depth and
+    Adam settings that divide by zero (a beta of 1, an eps of 0) or make no
+    sense (a negative beta or eps) are validation errors, not tracebacks or
+    a run on non-finite settings."""
     bad = workdir / "bad_config.json"
     if path is None:
         bad.write_text("[" * 100_000)

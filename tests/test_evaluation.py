@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from dinoclip.errors import ContractError, DomainError, NumericError, ValidationError
-from dinoclip.evaluation import (GroundTruth, RetrievalReport, SimilarityMatrix,
-                                 ZeroShotTemplate, build_lmcap_prompt, cosine_matrix,
-                                 format_lmcap_block, mean_recall, recall_at_k,
+from dinoclip.evaluation import (RetrievalReport, ZeroShotTemplate, build_lmcap_prompt,
+                                 cosine_matrix, format_lmcap_block, mean_recall,
                                  retrieval_report, split_80_20, zero_shot_classify)
 
-from conftest import format_lmcap_example, retrieve_top_k
+from conftest import (GroundTruth, SimilarityMatrix, format_lmcap_example, recall_at_k,
+                      retrieve_top_k)
 
 
 # -------------------------------------------------------------------------

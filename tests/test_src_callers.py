@@ -8,12 +8,6 @@ ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "dinoclip"
 CALLERS = (LIBRARY, ROOT / "perfbench")
 
-# definition -> why it may have no reference in the library or the benchmark
-ALLOWED = {
-    "recall_at_k": "perfbench/tracer.py traces it by name (a string, not a reference); "
-                   "it moves to tests/ when the benchmark drops that span",
-}
-
 
 def _definitions(tree: ast.Module):
     """(qualified name, node) for each top-level function or class and each
@@ -59,7 +53,4 @@ def unreferenced_definitions() -> list[str]:
 
 
 def test_every_library_definition_has_a_non_test_caller():
-    """Only the allowed names lack a caller; an allowed name that gains one,
-    or whose definition is gone, leaves ALLOWED."""
-    unreferenced = unreferenced_definitions()
-    assert {m.rsplit(".", 1)[-1] for m in unreferenced} == set(ALLOWED), unreferenced
+    assert unreferenced_definitions() == []

@@ -250,6 +250,8 @@ def set_config_field(obj: dict, path: tuple, value) -> dict:
     lambda sec: set_config_field(sec["config"], ("batch_size",), "4"),
     lambda sec: set_config_field(sec["config"], ("model", "text", "depth"), 0.5),
     lambda sec: set_config_field(sec["config"], ("augmentation", "n_local"), -1),
+    lambda sec: set_config_field(sec["config"], ("betas",), [1.0, 0.98]),
+    lambda sec: set_config_field(sec["config"], ("adam_eps",), 0.0),
     lambda sec: sec.update(centre=sec.pop("center")),
     lambda sec: sec.update(center=np.zeros(3, np.float32)),
     lambda sec: sec.update(adam_m=sec["adam_m"][:-1]),   # log_tau, the last tensor
@@ -257,6 +259,7 @@ def set_config_field(obj: dict, path: tuple, value) -> dict:
 ], ids=["missing-center", "missing-config", "bad-json", "bad-utf8-json",
         "teacher-one-short", "counters-without-keys", "config-unknown-field",
         "config-ill-typed", "config-nested-ill-typed", "config-out-of-domain",
+        "config-beta-1", "config-adam-eps-0",
         "center-misnamed", "center-wrong-shape", "adam_m-missing-name",
         "adam_v-wrong-shape"])
 def test_checkpoint_corrupt_section_detected(tmp_path, tiny_records, edit):
@@ -494,6 +497,15 @@ def test_resume_on_different_train_records_is_refused(tmp_path, tiny_records):
         with pytest.raises(ValidationError, match="different train records") as raised:
             train(state.config, records, resume=state)
         assert state.train_fingerprint in str(raised.value)
+
+
+def test_resume_with_a_different_config_is_refused(tiny_records):
+    """The state's config is the run's config: another one, such as fewer
+    epochs, is refused rather than silently replaced by the state's."""
+    state = init_train_state(tiny_train_config(epochs=3))
+    with pytest.raises(ContractError, match="resume.config"):
+        train(tiny_train_config(epochs=1), tiny_records, resume=state)
+    assert state.step == 0 and state.train_fingerprint is None
 
 
 def test_infonce_only_never_reads_teacher(tiny_records):
