@@ -459,31 +459,28 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", (a, b), ad @ bd, backward)
 
 
-def attention(q, k, v, heads: int, runs=None) -> Tensor:
+def attention(q, k, v, heads: int, runs) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(W / heads)) v within each sequence,
     as one node.
 
-    The operands are the projected q, k and v: either [B, T, W], B sequences
-    of T rows, or packed [N, W] rows, where ``runs`` lists (count, length)
-    pairs: ``count`` consecutive sequences of ``length`` rows each, in row
-    order, covering all N rows.  No row attends outside its own sequence.
-    Each run's arrays are those of the composed reshape/transpose/matmul/
-    mul/softmax chain over a [count, length, W] batch minus the copies, so
-    it gives that chain's bits; for [B, T, W] operands k's gradient keeps
-    the chain's strided layout, as the k bias's gradient sums in memory
-    order."""
+    The operands are the projected q, k and v, equal-shaped [B, T, W] or
+    [N, W] arrays of W-wide rows.  ``runs`` lists (count, length) pairs:
+    ``count`` consecutive sequences of ``length`` rows each, in row order,
+    covering every row (a [B, T, W] batch is the one run [(B, T)]).  No row
+    attends outside its own sequence.  Each run's arrays are those of the
+    composed reshape/transpose/matmul/mul/softmax chain over a
+    [count, length, W] batch minus the copies, so it gives that chain's
+    bits; with one run k's gradient keeps the chain's strided layout, as the
+    k bias's gradient sums in memory order."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim not in (2, 3) or not q.shape == k.shape == v.shape or heads < 1
             or q.shape[-1] % heads):
         raise ShapeError(f"attention needs equal [B, T, W] or [N, W] operands with W "
                          f"divisible by {heads} heads: {q.shape}, {k.shape}, {v.shape}")
-    if q.ndim == 3 and runs is None:
-        runs = (q.shape[:2],)
-    elif (q.ndim == 3 or runs is None or any(c < 1 or t < 1 for c, t in runs)
-          or sum(c * t for c, t in runs) != q.shape[0]):
-        raise ShapeError(f"packed [N, W] operands need runs of (count, length) pairs "
-                         f">= 1 covering their N rows, and [B, T, W] ones none: got "
-                         f"{runs} for {q.shape}")
+    if (any(c < 1 or t < 1 for c, t in runs)
+            or sum(c * t for c, t in runs) != math.prod(q.shape[:-1])):
+        raise ShapeError(f"attention needs runs of (count, length) pairs >= 1 covering "
+                         f"the operands' rows: got {runs} for {q.shape}")
     w = q.shape[-1]
     hd = w // heads
     scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.dtype)
@@ -523,7 +520,7 @@ def attention(q, k, v, heads: int, runs=None) -> Tensor:
         for (rows, *_), run in zip(saved, grads):
             for dst, src in zip(packed, run):
                 dst[rows].reshape(src.shape)[...] = src
-        return packed
+        return tuple(x.reshape(q.shape) for x in packed)
 
     return _record("attention", (q, k, v), out.reshape(q.shape), backward)
 

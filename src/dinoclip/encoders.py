@@ -103,7 +103,7 @@ class ModelConfig:
 class ModelParams:
     """Named trainable tensors of one full encoder stack.
 
-    One instance plays the student role; a structural clone plays the
+    One instance plays the student role; a copy of constants plays the
     teacher.  Tensors are immutable; updates replace entries.
     """
 
@@ -119,12 +119,6 @@ class ModelParams:
 
     def items(self):
         return self.tensors.items()
-
-    def clone(self) -> "ModelParams":
-        return ModelParams(self.config,
-                           {k: Tensor(v.data.copy(), requires_grad=v.requires_grad, name=k,
-                                      dtype=v.dtype)
-                            for k, v in self.tensors.items()})
 
     @property
     def log_tau(self) -> Tensor:
@@ -205,9 +199,9 @@ def init_model_params(config: ModelConfig, seed: int, dtype=np.float32) -> Model
 # ---------------------------------------------------------------------------
 
 def _transformer(params: ModelParams, prefix: str, x: Tensor, depth: int,
-                 heads: int, runs=None) -> Tensor:
-    """Pre-norm transformer over x: [B, T, W] -> [B, T, W], or over packed
-    [N, W] rows whose sequences ``runs`` gives as (count, length) pairs.
+                 heads: int, runs) -> Tensor:
+    """Pre-norm transformer over the rows of x ([B, T, W] or packed [N, W]),
+    whose sequences ``runs`` gives as (count, length) pairs.
 
     Each block's attention is one ``autodiff.attention`` node over the
     biased q, k and v projections; every other op is position-wise."""
@@ -250,7 +244,7 @@ def encode_images(params: ModelParams, images: Tensor) -> Tensor:
     tokens = ad.matmul(patches, params["vision.patch_embed.w"]) + params["vision.patch_embed.b"]
     cls = Tensor(np.zeros((b, 1, cfg.width), dtype=images.dtype)) + params["vision.cls"]
     x = ad.concat([cls, tokens], axis=1) + pos
-    x = _transformer(params, "vision", x, cfg.depth, cfg.heads)
+    x = _transformer(params, "vision", x, cfg.depth, cfg.heads, [x.shape[:2]])
     x = ad.layer_norm(x, params["vision.ln_f.gain"], params["vision.ln_f.bias"])
     pooled = ad.take_index(x, 0, axis=1)                            # [B, W]
     return ad.matmul(pooled, params["vision.proj"])                 # [B, m]

@@ -68,9 +68,12 @@ class TeacherState:
 
 
 def make_teacher(student: ModelParams, **kwargs) -> TeacherState:
-    """Teacher initialized as an exact copy of the student, zero center."""
+    """Teacher initialized as an exact copy of the student, as constants
+    that no tape records, and a zero center."""
+    params = ModelParams(student.config, {k: Tensor(v.data.copy(), name=k, dtype=v.dtype)
+                                          for k, v in student.items()})
     k = student.config.dino.output_dim
-    return TeacherState(params=student.clone(), center=np.zeros(k, dtype=np.float32), **kwargs)
+    return TeacherState(params=params, center=np.zeros(k, dtype=np.float32), **kwargs)
 
 
 # ---------------------------------------------------------------------------

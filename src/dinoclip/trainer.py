@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from .autodiff import Tape, Tensor, backward
 from .data import (AugmentationConfig, EpochSamplingPolicy, load_record_image,
-                   make_views, sample_caption, tokenize)
+                   make_views, sample_caption, split_records, tokenize)
 from .encoders import (ModelConfig, ModelParams, _parameter_spec, encode_images,
                        encode_text, init_model_params, project_dino, resize_bicubic)
 from .errors import (CheckpointError, CheckpointShapeError, ContractError, DomainError,
@@ -68,6 +68,12 @@ class TrainConfig:
             raise DomainError(f"betas {self.betas} must lie in [0, 1)")
         if not self.adam_eps > 0:
             raise DomainError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not (self.tau_student > 0 and self.tau_teacher > 0 and self.weight_decay >= 0
+                and 0 <= self.ema_momentum <= 1 and 0 <= self.center_momentum <= 1):
+            raise DomainError(
+                f"tau_student {self.tau_student} and tau_teacher {self.tau_teacher} must be "
+                f"positive, weight_decay {self.weight_decay} >= 0, and ema_momentum "
+                f"{self.ema_momentum} and center_momentum {self.center_momentum} in [0, 1]")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise DomainError(f"warmup_epochs {self.warmup_epochs} must not exceed "
                               f"epochs {self.epochs}")
@@ -197,16 +203,11 @@ def lr_schedule(step: int, total_steps: int, warmup_steps: int, base_lr: float) 
 class MetricsLog:
     records: list = field(default_factory=list)
 
-    def append(self, *, step: int, epoch: int, loss_infonce: float,
-               loss_distill, loss_combined: float, lr: float, teacher_entropy):
-        if self.records and step <= self.records[-1]["step"]:
+    def append(self, record: dict):
+        if self.records and record["step"] <= self.records[-1]["step"]:
             raise ContractError(f"metric steps must be strictly increasing "
-                                f"(got {step} after {self.records[-1]['step']})")
-        self.records.append({"step": step, "epoch": epoch,
-                             "loss_infonce": loss_infonce,
-                             "loss_distill": loss_distill,
-                             "loss_combined": loss_combined,
-                             "lr": lr, "teacher_entropy": teacher_entropy})
+                                f"(got {record['step']} after {self.records[-1]['step']})")
+        self.records.append(record)
 
     def write_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as f:
@@ -298,9 +299,9 @@ def load_checkpoint(path) -> TrainState:
         raise CheckpointError(f"center section needs a tensor of shape "
                               f"({config.model.dino.output_dim},)")
     student, teacher_params = (
-        ModelParams(config.model, {k: Tensor(a, requires_grad=True, name=k, dtype=a.dtype)
+        ModelParams(config.model, {k: Tensor(a, requires_grad=grad, name=k, dtype=a.dtype)
                                    for k, a in _unflat(config.model, sections.get(g), g).items()})
-        for g in ("student", "teacher"))
+        for g, grad in (("student", True), ("teacher", False)))
     teacher = TeacherState(params=teacher_params, center=center,
                            ema_momentum=config.ema_momentum,
                            tau_teacher=config.tau_teacher,
@@ -370,18 +371,84 @@ def _epoch_batches(records, batch_size: int, seed: int, epoch: int) -> list[list
             for start in range(0, len(order) - batch_size + 1, batch_size)]
 
 
+def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict:
+    """One optimization step on ``batch`` and its loaded ``images``: builds
+    the batch's view-major views in one make_views call (under infonce_only
+    only global view 0, the one the contrastive loss encodes), runs the
+    teacher outside the tape and the student on it, then backward, AdamW,
+    the log-temperature clamp and the EMA and center updates.  Advances
+    ``state.step`` and returns the step's metrics record."""
+    config = state.config
+    distill = config.loss_mode == "combined"
+    aug, n_global = config.augmentation, 2
+    if not distill:
+        aug, n_global = dataclasses.replace(aug, n_local=0), 1
+    captions = [sample_caption(rec, epoch, config.sampling) for rec in batch]
+    globals_, locals_ = make_views(images, aug, [RandomStream(config.seed, epoch, rec.index)
+                                                 for rec in batch], n_global)
+    b = len(batch)
+
+    teacher_entropy = None
+    if distill:
+        teacher_logits = project_dino(state.teacher.params,
+                                      encode_images(state.teacher.params, Tensor(globals_))).data
+        dists = teacher_distribution(teacher_logits, state.teacher)   # [2B, K]
+        teacher_dists = dists.reshape(2, b, -1)
+        teacher_entropy = _entropy(dists.mean(axis=0))
+
+    max_len = config.model.text.max_length
+    with Tape() as tape:
+        u = encode_text(state.student, [tokenize(c.text, max_len) for c in captions])
+        tau = ad.exp(state.student.log_tau)
+        emb = encode_images(state.student, Tensor(globals_))   # [n_global*B, m]
+        v_first = ad.gather_rows(emb, np.arange(b))
+        if len(locals_):
+            emb = ad.concat([emb, encode_images(state.student, Tensor(locals_))])
+        loss_nce = info_nce_loss(ContrastiveBatch(captions=u, images=v_first, tau=tau))
+        if distill:
+            probs = ad.softmax(project_dino(state.student, emb), axis=-1,
+                               temperature=config.tau_student)
+            loss_dist = soft_distillation_terms(teacher_dists, probs, config.average_pairs)
+            loss = combined_loss(loss_nce, loss_dist)
+        else:
+            loss, loss_dist = loss_nce, None
+
+    loss_val, nce_val = loss.item(), loss_nce.item()
+    dist_val = None if loss_dist is None else loss_dist.item()
+    if not np.isfinite(loss_val):
+        raise NumericError(f"non-finite loss {loss_val} at step {state.step} "
+                           f"(epoch {epoch}, lr {lr:.3e}): InfoNCE {nce_val}, "
+                           f"distillation {dist_val}")
+
+    tensors = state.student.tensors
+    grads = dict(zip(tensors, backward(tape, loss, params=tensors.values())))
+    adamw_step(state.student, grads, state.adam, lr, betas=config.betas, eps=config.adam_eps,
+               weight_decay=config.weight_decay,
+               skip={"log_tau"} if config.freeze_temperature else frozenset())
+    clamped = np.clip(state.student.log_tau.data, LOG_TAU_MIN, LOG_TAU_MAX)
+    tensors["log_tau"] = Tensor(clamped, requires_grad=True, name="log_tau", dtype=clamped.dtype)
+
+    if distill:
+        ema_update(state.teacher, state.student)
+        update_center(state.teacher, teacher_logits)
+
+    state.step += 1
+    return {"step": state.step, "epoch": epoch, "loss_infonce": nce_val,
+            "loss_distill": dist_val, "loss_combined": loss_val, "lr": float(lr),
+            "teacher_entropy": teacher_entropy}
+
+
 def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = None,
           stop_after_epoch: int = None, epoch_callback=None):
-    """Run the combined-objective loop over the train split.
+    """Run the combined-objective loop over the train split, one _train_step
+    per batch.
 
     Deterministic in (config, manifest): batch order, caption choice, and
     augmentation draws are all keyed on (seed, epoch, record index).  Each
-    step loads the images it has not seen yet and builds its batch's
-    view-major views in one make_views call; under infonce_only only global
-    view 0, the one the contrastive loss encodes, is built.
+    image is loaded the first time a batch needs it and kept for the run.
     Returns (TrainState, MetricsLog).
     """
-    train_records = [r for r in records if r.split == "train"]
+    train_records = split_records(records, "train")
     if not train_records:
         raise ContractError("manifest has no train records")
     if len(train_records) < config.batch_size:
@@ -398,88 +465,23 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
         raise ValidationError(f"cannot resume on different train records: the state has "
                               f"{state.train_fingerprint}, the manifest {fingerprint}")
     state.train_fingerprint = fingerprint
-    policy = config.sampling
-    distill = config.loss_mode == "combined"
 
     steps_per_epoch = len(train_records) // config.batch_size
     total_steps = config.epochs * steps_per_epoch
     warmup_steps = config.warmup_epochs * steps_per_epoch
-    max_len = config.model.text.max_length
-    skip = {"log_tau"} if config.freeze_temperature else set()
-
     metrics = MetricsLog()
     last_epoch = config.epochs if stop_after_epoch is None else min(stop_after_epoch,
                                                                     config.epochs)
-    aug, n_global = config.augmentation, 2
-    if not distill:
-        aug, n_global = dataclasses.replace(aug, n_local=0), 1
     images: dict[int, np.ndarray] = {}
 
     for epoch in range(state.next_epoch, last_epoch):
         for batch in _epoch_batches(train_records, config.batch_size, config.seed, epoch):
-            lr = lr_schedule(state.step, total_steps, warmup_steps, config.learning_rate)
-            captions = [sample_caption(rec, epoch, policy) for rec in batch]
             for rec in batch:
                 if rec.index not in images:
                     images[rec.index] = load_record_image(rec, root=data_root)
-            globals_, locals_ = make_views([images[rec.index] for rec in batch], aug,
-                                           [RandomStream(config.seed, epoch, rec.index)
-                                            for rec in batch], n_global)
-            b = len(batch)
-
-            teacher_entropy = None
-            if distill:
-                teacher_logits = project_dino(state.teacher.params,
-                                              encode_images(state.teacher.params,
-                                                            Tensor(globals_))).data
-                dists = teacher_distribution(teacher_logits, state.teacher)   # [2B, K]
-                teacher_dists = dists.reshape(2, b, -1)
-                teacher_entropy = _entropy(dists.mean(axis=0))
-
-            with Tape() as tape:
-                u = encode_text(state.student,
-                                [tokenize(c.text, max_len) for c in captions])
-                tau = ad.exp(state.student.log_tau)
-                emb = encode_images(state.student, Tensor(globals_))   # [n_global*B, m]
-                v_first = ad.gather_rows(emb, np.arange(b))
-                if len(locals_):
-                    emb = ad.concat([emb, encode_images(state.student, Tensor(locals_))])
-                loss_nce = info_nce_loss(ContrastiveBatch(captions=u, images=v_first,
-                                                          tau=tau))
-                if distill:
-                    probs = ad.softmax(project_dino(state.student, emb), axis=-1,
-                                       temperature=config.tau_student)
-                    loss_dist = soft_distillation_terms(teacher_dists, probs,
-                                                        config.average_pairs)
-                    loss = combined_loss(loss_nce, loss_dist)
-                else:
-                    loss, loss_dist = loss_nce, None
-
-            loss_val, nce_val = loss.item(), loss_nce.item()
-            dist_val = None if loss_dist is None else loss_dist.item()
-            if not np.isfinite(loss_val):
-                raise NumericError(f"non-finite loss {loss_val} at step {state.step} "
-                                   f"(epoch {epoch}, lr {lr:.3e}): InfoNCE {nce_val}, "
-                                   f"distillation {dist_val}")
-
-            tensors = state.student.tensors
-            grads = dict(zip(tensors, backward(tape, loss, params=tensors.values())))
-            adamw_step(state.student, grads, state.adam, lr, betas=config.betas,
-                       eps=config.adam_eps, weight_decay=config.weight_decay,
-                       skip=skip)
-            clamped = np.clip(state.student.log_tau.data, LOG_TAU_MIN, LOG_TAU_MAX)
-            state.student.tensors["log_tau"] = Tensor(clamped, requires_grad=True,
-                                                      name="log_tau",
-                                                      dtype=clamped.dtype)
-
-            if distill:
-                ema_update(state.teacher, state.student)
-                update_center(state.teacher, teacher_logits)
-
-            state.step += 1
-            metrics.append(step=state.step, epoch=epoch, loss_infonce=nce_val,
-                           loss_distill=dist_val, loss_combined=loss_val, lr=float(lr),
-                           teacher_entropy=teacher_entropy)
+            lr = lr_schedule(state.step, total_steps, warmup_steps, config.learning_rate)
+            metrics.append(_train_step(state, batch, [images[rec.index] for rec in batch],
+                                       epoch, lr))
         state.next_epoch = epoch + 1
         if epoch_callback is not None and epoch_callback(state, metrics):
             break

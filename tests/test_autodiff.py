@@ -341,7 +341,7 @@ def test_gradcheck_attention(seed):
     """The fused attention over [B, T, W] projections, and over packed rows
     in runs of unequal length."""
     rng = np.random.default_rng(430 + seed)
-    for shape, runs in (((2, 3, 8), None), ((13, 8), RUNS)):
+    for shape, runs in (((2, 3, 8), [(2, 3)]), ((13, 8), RUNS)):
         m = _mask(rng, shape)
         check_gradients(lambda t: ad.sum_(ad.mul(
             ad.attention(t["q"], t["k"], t["v"], 2, runs), m)),
@@ -366,7 +366,7 @@ def test_attention_packed_runs_equal_each_run_alone():
         start = rows.stop
         alone = [parameter(a[rows].reshape(c, t, 16), name)
                  for a, name in zip((q, k, v), "qkv")]
-        ref, ref_bw = _node_of(lambda *t_: ad.attention(*t_, 4), *alone)
+        ref, ref_bw = _node_of(lambda *t_: ad.attention(*t_, 4, [(c, t)]), *alone)
         _assert_same(out[rows], ref.reshape(c * t, 16))
         for got, want in zip(grads, ref_bw(g[rows].reshape(c, t, 16))):
             _assert_same(got[rows], want.reshape(c * t, 16))
@@ -375,15 +375,31 @@ def test_attention_packed_runs_equal_each_run_alone():
 def test_attention_rejects_mismatched_operands():
     x = Tensor(np.zeros((2, 3, 8)))
     with pytest.raises(ShapeError):
-        ad.attention(x, Tensor(np.zeros((2, 4, 8))), x, 2)
+        ad.attention(x, Tensor(np.zeros((2, 4, 8))), x, 2, [(2, 3)])
     with pytest.raises(ShapeError):
-        ad.attention(x, x, x, 3)
+        ad.attention(x, x, x, 3, [(2, 3)])
     packed = Tensor(np.zeros((6, 8)))
-    for runs in (None, [(2, 2)], [(2, 2), (1, 3)], [(0, 4), (3, 2)]):
-        with pytest.raises(ShapeError):
-            ad.attention(packed, packed, packed, 2, runs)
-    with pytest.raises(ShapeError):
-        ad.attention(x, x, x, 2, [(2, 3)])
+    for runs in ([], [(2, 2)], [(2, 2), (1, 3)], [(0, 4), (3, 2)]):
+        for operand in (packed, x):       # the same 6 rows in either rank
+            with pytest.raises(ShapeError):
+                ad.attention(operand, operand, operand, 2, runs)
+
+
+def test_attention_rows_of_either_rank_agree():
+    """[B, T, W] operands are rows like packed [N, W] ones: the same rows
+    and runs, here crossing the batch axis, give the same bits in the
+    operands' shape."""
+    rng = np.random.default_rng(440)
+    q, k, v, g = (rng.normal(size=(2, 3, 16)).astype(np.float32) for _ in range(4))
+    runs = [(1, 4), (2, 1)]
+    out, bw = _node_of(lambda *t: ad.attention(*t, 4, runs),
+                       *(parameter(a, n) for a, n in zip((q, k, v), "qkv")))
+    flat, flat_bw = _node_of(lambda *t: ad.attention(*t, 4, runs),
+                             *(parameter(a.reshape(6, 16), n) for a, n in zip((q, k, v), "qkv")))
+    _assert_same(out, flat.reshape(q.shape))
+    for got, want in zip(bw(g), flat_bw(g.reshape(6, 16))):
+        assert got.shape == q.shape
+        _assert_same(got, want.reshape(q.shape))
 
 
 def test_shared_weight_matmul_float32_adjoints_match_float64():
@@ -439,7 +455,7 @@ def _purity_cases():
                           {"a": (2, 3, 4), "b": (4, 5)}),
         "matmul_batched": (lambda t: ad.matmul(t["a"], ad.transpose(t["b"], (0, 1, 3, 2))),
                            {"a": (2, 2, 3, 4), "b": (2, 2, 3, 4)}),
-        "attention": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2),
+        "attention": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2, [(2, 3)]),
                       {"q": (2, 3, 8), "k": (2, 3, 8), "v": (2, 3, 8)}),
         "attention_runs": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2, RUNS),
                            {"q": (13, 8), "k": (13, 8), "v": (13, 8)}),
@@ -654,7 +670,7 @@ def test_attention_bit_identical_to_composed_chain(shape, heads, lengths):
     rng = np.random.default_rng(610)
     q, k, v, g = (rng.normal(size=shape).astype(np.float32) for _ in range(4))
     if lengths is None:
-        out, bw = _node_of(lambda *t: ad.attention(*t, heads),
+        out, bw = _node_of(lambda *t: ad.attention(*t, heads, [shape[:2]]),
                            *(parameter(a, n) for a, n in zip((q, k, v), "qkv")))
         ref, ref_bw = _ref_attention(q, k, v, heads)
         _assert_same(out, ref)

@@ -396,16 +396,20 @@ def test_train_bad_config_is_validation_error(workdir, capsys, path, value):
     (("augmentation", "global_scale"), [0.4, -10 ** 400]),
     (("learning_rate",), float("nan")), (("tau_student",), float("inf")), (None, None),
     (("betas",), [1.0, 0.98]), (("betas",), [0.9, -0.5]), (("adam_eps",), 0.0),
-    (("adam_eps",), -1.0)],
+    (("adam_eps",), -1.0), (("tau_student",), 0), (("tau_teacher",), -1.0),
+    (("weight_decay",), -1.0), (("ema_momentum",), 1.5), (("center_momentum",), -0.1)],
     ids=["patch-size-0", "vision-heads-0", "text-heads-negative", "float-past-range",
          "tuple-item-past-range", "float-nan", "float-inf", "nested-too-deep",
-         "beta-1", "beta-negative", "adam-eps-0", "adam-eps-negative"])
+         "beta-1", "beta-negative", "adam-eps-0", "adam-eps-negative", "tau-student-0",
+         "tau-teacher-negative", "weight-decay-negative", "ema-momentum-above-1",
+         "center-momentum-negative"])
 def test_train_degenerate_config_exits_2(workdir, capsys, path, value):
     """A zero divisor, a float field that is not finite (NaN, an infinity,
     an int past float's range), JSON nested past the parser's depth and
     Adam settings that divide by zero (a beta of 1, an eps of 0) or make no
-    sense (a negative beta or eps) are validation errors, not tracebacks or
-    a run on non-finite settings."""
+    sense (a negative beta or eps, a temperature <= 0, a negative weight
+    decay, a momentum outside [0, 1]) are validation errors, not tracebacks
+    or a run on non-finite settings."""
     bad = workdir / "bad_config.json"
     if path is None:
         bad.write_text("[" * 100_000)

@@ -144,16 +144,49 @@ def test_lr_schedule_rejects_out_of_range():
 
 def test_metrics_log_strictly_increasing(tmp_path):
     log = MetricsLog()
-    log.append(step=1, epoch=0, loss_infonce=1.0, loss_distill=2.0, loss_combined=1.5,
-               lr=0.1, teacher_entropy=3.0)
-    with pytest.raises(ContractError):
-        log.append(step=1, epoch=0, loss_infonce=1.0, loss_distill=2.0,
-                   loss_combined=1.5, lr=0.1, teacher_entropy=3.0)
-    log.append(step=2, epoch=0, loss_infonce=0.9, loss_distill=None, loss_combined=0.9,
-               lr=0.1, teacher_entropy=None)
+    first = {"step": 1, "epoch": 0, "loss_infonce": 1.0, "loss_distill": 2.0,
+             "loss_combined": 1.5, "lr": 0.1, "teacher_entropy": 3.0}
+    log.append(first)
+    with pytest.raises(ContractError, match="got 1 after 1"):
+        log.append(dict(first))
+    log.append({**first, "step": 2, "loss_distill": None, "teacher_entropy": None})
+    assert [r["step"] for r in log.records] == [1, 2]
     out = tmp_path / "log.jsonl"
     log.write_jsonl(out)
-    assert len(out.read_text().strip().split("\n")) == 2
+    assert [json.loads(line) for line in out.read_text().splitlines()] == log.records
+
+
+@pytest.mark.parametrize("loss_mode", ["combined", "infonce_only"])
+def test_every_metrics_record_has_the_seven_fields(tiny_records, loss_mode):
+    """Each step of a 2-epoch run logs exactly the seven fields; the
+    distillation loss and teacher entropy are None without a teacher."""
+    _, metrics = train(tiny_train_config(epochs=2, loss_mode=loss_mode), tiny_records)
+    assert [(r["step"], r["epoch"]) for r in metrics.records] == [(1, 0), (2, 1)]
+    for rec in metrics.records:
+        assert set(rec) == {"step", "epoch", "loss_infonce", "loss_distill", "loss_combined",
+                            "lr", "teacher_entropy"}
+        assert all(isinstance(rec[k], float) for k in ("loss_infonce", "loss_combined", "lr"))
+        if loss_mode == "combined":
+            assert isinstance(rec["loss_distill"], float)
+            assert isinstance(rec["teacher_entropy"], float)
+        else:
+            assert rec["loss_distill"] is None and rec["teacher_entropy"] is None
+            assert rec["loss_combined"] == rec["loss_infonce"]
+
+
+def test_teacher_tensors_are_constants(tmp_path, tiny_records):
+    """The teacher is a stop-gradient copy from the start and after a load:
+    no teacher tensor requires a gradient, and a teacher forward on an
+    active tape records no node."""
+    state = init_train_state(tiny_train_config())
+    save_checkpoint(state, tmp_path / "a.ckpt")
+    images = Tensor(np.stack([load_record_image(r) for r in tiny_records[:2]]))
+    for st in (state, load_checkpoint(tmp_path / "a.ckpt")):
+        assert not any(t.requires_grad for _, t in st.teacher.params.items())
+        assert all(t.requires_grad for _, t in st.student.items())
+        with ad.Tape() as tape:
+            project_dino(st.teacher.params, encode_images(st.teacher.params, images))
+        assert tape.nodes == []
 
 
 # -------------------------------------------------------------------------
@@ -252,6 +285,11 @@ def set_config_field(obj: dict, path: tuple, value) -> dict:
     lambda sec: set_config_field(sec["config"], ("augmentation", "n_local"), -1),
     lambda sec: set_config_field(sec["config"], ("betas",), [1.0, 0.98]),
     lambda sec: set_config_field(sec["config"], ("adam_eps",), 0.0),
+    lambda sec: set_config_field(sec["config"], ("tau_student",), 0.0),
+    lambda sec: set_config_field(sec["config"], ("tau_teacher",), -1.0),
+    lambda sec: set_config_field(sec["config"], ("weight_decay",), -1.0),
+    lambda sec: set_config_field(sec["config"], ("ema_momentum",), 1.5),
+    lambda sec: set_config_field(sec["config"], ("center_momentum",), -0.1),
     lambda sec: sec.update(centre=sec.pop("center")),
     lambda sec: sec.update(center=np.zeros(3, np.float32)),
     lambda sec: sec.update(adam_m=sec["adam_m"][:-1]),   # log_tau, the last tensor
@@ -259,8 +297,9 @@ def set_config_field(obj: dict, path: tuple, value) -> dict:
 ], ids=["missing-center", "missing-config", "bad-json", "bad-utf8-json",
         "teacher-one-short", "counters-without-keys", "config-unknown-field",
         "config-ill-typed", "config-nested-ill-typed", "config-out-of-domain",
-        "config-beta-1", "config-adam-eps-0",
-        "center-misnamed", "center-wrong-shape", "adam_m-missing-name",
+        "config-beta-1", "config-adam-eps-0", "config-tau-student-0",
+        "config-tau-teacher-negative", "config-weight-decay-negative",
+        "config-ema-momentum-above-1", "config-center-momentum-negative", "center-misnamed", "center-wrong-shape", "adam_m-missing-name",
         "adam_v-wrong-shape"])
 def test_checkpoint_corrupt_section_detected(tmp_path, tiny_records, edit):
     state, _ = train(tiny_train_config(epochs=1), tiny_records)
