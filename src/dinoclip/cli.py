@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (LANGUAGE_NAMES, ImageCaptionRecord, build_translation_prompts,
-                   ingest_translations, load_manifest, save_manifest, split_records,
-                   tokenize, write_record_file, read_record_file)
+                   ingest_translations, load_manifest, parse_json, save_manifest,
+                   split_records, tokenize, write_record_file, read_record_file)
 from .errors import CheckpointError, DinoClipError, NumericError, ValidationError
 from .evaluation import (LMCAP_DEFAULT_RETRIEVED, ZeroShotTemplate, build_lmcap_prompt,
                          cosine_matrix, retrieval_report, split_80_20, top_k_rows,
@@ -30,12 +30,7 @@ EXIT_IO = 4
 
 def _load_config(args) -> TrainConfig:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            try:
-                obj = json.load(f)
-            except (ValueError, RecursionError) as e:   # too deep, or an int too long
-                raise ValidationError(f"{args.config}: not a JSON config: {e}") from e
-        cfg = TrainConfig.from_dict(obj)
+        cfg = TrainConfig.from_dict(parse_json(Path(args.config).read_bytes(), args.config))
     else:
         cfg = TrainConfig()
     if args.seed is not None:
@@ -59,11 +54,7 @@ def _language(code_or_name: str) -> tuple[str, str]:
 def _read_class_index(path, split: str = None) -> dict[str, list[str]]:
     """Class name -> non-empty list of image paths, from a JSON object; with
     ``split``, a make-splits output file yields that split's index."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            index = json.load(f)
-        except ValueError as e:
-            raise ValidationError(f"{path}: not a JSON class index: {e}") from e
+    index = parse_json(Path(path).read_bytes(), path)
     if split is not None and isinstance(index, dict) and split in index:
         index = index[split]
     if not isinstance(index, dict) or not index:

@@ -10,6 +10,7 @@ execution order.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,17 +53,9 @@ BLUR_SIGMA_RANGE = (0.1, 2.0)
 # solarize coin
 VIEW_DRAWS = 10
 
-
-@dataclass
-class CaptionRecord:
-    text: str
-    language: str
-
-    def __post_init__(self):
-        if self.language not in SUPPORTED_LANGUAGES:
-            raise ValidationError(f"unsupported language {self.language!r}")
-        if not self.text:
-            raise ValidationError("caption text must be non-empty")
+# one PPM header field: whitespace and "#" comments (each to the end of its
+# line) skipped, then a run of non-whitespace bytes
+_PPM_FIELD = re.compile(rb"(?:\s|#.*$)*([^\s#]\S*)", re.MULTILINE)
 
 
 @dataclass
@@ -104,11 +97,6 @@ class ImageCaptionRecord:
             for text in texts:
                 if not isinstance(text, str) or not text:
                     raise ValidationError(f"{label}: empty caption under {lang!r}")
-                try:
-                    text.encode("utf-8")
-                except UnicodeEncodeError as e:   # a lone surrogate from a JSON escape
-                    raise ValidationError(f"{label}: caption under {lang!r} is not "
-                                          f"UTF-8 encodable: {e}") from e
 
     def languages(self) -> list[str]:
         return sorted(self.captions.keys())
@@ -161,24 +149,34 @@ class EpochSamplingPolicy:
 
 
 # ---------------------------------------------------------------------------
-# manifests
+# JSON inputs: manifests, training configs and class indexes
 # ---------------------------------------------------------------------------
+
+def parse_json(data: bytes, source):
+    """The JSON value in ``data``, which must be UTF-8 text whose every key
+    and string is UTF-8 encodable; anything else raises ValidationError
+    naming ``source``."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as e:   # a lone surrogate from an escape such as "\ud800"
+        raise ValidationError(f"{source}: a string is not UTF-8 encodable: {e}") from e
+    except (ValueError, RecursionError) as e:   # not UTF-8 or JSON, too deep, an int too long
+        raise ValidationError(f"{source}: not UTF-8 JSON: {e}") from e
+    return obj
+
 
 def load_manifest(path) -> list[ImageCaptionRecord]:
     """Parse a JSON-lines manifest; every record is validated on load."""
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            lines = f.readlines()
-        except UnicodeDecodeError as e:
-            raise ValidationError(f"{path}: manifest is not UTF-8 text: {e}") from e
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
+    for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        # strip whitespace as str.strip does, keeping bytes that are not UTF-8 for parse_json
+        line = line.decode("utf-8", "surrogateescape").strip().encode("utf-8", "surrogateescape")
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as e:   # too deep, or an int too long
+            obj = parse_json(line, path)
+        except ValidationError as e:
             raise ManifestParseError(line_no, str(e)) from e
         if not isinstance(obj, dict):
             raise ManifestParseError(line_no, f"expected a JSON object, "
@@ -209,8 +207,7 @@ def split_records(records, split: str) -> list[ImageCaptionRecord]:
 # caption sampling
 # ---------------------------------------------------------------------------
 
-def sample_caption(record: ImageCaptionRecord, epoch: int,
-                   policy: EpochSamplingPolicy) -> CaptionRecord:
+def sample_caption(record: ImageCaptionRecord, epoch: int, policy: EpochSamplingPolicy) -> str:
     """Pick one caption for this (record, epoch): a uniform English caption,
     or under one_translation a uniform caption index plus a uniform language
     among those present."""
@@ -218,12 +215,12 @@ def sample_caption(record: ImageCaptionRecord, epoch: int,
     english = record.captions["en"]
     idx = rng.next_below(len(english))
     if policy.mode == "english_only":
-        return CaptionRecord(english[idx], "en")
+        return english[idx]
     langs = record.languages()
     if not policy.include_english and len(langs) > 1:
         langs = [l for l in langs if l != "en"]
     lang = langs[rng.next_below(len(langs))]
-    return CaptionRecord(record.captions[lang][idx], lang)
+    return record.captions[lang][idx]
 
 
 # ---------------------------------------------------------------------------
@@ -252,39 +249,22 @@ def synthetic_image(seed: int, size: int) -> np.ndarray:
 def read_ppm(path) -> np.ndarray:
     """Binary PPM (P6, 8-bit) to [3, H, W] float32 in [0, 1]."""
     raw = Path(path).read_bytes()
-    pos = 0
-
-    def next_token():
-        nonlocal pos
-        while pos < len(raw):
-            ch = raw[pos:pos + 1]
-            if ch == b"#":
-                while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValidationError(f"{path}: truncated PPM header")
-        return raw[start:pos]
-
-    def next_int(field_name):
-        token = next_token()
-        try:
-            if token.isdigit():
-                return int(token)
-        except ValueError:   # more digits than int() converts
-            pass
-        raise ValidationError(f"{path}: PPM {field_name} {token[:20]!r} is not an integer")
-
-    magic = next_token()
+    fields, pos = [], 0
+    while len(fields) < 4 and (field := _PPM_FIELD.match(raw, pos)):
+        fields.append(field[1])
+        pos = field.end()
+    if len(fields) < 4:
+        raise ValidationError(f"{path}: truncated PPM header")
+    magic, *numbers = fields
     if magic != b"P6":
         raise ValidationError(f"{path}: not a binary PPM (magic {magic!r})")
-    width, height, maxval = (next_int(name) for name in ("width", "height", "maxval"))
+    message = f"{path}: PPM width, height and maxval {[n[:20] for n in numbers]} must be integers"
+    if not all(n.isdigit() for n in numbers):
+        raise ValidationError(message)
+    try:
+        width, height, maxval = map(int, numbers)
+    except ValueError as e:   # more digits than int() converts
+        raise ValidationError(message) from e
     if width < 1 or height < 1:
         raise ValidationError(f"{path}: empty PPM ({width}x{height})")
     if maxval != 255:

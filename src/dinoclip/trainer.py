@@ -23,7 +23,8 @@ from .encoders import (ModelConfig, ModelParams, _parameter_spec, encode_images,
                        encode_text, init_model_params, project_dino, resize_bicubic)
 from .errors import (CheckpointError, CheckpointShapeError, ContractError, DomainError,
                      NumericError, ValidationError)
-from .objectives import (ContrastiveBatch, TeacherState, combined_loss, ema_update,
+from .objectives import (DEFAULT_CENTER_MOMENTUM, DEFAULT_EMA_MOMENTUM, DEFAULT_TEACHER_TAU,
+                         ContrastiveBatch, TeacherState, combined_loss, ema_update,
                          info_nce_loss, make_teacher, soft_distillation_terms,
                          teacher_distribution, update_center)
 from .prng import RandomStream, fisher_yates
@@ -47,10 +48,10 @@ class TrainConfig:
     weight_decay: float = 0.05
     betas: tuple = (0.9, 0.98)
     adam_eps: float = 1e-6
-    ema_momentum: float = 0.996
+    ema_momentum: float = DEFAULT_EMA_MOMENTUM
     tau_student: float = 0.1
-    tau_teacher: float = 0.04
-    center_momentum: float = 0.9
+    tau_teacher: float = DEFAULT_TEACHER_TAU
+    center_momentum: float = DEFAULT_CENTER_MOMENTUM
     loss_mode: str = "combined"             # or "infonce_only"
     average_pairs: bool = True
     freeze_temperature: bool = False
@@ -365,9 +366,8 @@ def _entropy(dist: np.ndarray) -> float:
 def _epoch_batches(records, batch_size: int, seed: int, epoch: int) -> list[list]:
     """The epoch's batches in step order, shuffled on (seed, epoch); the last
     incomplete batch is dropped."""
-    by_index = {r.index: r for r in records}
-    order = fisher_yates([r.index for r in records], RandomStream(_TAG_ORDER, seed, epoch))
-    return [[by_index[i] for i in order[start:start + batch_size]]
+    order = fisher_yates(records, RandomStream(_TAG_ORDER, seed, epoch))
+    return [order[start:start + batch_size]
             for start in range(0, len(order) - batch_size + 1, batch_size)]
 
 
@@ -398,7 +398,7 @@ def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict
 
     max_len = config.model.text.max_length
     with Tape() as tape:
-        u = encode_text(state.student, [tokenize(c.text, max_len) for c in captions])
+        u = encode_text(state.student, [tokenize(c, max_len) for c in captions])
         tau = ad.exp(state.student.log_tau)
         emb = encode_images(state.student, Tensor(globals_))   # [n_global*B, m]
         v_first = ad.gather_rows(emb, np.arange(b))

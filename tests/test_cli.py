@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 import dinoclip
 from dinoclip import checkpoint as ckpt
@@ -20,7 +20,8 @@ from dinoclip.errors import CheckpointError
 from dinoclip.evaluation import ZeroShotTemplate, build_lmcap_prompt, zero_shot_classify
 from dinoclip.trainer import TrainConfig, embed_record_images, embed_texts, load_checkpoint
 
-from conftest import retrieve_top_k, write_ppm, write_synthetic_manifest
+from conftest import byte_mutations, retrieve_top_k, write_ppm, write_synthetic_manifest
+from test_data import _FUZZ
 from test_trainer import checkpoint_mutations, set_config_field, tiny_train_config
 
 
@@ -308,6 +309,47 @@ def test_make_splits_bad_class_index_is_validation_error(workdir):
     assert not (workdir / "splits.json").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"\\ud800": ["a", "b"]}',
+], ids=["nested-200000-deep", "lone-surrogate-class-name"])
+def test_make_splits_undecodable_class_index_is_validation_error(workdir, capsys, text):
+    index_path = workdir / "classes.json"
+    index_path.write_text(text)
+    rc = main(["make-splits", "--class-index", str(index_path),
+               "--out", str(workdir / "splits.json")])
+    assert rc == 2
+    assert str(index_path) in capsys.readouterr().err
+    assert not (workdir / "splits.json").exists()
+
+
+def test_zero_shot_lone_surrogate_image_path_is_validation_error(workdir, capsys):
+    ckpt = _train(workdir)
+    index_path = workdir / "cls.json"
+    index_path.write_text('{"a": ["x\\ud800.ppm"], "b": ["y.ppm"]}')
+    rc = main(["zero-shot", "--checkpoint", str(ckpt), "--class-index", str(index_path),
+               "--data-root", str(workdir), "--template", "{class name}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(index_path) in err and "not UTF-8 encodable" in err
+
+
+_VALID_CLASS_INDEX = json.dumps({"river": ["r0.ppm", "r1.ppm"], "forest": ["f0.ppm"]}).encode()
+
+
+@_FUZZ
+@given(blob=byte_mutations(_VALID_CLASS_INDEX))
+@example(blob=b"\xff\xfe")                                        # not UTF-8
+@example(blob=b'{"a": [' + b"1" * 5000 + b"]}")                    # int() digit limit
+@example(blob=b"[" * 100_000)                                      # nesting depth
+@example(blob=b'{"\\udc00": ["a"]}')                               # lone surrogate
+def test_make_splits_fuzzed_class_index_exits_0_or_2(tmp_path, blob):
+    index_path = tmp_path / "classes.json"
+    index_path.write_bytes(blob)
+    assert main(["make-splits", "--class-index", str(index_path),
+                 "--out", str(tmp_path / "splits.json")]) in (0, 2)
+
+
 def test_corrupt_checkpoint_is_io_error(workdir):
     blob = _train(workdir).read_bytes()
     bad = workdir / "bad.ckpt"
@@ -365,6 +407,22 @@ def test_bad_manifest_is_validation_error(workdir):
     rc = main(["train", "--config", str(workdir / "config.json"),
                "--manifest", str(bad), "--out", str(workdir / "x.ckpt")])
     assert rc == 2
+
+
+def test_train_lone_surrogate_image_path_is_validation_error(workdir, capsys):
+    """A manifest whose image path holds a lone-surrogate escape stops
+    before training, naming the file and the line."""
+    good = json.dumps({"image": {"synthetic": {"seed": 0, "size": 8}},
+                       "captions": {"en": ["a"]}, "split": "train"})
+    bad = '{"image": "x\\ud800.ppm", "captions": {"en": ["b"]}, "split": "train"}'
+    manifest = workdir / "bad.jsonl"
+    manifest.write_text("\n".join([good] + [bad] * 4) + "\n")
+    rc = main(["train", "--config", str(workdir / "config.json"), "--manifest",
+               str(manifest), "--data-root", str(workdir), "--out", str(workdir / "x.ckpt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "manifest line 2" in err and str(manifest) in err and "not UTF-8 encodable" in err
+    assert not (workdir / "x.ckpt").exists()
 
 
 @pytest.mark.parametrize("path,value", [

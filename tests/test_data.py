@@ -10,18 +10,18 @@ from scipy.ndimage import gaussian_filter1d
 from scipy.stats import chisquare
 
 from dinoclip.data import (BLUR_SIGMA_RANGE, AugmentationConfig, EpochSamplingPolicy,
-                           CaptionRecord, _color_jitter, _gaussian_blur,
-                           ImageCaptionRecord, build_translation_prompt,
-                           build_translation_prompts, ingest_translations,
-                           load_manifest, make_views, read_ppm, read_record_file,
-                           sample_caption, save_manifest, synthetic_image, tokenize,
-                           write_record_file)
+                           ImageCaptionRecord, _color_jitter, _gaussian_blur,
+                           build_translation_prompt, build_translation_prompts,
+                           ingest_translations, load_manifest, make_views, read_ppm,
+                           read_record_file, sample_caption, save_manifest, synthetic_image,
+                           tokenize, write_record_file)
 from dinoclip.encoders import END_ID, SENTINEL_ID, BYTE_OFFSET, resize_bicubic
 from dinoclip.errors import (AlignmentError, ContractError, DomainError,
                              ManifestParseError, ValidationError)
 from dinoclip.prng import RandomStream
 
 from conftest import byte_mutations, detokenize, write_ppm, write_synthetic_manifest
+from ppm_oracle import read_ppm_oracle
 from view_oracle import make_views_oracle
 
 
@@ -114,10 +114,13 @@ _GOOD_LINE = json.dumps({"image": "a.ppm", "captions": {"en": ["x"]}, "split": "
      "must be a list"),
     ('{"image": "a.ppm", "captions": {"en": ["x\\ud800"]}, "split": "train"}',
      ValidationError, "not UTF-8 encodable"),
+    ('{"image": "x\\ud800.ppm", "captions": {"en": ["x"]}, "split": "train"}',
+     ManifestParseError, "line 2: .*m.jsonl: a string is not UTF-8 encodable"),
 ], ids=["array-line", "string-line", "captions-list", "captions-int", "en-string",
         "de-string", "non-string-caption", "image-int", "image-empty", "image-null",
         "image-other-object", "synthetic-no-size", "synthetic-float-seed",
-        "synthetic-string-size", "synthetic-list", "en-int", "lone-surrogate"])
+        "synthetic-string-size", "synthetic-list", "en-int", "lone-surrogate",
+        "image-lone-surrogate"])
 def test_malformed_manifest_lines_raise_documented_errors(tmp_path, line, error, match):
     path = tmp_path / "m.jsonl"
     path.write_text(_GOOD_LINE + "\n" + line + "\n")
@@ -145,12 +148,18 @@ def _record(captions, index=0):
     return rec
 
 
+def _language(rec, caption: str) -> str:
+    """The language whose caption list holds ``caption`` (the test records
+    use each caption under one language only)."""
+    [lang] = [lang for lang, texts in rec.captions.items() if caption in texts]
+    return lang
+
+
 def test_english_only_singleton_every_epoch():
     rec = _record({"en": ["only caption"], "de": ["einzige"]})
     policy = EpochSamplingPolicy(mode="english_only", seed=3)
     for epoch in range(25):
-        got = sample_caption(rec, epoch, policy)
-        assert got == CaptionRecord("only caption", "en")
+        assert sample_caption(rec, epoch, policy) == "only caption"
 
 
 def test_sample_caption_deterministic():
@@ -168,8 +177,8 @@ def test_language_frequency_uniform_over_epochs():
     counts = {}
     n = 10_000
     for epoch in range(n):
-        got = sample_caption(rec, epoch, policy)
-        counts[got.language] = counts.get(got.language, 0) + 1
+        lang = _language(rec, sample_caption(rec, epoch, policy))
+        counts[lang] = counts.get(lang, 0) + 1
     for lang, c in counts.items():
         assert abs(c / n - 0.1) <= 0.01, (lang, c)
 
@@ -181,7 +190,8 @@ def test_sample_caption_chi_square_uniform_over_pairs():
     n = 12_000
     for epoch in range(n):
         got = sample_caption(rec, epoch, policy)
-        counts[(got.language, got.text)] = counts.get((got.language, got.text), 0) + 1
+        key = (_language(rec, got), got)
+        counts[key] = counts.get(key, 0) + 1
     observed = [counts.get(key, 0) for key in sorted(counts)]
     assert len(observed) == 6
     assert chisquare(observed).pvalue > 0.001
@@ -190,7 +200,7 @@ def test_sample_caption_chi_square_uniform_over_pairs():
 def test_exclude_english_flag():
     rec = _record({"en": ["a"], "de": ["A"], "fr": ["x"]})
     policy = EpochSamplingPolicy(mode="one_translation", seed=2, include_english=False)
-    langs = {sample_caption(rec, e, policy).language for e in range(200)}
+    langs = {_language(rec, sample_caption(rec, e, policy)) for e in range(200)}
     assert langs == {"de", "fr"}
 
 
@@ -272,6 +282,27 @@ def test_read_ppm_fuzzed_raises_only_validation_error(tmp_path, blob):
     except ValidationError:
         return
     assert img.dtype == np.float32 and img.shape[0] == 3
+
+
+@_FUZZ
+@given(blob=byte_mutations(_VALID_PPM))
+@example(blob=b"P6\n2 2 255 #c")              # a comment at the end of the file
+@example(blob=b"P6#c\n2 2\n255\n" + bytes(12))   # "#" inside a field
+@example(blob=b"P6 #c\r2 2\n255\n" + bytes(12))  # a comment runs to "\n", not "\r"
+@example(blob=b"\x0bP6\x0c2\t2\r255 " + bytes(12))   # each whitespace byte separates
+def test_read_ppm_header_matches_oracle(tmp_path, blob):
+    """read_ppm and the byte-at-a-time tokenizer accept the same files with
+    equal arrays, and refuse the rest with ValidationError."""
+    path = tmp_path / "fuzz.ppm"
+    path.write_bytes(blob)
+    results = []
+    for reader in (read_ppm, read_ppm_oracle):
+        try:
+            results.append(reader(path))
+        except ValidationError:
+            results.append(None)
+    got, want = results
+    assert (got is None and want is None) or np.array_equal(got, want)
 
 
 @_FUZZ

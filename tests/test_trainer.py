@@ -24,7 +24,7 @@ from dinoclip import trainer
 from dinoclip.autodiff import Tensor, backward
 from dinoclip.checkpoint import FORMAT_VERSION
 from dinoclip.data import (AugmentationConfig, EpochSamplingPolicy, load_manifest,
-                           load_record_image, tokenize)
+                           load_record_image, parse_json, tokenize)
 from dinoclip.encoders import (ModelConfig, ModelParams, _parameter_spec, encode_images,
                                encode_text, init_model_params, project_dino)
 from dinoclip.errors import (CheckpointError, CheckpointShapeError,
@@ -386,10 +386,10 @@ def test_checkpoint_flipped_payload_bit_detected(tmp_path):
 
 
 # -------------------------------------------------------------------------
-# config fuzzing: TrainConfig.from_dict on the parsed JSON of random bytes,
-# truncations and single-bit flips of a valid config raises only its
-# documented kinds, ValidationError (a field's name or type) and DomainError
-# (a value)
+# config fuzzing: parse_json and TrainConfig.from_dict on random bytes,
+# truncations and single-bit flips of a valid config raise only their
+# documented kinds, ValidationError (the JSON, a field's name or type) and
+# DomainError (a value)
 # -------------------------------------------------------------------------
 
 _VALID_CONFIG = json.dumps(TrainConfig().to_dict()).encode()
@@ -399,11 +399,7 @@ _VALID_CONFIG = json.dumps(TrainConfig().to_dict()).encode()
 @given(blob=byte_mutations(_VALID_CONFIG))
 def test_config_from_dict_fuzzed_raises_only_documented_errors(blob):
     try:
-        obj = json.loads(blob)
-    except (ValueError, RecursionError):   # the CLI reports these as ValidationError
-        return
-    try:
-        cfg = TrainConfig.from_dict(obj)
+        cfg = TrainConfig.from_dict(parse_json(blob, "config.json"))
     except (ValidationError, DomainError):
         return
     assert isinstance(cfg, TrainConfig)
@@ -755,7 +751,7 @@ def _missing_image(records, index):
 
 
 @pytest.mark.parametrize("how", ["return", "stop_after_epoch", "callback", "numeric",
-                                 "worker_error"])
+                                 "image_error"])
 def test_no_process_outlives_train(tmp_path, tiny_records, monkeypatch, how):
     """However train stops (a return, stop_after_epoch, a callback stop, a
     NumericError or an image error), it leaves no child process behind."""
@@ -768,7 +764,7 @@ def test_no_process_outlives_train(tmp_path, tiny_records, monkeypatch, how):
         monkeypatch.setattr(trainer, "combined_loss",
                             lambda nce, dist: Tensor(np.array(np.nan, np.float32)))
         raises, epochs = NumericError, 200
-    elif how == "worker_error":
+    elif how == "image_error":
         records, kwargs["data_root"] = _missing_image(tiny_records, 2), tmp_path
         raises = FileNotFoundError
     with pytest.raises(raises) if raises else contextlib.nullcontext():
@@ -776,8 +772,8 @@ def test_no_process_outlives_train(tmp_path, tiny_records, monkeypatch, how):
     assert multiprocessing.active_children() == []
 
 
-def test_worker_error_raised_at_the_step_that_needs_the_batch(tmp_path, tiny_records,
-                                                              monkeypatch):
+def test_image_error_raised_at_the_step_that_needs_the_image(tmp_path, tiny_records,
+                                                             monkeypatch):
     """A missing image in epoch 0's second batch: the first step completes,
     then its FileNotFoundError is raised with its message."""
     cfg = tiny_train_config(epochs=3, batch_size=2)
@@ -794,8 +790,8 @@ def test_worker_error_raised_at_the_step_that_needs_the_batch(tmp_path, tiny_rec
     assert len(steps) == 1
 
 
-def test_worker_manifest_parse_error_reraised_with_type_and_message(tiny_records,
-                                                                   monkeypatch):
+def test_image_load_error_reaches_caller_with_type_message_and_fields(tiny_records,
+                                                                      monkeypatch):
     """An error whose constructor takes other arguments than its message
     reaches the caller with its type, message and fields."""
     def bad_image(rec, root=None):
