@@ -53,9 +53,10 @@ def _language(code_or_name: str) -> tuple[str, str]:
 
 def _read_class_index(path, split: str = None) -> dict[str, list[str]]:
     """Class name -> non-empty list of image paths, from a JSON object; with
-    ``split``, a make-splits output file yields that split's index."""
+    ``split``, make-splits output (objects under train and test alone) yields that split."""
     index = parse_json(Path(path).read_bytes(), path)
-    if split is not None and isinstance(index, dict) and split in index:
+    if (split is not None and isinstance(index, dict) and index.keys() == {"train", "test"}
+            and all(isinstance(v, dict) for v in index.values())):
         index = index[split]
     if not isinstance(index, dict) or not index:
         raise ValidationError(f"{path}: class index must be a non-empty object of "

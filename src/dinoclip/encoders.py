@@ -103,8 +103,8 @@ class ModelConfig:
 class ModelParams:
     """Named trainable tensors of one full encoder stack.
 
-    One instance plays the student role; a copy of constants plays the
-    teacher.  Tensors are immutable; updates replace entries.
+    One instance plays the student role; a constant copy of its image tower
+    and DINO head plays the teacher.  Tensors are immutable; updates replace entries.
     """
 
     def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):

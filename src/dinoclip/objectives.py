@@ -46,7 +46,7 @@ class ContrastiveBatch:
 
 @dataclass
 class TeacherState:
-    """EMA copy of the student plus the centering vector and temperatures."""
+    """EMA copy of the student's image tower and DINO head, center and temperatures."""
 
     params: ModelParams
     center: np.ndarray                                   # [K]
@@ -68,8 +68,8 @@ class TeacherState:
 
 
 def make_teacher(student: ModelParams, **kwargs) -> TeacherState:
-    """Teacher initialized as an exact copy of the student, as constants
-    that no tape records, and a zero center."""
+    """Teacher initialized as an exact copy of ``student``, whichever tensors
+    it holds, as constants that no tape records, and a zero center."""
     params = ModelParams(student.config, {k: Tensor(v.data.copy(), name=k, dtype=v.dtype)
                                           for k, v in student.items()})
     k = student.config.dino.output_dim
@@ -147,15 +147,15 @@ def combined_loss(contrastive, distillation) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def ema_update(teacher: TeacherState, student: ModelParams) -> TeacherState:
-    """theta_t <- lambda * theta_t + (1 - lambda) * theta_s, elementwise."""
+    """theta_t <- lambda * theta_t + (1 - lambda) * theta_s for each tensor the teacher holds."""
     t_params, s_params = teacher.params, student
-    if list(t_params.names()) != list(s_params.names()):
-        raise ContractError("teacher and student parameter trees differ")
+    if missing := t_params.names() - s_params.names():
+        raise ContractError(f"student lacks teacher parameter(s) {sorted(missing)}")
     lam = teacher.ema_momentum
     if lam == 1.0:
         return teacher
-    for name, s_tensor in s_params.items():
-        t_tensor = t_params[name]
+    for name, t_tensor in t_params.items():
+        s_tensor = s_params[name]
         if t_tensor.shape != s_tensor.shape:
             raise ContractError(f"parameter {name!r}: teacher shape {t_tensor.shape} "
                                 f"vs student {s_tensor.shape}")

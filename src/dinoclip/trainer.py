@@ -232,9 +232,15 @@ class TrainState:
     train_fingerprint: str = None   # set by train; a resume must see the same records
 
 
+def _teacher_spec(config: ModelConfig) -> list:
+    """What a teacher forward reads: the image tower and DINO head spec entries."""
+    return [e for e in _parameter_spec(config) if e[0].startswith(("vision.", "dino."))]
+
+
 def init_train_state(config: TrainConfig) -> TrainState:
     student = init_model_params(config.model, config.seed)
-    teacher = make_teacher(student, ema_momentum=config.ema_momentum,
+    tower = ModelParams(config.model, {n: student[n] for n, _ in _teacher_spec(config.model)})
+    teacher = make_teacher(tower, ema_momentum=config.ema_momentum,
                            tau_teacher=config.tau_teacher,
                            center_momentum=config.center_momentum)
     return TrainState(config=config, student=student, teacher=teacher,
@@ -252,15 +258,14 @@ def _train_fingerprint(records) -> str:
 _COUNTERS = ("step", "next_epoch", "adam_t")
 
 
-def _group(config: ModelConfig, arrays) -> list[np.ndarray]:
-    """One tensor group's arrays in parameter-spec order, which the container
+def _group(spec: list, arrays) -> list[np.ndarray]:
+    """One tensor group's arrays in ``spec`` order, which the container
     stores as one flat array."""
-    return [arrays[name] for name, _ in _parameter_spec(config)]
+    return [arrays[name] for name, _ in spec]
 
 
-def _unflat(config: ModelConfig, flat, group: str) -> dict[str, np.ndarray]:
+def _unflat(spec: list, flat, group: str) -> dict[str, np.ndarray]:
     """Inverse of _group: the stored config defines every shape."""
-    spec = list(_parameter_spec(config))
     sizes = [math.prod(shape) for _, shape in spec]
     if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and sum(sizes) == flat.size
             and flat.dtype in (np.float32, np.float64)):
@@ -273,16 +278,16 @@ def _unflat(config: ModelConfig, flat, group: str) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(state: TrainState, path):
-    model = state.config.model
+    spec, t_spec = list(_parameter_spec(state.config.model)), _teacher_spec(state.config.model)
     ckpt.write_container(path, {
         "config": state.config.to_dict(),
         "counters": dict(zip(_COUNTERS, (state.step, state.next_epoch, state.adam.t)),
                          train_fingerprint=state.train_fingerprint),
         "center": state.teacher.center,
-        "student": _group(model, {k: v.data for k, v in state.student.items()}),
-        "teacher": _group(model, {k: v.data for k, v in state.teacher.params.items()}),
-        "adam_m": _group(model, state.adam.m),
-        "adam_v": _group(model, state.adam.v)})
+        "student": _group(spec, {k: v.data for k, v in state.student.items()}),
+        "teacher": _group(t_spec, {k: v.data for k, v in state.teacher.params.items()}),
+        "adam_m": _group(spec, state.adam.m),
+        "adam_v": _group(spec, state.adam.v)})
 
 
 def load_checkpoint(path) -> TrainState:
@@ -299,15 +304,16 @@ def load_checkpoint(path) -> TrainState:
     if not isinstance(center, np.ndarray) or center.shape != (config.model.dino.output_dim,):
         raise CheckpointError(f"center section needs a tensor of shape "
                               f"({config.model.dino.output_dim},)")
+    spec, t_spec = list(_parameter_spec(config.model)), _teacher_spec(config.model)
     student, teacher_params = (
         ModelParams(config.model, {k: Tensor(a, requires_grad=grad, name=k, dtype=a.dtype)
-                                   for k, a in _unflat(config.model, sections.get(g), g).items()})
-        for g, grad in (("student", True), ("teacher", False)))
+                                   for k, a in _unflat(s, sections.get(g), g).items()})
+        for g, s, grad in (("student", spec, True), ("teacher", t_spec, False)))
     teacher = TeacherState(params=teacher_params, center=center,
                            ema_momentum=config.ema_momentum,
                            tau_teacher=config.tau_teacher,
                            center_momentum=config.center_momentum)
-    adam = AdamState(student, [_unflat(config.model, sections.get(g), g)
+    adam = AdamState(student, [_unflat(spec, sections.get(g), g)
                                for g in ("adam_m", "adam_v")], counters["adam_t"])
     return TrainState(config=config, student=student, teacher=teacher, adam=adam,
                       step=counters["step"], next_epoch=counters["next_epoch"],

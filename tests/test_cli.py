@@ -22,7 +22,8 @@ from dinoclip.trainer import TrainConfig, embed_record_images, embed_texts, load
 
 from conftest import byte_mutations, retrieve_top_k, write_ppm, write_synthetic_manifest
 from test_data import _FUZZ
-from test_trainer import checkpoint_mutations, set_config_field, tiny_train_config
+from test_trainer import (checkpoint_mutations, set_config_field, tiny_train_config,
+                          write_format_2_checkpoint)
 
 
 @pytest.fixture
@@ -261,6 +262,29 @@ def test_zero_shot_command(workdir):
     assert result["predictions"] == [classes[p] for p in per_prompt]
 
 
+def test_zero_shot_class_named_test_is_a_class(workdir):
+    """A class index with a class named test is classified as it stands;
+    only make-splits output (exactly train and test, each an object) is
+    read for its test split."""
+    ckpt = _train(workdir)
+    for name in ("a.ppm", "b.ppm"):
+        write_ppm(workdir / name, np.zeros((3, 8, 8), dtype=np.float32))
+    index_path, out = workdir / "cls.json", workdir / "zs.json"
+    index_path.write_text(json.dumps({"test": ["a.ppm"], "river": ["b.ppm"]}))
+    assert main(["zero-shot", "--checkpoint", str(ckpt), "--class-index", str(index_path),
+                 "--data-root", str(workdir), "--out", str(out),
+                 "--template", "{class name}"]) == 0
+    assert len(json.loads(out.read_text())["predictions"]) == 2
+
+    index_path.write_text(json.dumps({"train": {"river": ["a.ppm"], "test": ["a.ppm"]},
+                                      "test": {"river": ["b.ppm"], "test": ["a.ppm"],
+                                               "forest": ["b.ppm"]}}))
+    assert main(["zero-shot", "--checkpoint", str(ckpt), "--class-index", str(index_path),
+                 "--data-root", str(workdir), "--out", str(out),
+                 "--template", "{class name}"]) == 0
+    assert len(json.loads(out.read_text())["predictions"]) == 3
+
+
 def test_zero_shot_prompts_equal_after_truncation_is_validation_error(workdir, capsys):
     """The tiny text encoder keeps 4 bytes of a prompt: both names start
     "rive", so every image would go to the first class."""
@@ -357,6 +381,15 @@ def test_corrupt_checkpoint_is_io_error(workdir):
     rc = main(["eval-retrieval", "--checkpoint", str(bad),
                "--manifest", str(workdir / "manifest.jsonl")])
     assert rc == 4
+
+
+def test_format_2_checkpoint_is_io_error(workdir, capsys):
+    bad = workdir / "v2.ckpt"
+    write_format_2_checkpoint(load_checkpoint(_train(workdir)), bad)
+    rc = main(["eval-retrieval", "--checkpoint", str(bad),
+               "--manifest", str(workdir / "manifest.jsonl")])
+    assert rc == 4
+    assert "format 2" in capsys.readouterr().err
 
 
 def test_missing_checkpoint_is_io_error(workdir):

@@ -5,7 +5,7 @@ import pytest
 
 from dinoclip import autodiff as ad
 from dinoclip.autodiff import Tape, Tensor, backward
-from dinoclip.encoders import init_model_params
+from dinoclip.encoders import ModelParams, init_model_params
 from dinoclip.errors import ContractError, DomainError
 from dinoclip.evaluation import cosine_matrix
 from dinoclip.objectives import (ContrastiveBatch, combined_loss, ema_update,
@@ -333,6 +333,36 @@ def test_ema_composition_identity():
     ema_update(t_b, fixed)
     for name, t in t_a.params.items():
         assert np.allclose(t.data, t_b.params[name].data, atol=1e-6), name
+
+
+def test_ema_reads_only_the_tensors_the_teacher_holds():
+    """A teacher of part of the tree averages its own tensors toward the
+    student's and leaves the student's other tensors alone."""
+    student = init_model_params(tiny_model_config(), seed=1)
+    teacher = make_teacher(ModelParams(student.config, {n: t for n, t in student.items()
+                                                        if n.startswith("dino.")}),
+                           ema_momentum=0.5)
+    before = {n: t.data.copy() for n, t in teacher.params.items()}
+    other = init_model_params(tiny_model_config(), seed=2)
+    other_before = {n: t.data.copy() for n, t in other.items()}
+    ema_update(teacher, other)
+    assert list(teacher.params.names()) == list(before)
+    for name, arr in before.items():
+        assert np.array_equal(teacher.params[name].data,
+                              0.5 * arr + 0.5 * other_before[name]), name
+    for name, t in other.items():
+        assert np.array_equal(t.data, other_before[name]), name
+
+
+def test_ema_teacher_tensor_missing_from_student_raises():
+    student = init_model_params(tiny_model_config(), seed=1)
+    teacher = make_teacher(student, ema_momentum=0.5)
+    before = {n: t.data.copy() for n, t in teacher.params.items()}
+    partial = ModelParams(student.config, {n: t for n, t in student.items() if n != "dino.w1"})
+    with pytest.raises(ContractError, match="dino.w1"):
+        ema_update(teacher, partial)
+    for name, arr in before.items():
+        assert np.array_equal(arr, teacher.params[name].data), name
 
 
 def test_update_center_momentum_extremes(rng):

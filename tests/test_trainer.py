@@ -189,9 +189,55 @@ def test_teacher_tensors_are_constants(tmp_path, tiny_records):
         assert tape.nodes == []
 
 
+class _RecordingTensors(dict):
+    """A tensor mapping that records each name it is asked for."""
+
+    def __init__(self, tensors):
+        super().__init__(tensors)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.read.add(name)
+        return super().get(name, default)
+
+
+def test_teacher_holds_exactly_what_its_forward_reads(tmp_path):
+    """The names that a teacher forward, project_dino(p, encode_images(p,
+    x)), asks a full student for are the teacher's names, after
+    init_train_state and after load_checkpoint: the default model's 47
+    image-tower and DINO-head tensors."""
+    state = init_train_state(TrainConfig())
+    read = _RecordingTensors(state.student.tensors)
+    full = ModelParams(state.config.model, read)
+    size = state.config.model.vision.image_size
+    images = Tensor(np.random.default_rng(0).random((2, 3, size, size), dtype=np.float32))
+    project_dino(full, encode_images(full, images))
+    assert len(read.read) == 47
+    save_checkpoint(state, tmp_path / "a.ckpt")
+    for st in (state, load_checkpoint(tmp_path / "a.ckpt")):
+        assert set(st.teacher.params.names()) == read.read
+
+
 # -------------------------------------------------------------------------
 # checkpoints
 # -------------------------------------------------------------------------
+
+def _teacher_names(config: ModelConfig) -> list[str]:
+    return [name for name, _ in _parameter_spec(config) if name.startswith(("vision.", "dino."))]
+
+
+def write_format_2_checkpoint(state, path):
+    """``state`` in the format-2 layout: its teacher group held every
+    student tensor, text tower and log-temperature included."""
+    save_checkpoint(state, path)
+    sections = ckpt.read_container(path)
+    ckpt.write_container(path, {**sections, "format_version": 2,
+                                "teacher": sections["student"]})
+
 
 def test_checkpoint_round_trip_bit_identical(tmp_path, tiny_records):
     cfg = tiny_train_config(epochs=1)
@@ -227,6 +273,15 @@ def test_checkpoint_version_mismatch_detected(tmp_path, tiny_records):
     ckpt.write_container(bad, {**ckpt.read_container(path), "format_version": FORMAT_VERSION + 1})
     with pytest.raises(CheckpointVersionError, match=f"format {FORMAT_VERSION + 1}, not"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_format_2_refused(tmp_path):
+    """A format-2 file, whose teacher group holds the text tower too, is
+    refused by its version."""
+    path = tmp_path / "v2.ckpt"
+    write_format_2_checkpoint(init_train_state(tiny_train_config()), path)
+    with pytest.raises(CheckpointVersionError, match=f"format 2, not {FORMAT_VERSION}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_old_format_named(tmp_path):
@@ -336,18 +391,21 @@ def test_checkpoint_groups_hold_the_npy_bytes_of_their_concatenation(tmp_path,
                                                                     tiny_records):
     """Each tensor group is streamed tensor by tensor into its member, and
     the member holds exactly the bytes numpy.lib.format writes for the
-    group's concatenation in parameter-spec order."""
+    group's concatenation in parameter-spec order: every tensor for the
+    student and AdamW groups, the vision and DINO-head tensors for the
+    teacher."""
     state, _ = train(tiny_train_config(epochs=1), tiny_records)
     save_checkpoint(state, tmp_path / "a.ckpt")
     names = [name for name, _ in _parameter_spec(state.config.model)]
-    groups = {"student": {k: v.data for k, v in state.student.items()},
-              "teacher": {k: v.data for k, v in state.teacher.params.items()},
-              "adam_m": state.adam.m, "adam_v": state.adam.v}
+    groups = {"student": ({k: v.data for k, v in state.student.items()}, names),
+              "teacher": ({k: v.data for k, v in state.teacher.params.items()},
+                          _teacher_names(state.config.model)),
+              "adam_m": (state.adam.m, names), "adam_v": (state.adam.v, names)}
     with zipfile.ZipFile(tmp_path / "a.ckpt") as zf:
-        for group, arrays in groups.items():
+        for group, (arrays, order) in groups.items():
             reference = io.BytesIO()
             np.lib.format.write_array(reference, np.concatenate(
-                [np.ravel(arrays[name]) for name in names]), allow_pickle=False)
+                [np.ravel(arrays[name]) for name in order]), allow_pickle=False)
             assert zf.read(f"{group}.npy") == reference.getvalue(), group
 
 
@@ -368,12 +426,14 @@ def test_checkpoint_reads_with_numpy_alone(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     n = sum(t.data.size for t in state.student.tensors.values())
+    n_teacher = sum(state.student[name].data.size for name in _teacher_names(state.config.model))
     assert out == {"format_version.json": FORMAT_VERSION,
                    "config.json": json.loads(json.dumps(state.config.to_dict())),
                    "counters.json": {"step": 0, "next_epoch": 0, "adam_t": 0,
                                      "train_fingerprint": None},
                    "center": ["float32", state.config.model.dino.output_dim],
-                   **{g: ["float32", n] for g in ("student", "teacher", "adam_m", "adam_v")}}
+                   "teacher": ["float32", n_teacher],
+                   **{g: ["float32", n] for g in ("student", "adam_m", "adam_v")}}
 
 
 def test_checkpoint_flipped_payload_bit_detected(tmp_path):
