@@ -308,9 +308,7 @@ def sum_(a, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
     out = ad.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, ad.shape).astype(ad.dtype, copy=True),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, ad.shape).astype(ad.dtype, copy=True),)
 
     return _record("sum", (a,), np.asarray(out), backward)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CheckpointError, CheckpointTruncationError, CheckpointVersionError
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _VERSION = "format_version"
 _DATE_TIME = (1980, 1, 1, 0, 0, 0)
 _END_RECORD_SIZE = 22   # without a comment, which a save never writes

@@ -17,11 +17,6 @@ from .autodiff import Tensor
 from .encoders import ModelParams
 from .errors import ContractError, DomainError, ShapeError
 
-DEFAULT_TEACHER_TAU = 0.04
-DEFAULT_CENTER_MOMENTUM = 0.9
-DEFAULT_EMA_MOMENTUM = 0.996
-
-
 @dataclass
 class ContrastiveBatch:
     """Matched caption embeddings U and image embeddings V, row i paired."""
@@ -46,13 +41,12 @@ class ContrastiveBatch:
 
 @dataclass
 class TeacherState:
-    """EMA copy of the student's image tower and DINO head, center and temperatures."""
+    """EMA copy of the student's image tower and DINO head, its center, and
+    the EMA momentum lambda."""
 
     params: ModelParams
     center: np.ndarray                                   # [K]
-    ema_momentum: float = DEFAULT_EMA_MOMENTUM           # lambda
-    tau_teacher: float = DEFAULT_TEACHER_TAU
-    center_momentum: float = DEFAULT_CENTER_MOMENTUM
+    ema_momentum: float
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float32)
@@ -61,19 +55,16 @@ class TeacherState:
             raise ShapeError(f"center must have shape ({k},), got {self.center.shape}")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise DomainError(f"EMA momentum must lie in [0, 1], got {self.ema_momentum}")
-        if not 0.0 <= self.center_momentum <= 1.0:
-            raise DomainError(f"center momentum must lie in [0, 1], got {self.center_momentum}")
-        if not self.tau_teacher > 0:
-            raise DomainError(f"teacher temperature must be positive, got {self.tau_teacher}")
 
 
-def make_teacher(student: ModelParams, **kwargs) -> TeacherState:
+def make_teacher(student: ModelParams, ema_momentum: float) -> TeacherState:
     """Teacher initialized as an exact copy of ``student``, whichever tensors
     it holds, as constants that no tape records, and a zero center."""
     params = ModelParams(student.config, {k: Tensor(v.data.copy(), name=k, dtype=v.dtype)
                                           for k, v in student.items()})
     k = student.config.dino.output_dim
-    return TeacherState(params=params, center=np.zeros(k, dtype=np.float32), **kwargs)
+    return TeacherState(params=params, center=np.zeros(k, dtype=np.float32),
+                        ema_momentum=ema_momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +91,18 @@ def info_nce_loss(batch: ContrastiveBatch) -> Tensor:
     return ad.mul(ad.add(t2i, i2t), 0.5)
 
 
-def teacher_distribution(z: np.ndarray, state: TeacherState) -> np.ndarray:
+def teacher_distribution(z: np.ndarray, center: np.ndarray, tau_teacher: float) -> np.ndarray:
     """Centered and sharpened teacher output: softmax((z - c) / tau_t).
 
     Pure value computation over a [B, K] logit block: the centered logits
     are a fresh Tensor that requires no gradient, so no tape records them.
     """
-    k = state.center.shape[0]
-    if z.shape[-1] != k:
-        raise ShapeError(f"teacher logits last dim {z.shape} vs center ({k},)")
-    return ad.softmax(Tensor(z - state.center.astype(z.dtype)), axis=-1,
-                      temperature=state.tau_teacher).data
+    if z.shape[-1] != center.shape[0]:
+        raise ShapeError(f"teacher logits last dim {z.shape} vs center {center.shape}")
+    if not tau_teacher > 0:
+        raise DomainError(f"teacher temperature must be positive, got {tau_teacher}")
+    return ad.softmax(Tensor(z - center.astype(z.dtype)), axis=-1,
+                      temperature=tau_teacher).data
 
 
 def soft_distillation_terms(teacher_dists, student_probs: Tensor,
@@ -167,13 +159,14 @@ def ema_update(teacher: TeacherState, student: ModelParams) -> TeacherState:
     return teacher
 
 
-def update_center(state: TeacherState, z: np.ndarray) -> TeacherState:
-    """c <- momentum * c + (1 - momentum) * batch mean of teacher logits."""
+def update_center(state: TeacherState, z: np.ndarray, m: float) -> TeacherState:
+    """c <- m * c + (1 - m) * batch mean of teacher logits, m the center momentum."""
     if z.ndim != 2 or z.shape[0] < 1:
         raise ContractError(f"need a non-empty [B, K] logit batch, got shape {z.shape}")
     if z.shape[1] != state.center.shape[0]:
         raise ShapeError(f"logit width {z.shape[1]} vs center {state.center.shape[0]}")
-    m = state.center_momentum
+    if not 0.0 <= m <= 1.0:
+        raise DomainError(f"center momentum must lie in [0, 1], got {m}")
     batch_mean = z.mean(axis=0).astype(np.float32)
     state.center = (m * state.center + (1.0 - m) * batch_mean).astype(np.float32)
     return state

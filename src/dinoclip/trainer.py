@@ -23,8 +23,7 @@ from .encoders import (ModelConfig, ModelParams, _parameter_spec, encode_images,
                        encode_text, init_model_params, project_dino, resize_bicubic)
 from .errors import (CheckpointError, CheckpointShapeError, ContractError, DomainError,
                      NumericError, ValidationError)
-from .objectives import (DEFAULT_CENTER_MOMENTUM, DEFAULT_EMA_MOMENTUM, DEFAULT_TEACHER_TAU,
-                         ContrastiveBatch, TeacherState, combined_loss, ema_update,
+from .objectives import (ContrastiveBatch, TeacherState, combined_loss, ema_update,
                          info_nce_loss, make_teacher, soft_distillation_terms,
                          teacher_distribution, update_center)
 from .prng import RandomStream, fisher_yates
@@ -48,10 +47,10 @@ class TrainConfig:
     weight_decay: float = 0.05
     betas: tuple = (0.9, 0.98)
     adam_eps: float = 1e-6
-    ema_momentum: float = DEFAULT_EMA_MOMENTUM
+    ema_momentum: float = 0.996
     tau_student: float = 0.1
-    tau_teacher: float = DEFAULT_TEACHER_TAU
-    center_momentum: float = DEFAULT_CENTER_MOMENTUM
+    tau_teacher: float = 0.04
+    center_momentum: float = 0.9
     loss_mode: str = "combined"             # or "infonce_only"
     average_pairs: bool = True
     freeze_temperature: bool = False
@@ -144,40 +143,31 @@ def _is_number(value) -> bool:
 # optimizer and schedule
 # ---------------------------------------------------------------------------
 
+@dataclass
 class AdamState:
-    """First/second moment estimates plus the shared step counter: zeros at
-    step 0 for ``params``, or the stored (m, v) ``moments`` at step ``t``."""
+    """First and second moment estimates, one array per tensor AdamW steps."""
 
-    def __init__(self, params: ModelParams, moments: tuple = None, t: int = 0):
-        self.m, self.v = moments or [{k: np.zeros_like(p.data) for k, p in params.items()}
-                                     for _ in range(2)]
-        self.t = t
+    m: dict
+    v: dict
 
 
-def adamw_step(params: ModelParams, grads: dict, moments: AdamState, lr: float,
-               betas: tuple = (0.9, 0.98), eps: float = 1e-6,
-               weight_decay: float = 0.0, skip: set = frozenset()):
-    """Decoupled-weight-decay Adam update with bias correction from ``grads``
-    (parameter name -> gradient array); mutates and returns (params, moments)."""
+def adamw_step(params: ModelParams, grads: dict, moments: AdamState, t: int, lr: float,
+               betas: tuple, eps: float, weight_decay: float):
+    """Decoupled-weight-decay Adam update of each tensor named in ``grads``
+    (parameter name -> gradient array), with bias correction for update
+    ``t`` (1 at the first); mutates and returns (params, moments)."""
     b1, b2 = betas
-    if set(moments.m.keys()) != set(params.tensors.keys()):
+    if grads.keys() != moments.m.keys() or not grads.keys() <= params.names():
         raise ContractError("optimizer state does not match parameter tree")
-    for name, p in params.items():
-        if moments.m[name].shape != p.shape:
-            raise ContractError(f"moment for {name!r} has shape "
-                                f"{moments.m[name].shape}, parameter has {p.shape}")
-    moments.t += 1
-    bc1 = 1.0 - b1 ** moments.t
-    bc2 = 1.0 - b2 ** moments.t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ContractError(f"gradient for {name!r} has shape {g.shape}, "
-                                f"parameter has {p.shape}")
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, g in grads.items():
+        p = params[name]
+        if not g.shape == moments.m[name].shape == p.shape:
+            raise ContractError(f"{name!r}: gradient shape {g.shape}, moment shape "
+                                f"{moments.m[name].shape}, parameter shape {p.shape}")
         m = moments.m[name] = b1 * moments.m[name] + (1.0 - b1) * g
         v = moments.v[name] = b2 * moments.v[name] + (1.0 - b2) * (g * g)
-        if name in skip:
-            continue
         update = (m / bc1) / (np.sqrt(v / bc2) + eps)
         new = p.data - lr * update - lr * weight_decay * p.data
         params.tensors[name] = Tensor(new.astype(p.dtype), requires_grad=True,
@@ -225,9 +215,9 @@ class MetricsLog:
 class TrainState:
     config: TrainConfig
     student: ModelParams
-    teacher: TeacherState
+    teacher: TeacherState | None    # None under infonce_only
     adam: AdamState
-    step: int = 0
+    step: int = 0                   # also AdamW's bias-correction count
     next_epoch: int = 0
     train_fingerprint: str = None   # set by train; a resume must see the same records
 
@@ -237,14 +227,24 @@ def _teacher_spec(config: ModelConfig) -> list:
     return [e for e in _parameter_spec(config) if e[0].startswith(("vision.", "dino."))]
 
 
+def _trained_spec(config: TrainConfig) -> list:
+    """What AdamW steps, the spec entries a loss reads: every tensor under
+    combined, none of the DINO head under infonce_only, and not log_tau
+    under freeze_temperature."""
+    return [(name, shape) for name, shape in _parameter_spec(config.model)
+            if not (name.startswith("dino.") and config.loss_mode != "combined"
+                    or name == "log_tau" and config.freeze_temperature)]
+
+
 def init_train_state(config: TrainConfig) -> TrainState:
     student = init_model_params(config.model, config.seed)
-    tower = ModelParams(config.model, {n: student[n] for n, _ in _teacher_spec(config.model)})
-    teacher = make_teacher(tower, ema_momentum=config.ema_momentum,
-                           tau_teacher=config.tau_teacher,
-                           center_momentum=config.center_momentum)
+    teacher = None
+    if config.loss_mode == "combined":
+        tower = {n: student[n] for n, _ in _teacher_spec(config.model)}
+        teacher = make_teacher(ModelParams(config.model, tower), config.ema_momentum)
     return TrainState(config=config, student=student, teacher=teacher,
-                      adam=AdamState(student))
+                      adam=AdamState(*({n: np.zeros_like(student[n].data)
+                                        for n, _ in _trained_spec(config)} for _ in range(2))))
 
 
 def _train_fingerprint(records) -> str:
@@ -255,7 +255,7 @@ def _train_fingerprint(records) -> str:
     return f"{len(records)} records, crc32 {crc:08x}"
 
 
-_COUNTERS = ("step", "next_epoch", "adam_t")
+_COUNTERS = ("step", "next_epoch")
 
 
 def _group(spec: list, arrays) -> list[np.ndarray]:
@@ -278,16 +278,19 @@ def _unflat(spec: list, flat, group: str) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(state: TrainState, path):
-    spec, t_spec = list(_parameter_spec(state.config.model)), _teacher_spec(state.config.model)
-    ckpt.write_container(path, {
+    spec, a_spec = list(_parameter_spec(state.config.model)), _trained_spec(state.config)
+    sections = {
         "config": state.config.to_dict(),
-        "counters": dict(zip(_COUNTERS, (state.step, state.next_epoch, state.adam.t)),
+        "counters": dict(zip(_COUNTERS, (state.step, state.next_epoch)),
                          train_fingerprint=state.train_fingerprint),
-        "center": state.teacher.center,
         "student": _group(spec, {k: v.data for k, v in state.student.items()}),
-        "teacher": _group(t_spec, {k: v.data for k, v in state.teacher.params.items()}),
-        "adam_m": _group(spec, state.adam.m),
-        "adam_v": _group(spec, state.adam.v)})
+        "adam_m": _group(a_spec, state.adam.m),
+        "adam_v": _group(a_spec, state.adam.v)}
+    if state.teacher is not None:
+        teacher = {k: v.data for k, v in state.teacher.params.items()}
+        sections.update(center=state.teacher.center,
+                        teacher=_group(_teacher_spec(state.config.model), teacher))
+    ckpt.write_container(path, sections)
 
 
 def load_checkpoint(path) -> TrainState:
@@ -296,25 +299,29 @@ def load_checkpoint(path) -> TrainState:
         config = TrainConfig.from_dict(sections.get("config"))
     except (ValidationError, DomainError) as e:
         raise CheckpointError(f"config section: {e}") from e
-    counters, center = sections.get("counters"), sections.get("center")
-    if not (isinstance(counters, dict) and all(type(counters.get(k)) is int for k in _COUNTERS)
-            and isinstance(counters.get("train_fingerprint"), (str, type(None)))):
-        raise CheckpointError(f"counters section needs integer {_COUNTERS} and a "
-                              f"train_fingerprint, got {counters!r}")
-    if not isinstance(center, np.ndarray) or center.shape != (config.model.dino.output_dim,):
-        raise CheckpointError(f"center section needs a tensor of shape "
-                              f"({config.model.dino.output_dim},)")
-    spec, t_spec = list(_parameter_spec(config.model)), _teacher_spec(config.model)
-    student, teacher_params = (
-        ModelParams(config.model, {k: Tensor(a, requires_grad=grad, name=k, dtype=a.dtype)
-                                   for k, a in _unflat(s, sections.get(g), g).items()})
-        for g, s, grad in (("student", spec, True), ("teacher", t_spec, False)))
-    teacher = TeacherState(params=teacher_params, center=center,
-                           ema_momentum=config.ema_momentum,
-                           tau_teacher=config.tau_teacher,
-                           center_momentum=config.center_momentum)
-    adam = AdamState(student, [_unflat(spec, sections.get(g), g)
-                               for g in ("adam_m", "adam_v")], counters["adam_t"])
+    counters = sections.get("counters")
+    if not (isinstance(counters, dict) and set(counters) == {*_COUNTERS, "train_fingerprint"}
+            and all(type(counters[k]) is int for k in _COUNTERS)
+            and counters["step"] >= 0 and 0 <= counters["next_epoch"] <= config.epochs
+            and isinstance(counters["train_fingerprint"], (str, type(None)))):
+        raise CheckpointError(f"counters section needs exactly an integer step >= 0, an integer "
+                              f"next_epoch in [0, {config.epochs}] and a train_fingerprint, "
+                              f"got {counters!r}")
+
+    def params(group, spec, requires_grad):
+        return ModelParams(config.model, {
+            k: Tensor(a, requires_grad=requires_grad, name=k, dtype=a.dtype)
+            for k, a in _unflat(spec, sections.get(group), group).items()})
+
+    student, teacher = params("student", list(_parameter_spec(config.model)), True), None
+    if config.loss_mode == "combined":
+        center, k = sections.get("center"), config.model.dino.output_dim
+        if not isinstance(center, np.ndarray) or center.shape != (k,):
+            raise CheckpointError(f"center section needs a tensor of shape ({k},)")
+        teacher = TeacherState(params=params("teacher", _teacher_spec(config.model), False),
+                               center=center, ema_momentum=config.ema_momentum)
+    adam = AdamState(*(_unflat(_trained_spec(config), sections.get(g), g)
+                       for g in ("adam_m", "adam_v")))
     return TrainState(config=config, student=student, teacher=teacher, adam=adam,
                       step=counters["step"], next_epoch=counters["next_epoch"],
                       train_fingerprint=counters.get("train_fingerprint"))
@@ -381,8 +388,9 @@ def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict
     """One optimization step on ``batch`` and its loaded ``images``: builds
     the batch's view-major views in one make_views call (under infonce_only
     only global view 0, the one the contrastive loss encodes), runs the
-    teacher outside the tape and the student on it, then backward, AdamW,
-    the log-temperature clamp and the EMA and center updates.  Advances
+    teacher (under combined) outside the tape and the student on it, then
+    backward and AdamW over the tensors the state's moments hold, the
+    log-temperature clamp and the EMA and center updates.  Advances
     ``state.step`` and returns the step's metrics record."""
     config = state.config
     distill = config.loss_mode == "combined"
@@ -398,7 +406,8 @@ def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict
     if distill:
         teacher_logits = project_dino(state.teacher.params,
                                       encode_images(state.teacher.params, Tensor(globals_))).data
-        dists = teacher_distribution(teacher_logits, state.teacher)   # [2B, K]
+        dists = teacher_distribution(teacher_logits, state.teacher.center,
+                                     config.tau_teacher)               # [2B, K]
         teacher_dists = dists.reshape(2, b, -1)
         teacher_entropy = _entropy(dists.mean(axis=0))
 
@@ -427,16 +436,16 @@ def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict
                            f"distillation {dist_val}")
 
     tensors = state.student.tensors
-    grads = dict(zip(tensors, backward(tape, loss, params=tensors.values())))
-    adamw_step(state.student, grads, state.adam, lr, betas=config.betas, eps=config.adam_eps,
-               weight_decay=config.weight_decay,
-               skip={"log_tau"} if config.freeze_temperature else frozenset())
+    trained = [tensors[n] for n in state.adam.m]   # the tensors AdamW steps
+    grads = dict(zip(state.adam.m, backward(tape, loss, params=trained)))
+    adamw_step(state.student, grads, state.adam, state.step + 1, lr, config.betas,
+               config.adam_eps, config.weight_decay)
     clamped = np.clip(state.student.log_tau.data, LOG_TAU_MIN, LOG_TAU_MAX)
     tensors["log_tau"] = Tensor(clamped, requires_grad=True, name="log_tau", dtype=clamped.dtype)
 
     if distill:
         ema_update(state.teacher, state.student)
-        update_center(state.teacher, teacher_logits)
+        update_center(state.teacher, teacher_logits, config.center_momentum)
 
     state.step += 1
     return {"step": state.step, "epoch": epoch, "loss_infonce": nce_val,

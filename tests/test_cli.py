@@ -23,7 +23,7 @@ from dinoclip.trainer import TrainConfig, embed_record_images, embed_texts, load
 from conftest import byte_mutations, retrieve_top_k, write_ppm, write_synthetic_manifest
 from test_data import _FUZZ
 from test_trainer import (checkpoint_mutations, set_config_field, tiny_train_config,
-                          write_format_2_checkpoint)
+                          write_earlier_format_checkpoint)
 
 
 @pytest.fixture
@@ -383,13 +383,40 @@ def test_corrupt_checkpoint_is_io_error(workdir):
     assert rc == 4
 
 
-def test_format_2_checkpoint_is_io_error(workdir, capsys):
-    bad = workdir / "v2.ckpt"
-    write_format_2_checkpoint(load_checkpoint(_train(workdir)), bad)
+@pytest.mark.parametrize("version", [2, 3])
+def test_earlier_format_checkpoint_is_io_error(workdir, capsys, version):
+    bad = workdir / "old.ckpt"
+    write_earlier_format_checkpoint(load_checkpoint(_train(workdir)), bad, version)
     rc = main(["eval-retrieval", "--checkpoint", str(bad),
                "--manifest", str(workdir / "manifest.jsonl")])
     assert rc == 4
-    assert "format 2" in capsys.readouterr().err
+    assert f"format {version}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counters", [{"step": -1}, {"next_epoch": -5}, {"adam_t": -1},
+                                      {"adam_t": 0}],
+                         ids=["step-negative", "next-epoch-negative", "adam_t-negative",
+                              "adam_t-zero"])
+def test_resume_from_damaged_counters_is_io_error(workdir, capsys, counters):
+    """A 4-step checkpoint (batch 2, 4 epochs of 2 steps, stopped after
+    epoch 2) whose counters are edited: a negative step or next_epoch, or
+    an adam_t key, which format 4 does not have, is refused at load, before
+    a step runs on it."""
+    config = workdir / "config4.json"
+    config.write_text(json.dumps(tiny_train_config(epochs=4, batch_size=2).to_dict()))
+    good, bad = workdir / "mid.ckpt", workdir / "bad.ckpt"
+    assert main(["train", "--config", str(config), "--manifest", str(workdir / "manifest.jsonl"),
+                 "--out", str(good), "--stop-after-epoch", "2"]) == 0
+    sections = ckpt.read_container(good)
+    assert sections["counters"]["step"] == 4
+    sections["counters"].update(counters)
+    ckpt.write_container(bad, sections)
+    capsys.readouterr()
+    rc = main(["train", "--checkpoint", str(bad), "--manifest", str(workdir / "manifest.jsonl"),
+               "--out", str(workdir / "out.ckpt")])
+    assert rc == 4
+    assert "counters section" in capsys.readouterr().err
+    assert not (workdir / "out.ckpt").exists()
 
 
 def test_missing_checkpoint_is_io_error(workdir):

@@ -130,23 +130,21 @@ def test_info_nce_gradient_reaches_learnable_temperature(rng):
 # teacher / student distributions
 # -------------------------------------------------------------------------
 
-def _teacher_state(k=8, **kwargs):
-    params = init_model_params(tiny_model_config(k), seed=0)
-    return make_teacher(params, **kwargs)
+def _teacher_state():
+    params = init_model_params(tiny_model_config(8), seed=0)
+    return make_teacher(params, ema_momentum=0.996)
 
 
 def test_teacher_distribution_centered_out_is_uniform(rng):
-    state = _teacher_state()
-    state.center = rng.normal(size=8).astype(np.float32)
-    dist = teacher_distribution(state.center.copy(), state)
+    center = rng.normal(size=8).astype(np.float32)
+    dist = teacher_distribution(center.copy(), center, 0.04)
     assert np.allclose(dist, 1.0 / 8, atol=1e-6)
 
 
 def test_teacher_distribution_sharpening_concentrates(rng):
-    state = _teacher_state(tau_teacher=0.005)
     logits = 0.01 * rng.normal(size=8).astype(np.float32)
     logits[3] = logits.max() + 0.2            # gap / tau_t = 40 >> 10
-    dist = teacher_distribution(logits, state)
+    dist = teacher_distribution(logits, np.zeros(8, np.float32), 0.005)
     assert dist[np.argmax(logits)] > 0.99
 
 
@@ -154,21 +152,27 @@ def test_teacher_distribution_sharpening_concentrates(rng):
 def test_teacher_distribution_is_the_centered_sharpened_softmax(rng, dtype):
     """Bit for bit the explicit formula: shift by the center, divide by
     tau_t, subtract the row max, exponentiate, normalize."""
-    state = _teacher_state(k=16)
-    state.center = rng.normal(size=16).astype(np.float32)
+    center, tau_teacher = rng.normal(size=16).astype(np.float32), 0.04
     z = (5.0 * rng.normal(size=(6, 16))).astype(dtype)
-    shifted = (z - state.center.astype(dtype)) / state.tau_teacher
+    shifted = (z - center.astype(dtype)) / tau_teacher
     e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
-    dist = teacher_distribution(z, state)
+    dist = teacher_distribution(z, center, tau_teacher)
     assert dist.dtype == dtype
     assert np.array_equal(dist, e / e.sum(axis=-1, keepdims=True))
 
 
 def test_teacher_distribution_sums_to_one(rng):
-    state = _teacher_state()
+    center = _teacher_state().center
     for _ in range(10):
-        dist = teacher_distribution(rng.normal(size=8).astype(np.float32), state)
+        dist = teacher_distribution(rng.normal(size=8).astype(np.float32), center, 0.04)
         assert abs(dist.sum() - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("tau_teacher", [0.0, -0.04, float("nan")])
+def test_teacher_distribution_rejects_a_non_positive_temperature(tau_teacher):
+    with pytest.raises(DomainError, match="teacher temperature"):
+        teacher_distribution(np.zeros((2, 8), np.float32), np.zeros(8, np.float32),
+                             tau_teacher)
 
 
 # The student distribution is softmax(z / tau_s), computed by ad.softmax.
@@ -366,28 +370,36 @@ def test_ema_teacher_tensor_missing_from_student_raises():
 
 
 def test_update_center_momentum_extremes(rng):
-    state = _teacher_state(center_momentum=1.0)
+    state = _teacher_state()
     before = state.center.copy()
-    update_center(state, rng.normal(size=(4, 8)).astype(np.float32))
+    update_center(state, rng.normal(size=(4, 8)).astype(np.float32), 1.0)
     assert np.array_equal(before, state.center)
 
-    state = _teacher_state(center_momentum=0.0)
+    state = _teacher_state()
     batch = rng.normal(size=(4, 8)).astype(np.float32)
-    update_center(state, batch)
+    update_center(state, batch, 0.0)
     assert np.allclose(state.center, batch.mean(axis=0), atol=1e-6)
 
 
 def test_update_center_one_step_arithmetic():
-    state = _teacher_state(center_momentum=0.9)
+    state = _teacher_state()
     state.center = np.zeros(8, dtype=np.float32)
-    update_center(state, np.ones((3, 8), dtype=np.float32))
+    update_center(state, np.ones((3, 8), dtype=np.float32), 0.9)
     assert np.allclose(state.center, 0.1, atol=1e-6)
 
 
 def test_update_center_rejects_empty_batch():
     state = _teacher_state()
     with pytest.raises(ContractError):
-        update_center(state, np.zeros((0, 8), dtype=np.float32))
+        update_center(state, np.zeros((0, 8), dtype=np.float32), 0.9)
+
+
+@pytest.mark.parametrize("momentum", [-0.1, 1.5, float("nan")])
+def test_update_center_rejects_a_momentum_outside_unit_interval(momentum):
+    state = _teacher_state()
+    with pytest.raises(DomainError, match="center momentum"):
+        update_center(state, np.ones((3, 8), dtype=np.float32), momentum)
+    assert np.array_equal(state.center, np.zeros(8, np.float32))
 
 
 # -------------------------------------------------------------------------
@@ -414,13 +426,13 @@ def test_teacher_gradient_is_identically_zero(rng):
     """The teacher runs outside the tape: its parameters get zero gradient
     from the combined loss."""
     student = init_model_params(tiny_model_config(), seed=7, dtype=np.float64)
-    teacher = make_teacher(student)
+    teacher = make_teacher(student, ema_momentum=0.996)
     imgs = rng.random((2, 3, 8, 8))
 
     from dinoclip.encoders import encode_images, project_dino
     t_logits = project_dino(teacher.params,
                             encode_images(teacher.params, Tensor(imgs, dtype=np.float64)))
-    t_dist = teacher_distribution(t_logits.data, teacher)
+    t_dist = teacher_distribution(t_logits.data, teacher.center, 0.04)
 
     with Tape() as tape:
         emb = encode_images(student, Tensor(imgs, dtype=np.float64))
@@ -436,7 +448,7 @@ def test_teacher_gradient_is_identically_zero(rng):
 def test_contrastive_branch_ignores_local_views(rng):
     """Perturbing local views changes the distillation term only."""
     student = init_model_params(tiny_model_config(), seed=8, dtype=np.float64)
-    teacher = make_teacher(student)
+    teacher = make_teacher(student, ema_momentum=0.996)
     from dinoclip.encoders import encode_images, project_dino
 
     globals_ = Tensor(rng.random((4, 3, 8, 8)), dtype=np.float64)   # 2 views of 2
@@ -447,7 +459,7 @@ def test_contrastive_branch_ignores_local_views(rng):
     def losses(local):
         t_dists = teacher_distribution(
             project_dino(teacher.params, encode_images(teacher.params, globals_)).data,
-            teacher).reshape(2, 2, -1)
+            teacher.center, 0.04).reshape(2, 2, -1)
         emb = encode_images(student, globals_)
         nce = info_nce_loss(ContrastiveBatch(Tensor(texts, dtype=np.float64),
                                              ad.gather_rows(emb, np.arange(2)), tau=0.1))

@@ -74,11 +74,18 @@ def _scalar_params(value: float):
     return params
 
 
+def _zero_moments(params) -> AdamState:
+    return AdamState(*({k: np.zeros_like(v.data) for k, v in params.items()} for _ in range(2)))
+
+
+ADAM = dict(betas=(0.9, 0.98), eps=1e-6)
+
+
 def test_adamw_zero_grad_zero_decay_is_fixed_point():
     params = _scalar_params(1.0)
     before = {k: v.data.copy() for k, v in params.items()}
     zero = {k: np.zeros_like(v.data) for k, v in params.items()}
-    adamw_step(params, zero, AdamState(params), lr=0.1, weight_decay=0.0)
+    adamw_step(params, zero, _zero_moments(params), 1, lr=0.1, weight_decay=0.0, **ADAM)
     for name, arr in before.items():
         assert np.array_equal(arr, params[name].data), name
 
@@ -90,7 +97,7 @@ def test_adamw_single_step_hand_computation():
     grads = {k: np.full_like(v.data, g) for k, v in params.items()}
     lr, b1, b2, eps = 0.01, 0.9, 0.98, 1e-6
     before = params["log_tau"].data.copy()
-    adamw_step(params, grads, AdamState(params), lr=lr, betas=(b1, b2), eps=eps,
+    adamw_step(params, grads, _zero_moments(params), 1, lr=lr, betas=(b1, b2), eps=eps,
                weight_decay=0.0)
     m_hat = (1 - b1) * g / (1 - b1)
     v_hat = (1 - b2) * g * g / (1 - b2)
@@ -98,20 +105,55 @@ def test_adamw_single_step_hand_computation():
     assert np.allclose(params["log_tau"].data, expected, atol=1e-6)
 
 
+def test_adamw_bias_correction_follows_t():
+    """At update t the moments are divided by 1 - beta**t: a constant
+    gradient from the moments a first update leaves moves each tensor by
+    lr * g_hat / (sqrt(v_hat) + eps) at t = 2."""
+    params = _scalar_params(1.0)
+    g, lr, (b1, b2), eps = 0.25, 0.01, ADAM["betas"], ADAM["eps"]
+    grads = {k: np.full_like(v.data, g) for k, v in params.items()}
+    moments = AdamState(*({k: np.full_like(v.data, c) for k, v in params.items()}
+                          for c in ((1 - b1) * g, (1 - b2) * g * g)))
+    before = params["log_tau"].data.copy()
+    adamw_step(params, grads, moments, 2, lr=lr, weight_decay=0.0, **ADAM)
+    m_hat = (b1 * (1 - b1) * g + (1 - b1) * g) / (1 - b1 ** 2)
+    v_hat = (b2 * (1 - b2) * g * g + (1 - b2) * g * g) / (1 - b2 ** 2)
+    assert np.allclose(params["log_tau"].data, before - lr * m_hat / (np.sqrt(v_hat) + eps),
+                       atol=1e-7)
+
+
 def test_adamw_decoupled_weight_decay_only():
     params = _scalar_params(1.0)
     zero = {k: np.zeros_like(v.data) for k, v in params.items()}
     before = params["vision.proj"].data.copy()
-    adamw_step(params, zero, AdamState(params), lr=1.0, weight_decay=0.1)
+    adamw_step(params, zero, _zero_moments(params), 1, lr=1.0, weight_decay=0.1, **ADAM)
     assert np.allclose(params["vision.proj"].data, before - 0.1 * before, atol=1e-6)
+
+
+def test_adamw_steps_only_the_tensors_named_in_grads():
+    """A tensor without a gradient or moment entry keeps its bits, weight
+    decay included; grads and moments naming different tensors are refused."""
+    params = _scalar_params(1.0)
+    before = {k: v.data.copy() for k, v in params.items()}
+    stepped = {k: v for k, v in params.items() if not k.startswith("dino.")}
+    zero = {k: np.zeros_like(v.data) for k, v in stepped.items()}
+    adamw_step(params, zero, _zero_moments(stepped), 1, lr=1.0, weight_decay=0.1, **ADAM)
+    for name, arr in before.items():
+        if name.startswith("dino."):
+            assert np.array_equal(arr, params[name].data), name
+        else:
+            assert np.allclose(params[name].data, 0.9 * arr, atol=1e-6), name
+    with pytest.raises(ContractError, match="does not match"):
+        adamw_step(params, {**zero, "dino.w1": params["dino.w1"].data},
+                   _zero_moments(stepped), 1, lr=1.0, weight_decay=0.1, **ADAM)
 
 
 def test_adamw_structural_mismatch_rejected():
     params = _scalar_params(1.0)
     other = init_model_params(tiny_model_config(k=16), seed=0)
     with pytest.raises(ContractError):
-        adamw_step(params, {k: v.data for k, v in params.items()}, AdamState(other),
-                   lr=0.1)
+        adamw_step(params, {k: v.data for k, v in params.items()}, _zero_moments(other), 1,
+                   lr=0.1, weight_decay=0.0, **ADAM)
 
 
 # -------------------------------------------------------------------------
@@ -230,28 +272,58 @@ def _teacher_names(config: ModelConfig) -> list[str]:
     return [name for name, _ in _parameter_spec(config) if name.startswith(("vision.", "dino."))]
 
 
-def write_format_2_checkpoint(state, path):
-    """``state`` in the format-2 layout: its teacher group held every
-    student tensor, text tower and log-temperature included."""
+# The four checkpoint layouts: the loss mode decides whether the file holds
+# a teacher and center and whether the AdamW groups hold the DINO head, and
+# freeze_temperature whether they hold log_tau.
+LAYOUTS = {"combined": {}, "combined-frozen_tau": {"freeze_temperature": True},
+           "infonce_only": {"loss_mode": "infonce_only"},
+           "infonce_only-frozen_tau": {"loss_mode": "infonce_only", "freeze_temperature": True}}
+
+
+def write_earlier_format_checkpoint(state, path, version: int):
+    """A combined-loss ``state`` in the format-2 or format-3 layout: both
+    kept AdamW's step count as ``adam_t`` beside ``step``, and format 2's
+    teacher group held every student tensor, text tower and
+    log-temperature included."""
     save_checkpoint(state, path)
     sections = ckpt.read_container(path)
-    ckpt.write_container(path, {**sections, "format_version": 2,
-                                "teacher": sections["student"]})
+    sections.update(format_version=version, counters={**sections["counters"],
+                                                      "adam_t": state.step})
+    if version == 2:
+        sections["teacher"] = sections["student"]
+    ckpt.write_container(path, sections)
 
 
-def test_checkpoint_round_trip_bit_identical(tmp_path, tiny_records):
-    cfg = tiny_train_config(epochs=1)
+def _state_arrays(state) -> dict:
+    """Each student tensor, AdamW moment, teacher tensor and the center of
+    ``state``, keyed by (group, name) in the state's order."""
+    groups = {"student": {k: t.data for k, t in state.student.items()},
+              "adam_m": state.adam.m, "adam_v": state.adam.v}
+    if state.teacher is not None:
+        groups.update(teacher={k: t.data for k, t in state.teacher.params.items()},
+                      center={"center": state.teacher.center})
+    return {(g, k): a for g, arrays in groups.items() for k, a in arrays.items()}
+
+
+def _assert_same_state(a, b):
+    one, other = _state_arrays(a), _state_arrays(b)
+    assert list(one) == list(other)
+    for key, arr in one.items():
+        assert arr.dtype == other[key].dtype and np.array_equal(arr, other[key]), key
+    assert (a.step, a.next_epoch, a.train_fingerprint) == \
+           (b.step, b.next_epoch, b.train_fingerprint)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_checkpoint_round_trip_bit_identical(tmp_path, tiny_records, layout):
+    cfg = tiny_train_config(epochs=1, **LAYOUTS[layout])
     state, _ = train(cfg, tiny_records)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(state, p1)
     loaded = load_checkpoint(p1)
     save_checkpoint(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    for name, t in state.student.items():
-        assert np.array_equal(t.data, loaded.student[name].data), name
-    assert np.array_equal(state.teacher.center, loaded.teacher.center)
-    assert state.step == loaded.step and state.next_epoch == loaded.next_epoch
-    assert state.adam.t == loaded.adam.t
+    _assert_same_state(state, loaded)
 
 
 def test_checkpoint_truncation_detected(tmp_path, tiny_records):
@@ -275,12 +347,14 @@ def test_checkpoint_version_mismatch_detected(tmp_path, tiny_records):
         load_checkpoint(bad)
 
 
-def test_checkpoint_format_2_refused(tmp_path):
-    """A format-2 file, whose teacher group holds the text tower too, is
-    refused by its version."""
-    path = tmp_path / "v2.ckpt"
-    write_format_2_checkpoint(init_train_state(tiny_train_config()), path)
-    with pytest.raises(CheckpointVersionError, match=f"format 2, not {FORMAT_VERSION}"):
+@pytest.mark.parametrize("version", [2, 3])
+def test_checkpoint_earlier_format_refused(tmp_path, version):
+    """A format-2 file, whose teacher group holds the text tower too, and a
+    format-3 file, with adam_t, are refused by their version."""
+    path = tmp_path / "old.ckpt"
+    write_earlier_format_checkpoint(init_train_state(tiny_train_config()), path, version)
+    with pytest.raises(CheckpointVersionError,
+                       match=f"format {version}, not {FORMAT_VERSION}"):
         load_checkpoint(path)
 
 
@@ -334,6 +408,11 @@ def set_config_field(obj: dict, path: tuple, value) -> dict:
     lambda sec: sec.update(counters=b"\xff\xfe"),
     lambda sec: sec.update(teacher=sec["teacher"][:-1]),
     lambda sec: sec.update(counters={}),
+    lambda sec: sec["counters"].update(adam_t=sec["counters"]["step"]),
+    lambda sec: sec["counters"].update(step=-1),
+    lambda sec: sec["counters"].update(next_epoch=-1),
+    lambda sec: sec["counters"].update(next_epoch=2),
+    lambda sec: sec["counters"].update(step=True),
     lambda sec: sec.update(config={"foo": 1}),
     lambda sec: set_config_field(sec["config"], ("batch_size",), "4"),
     lambda sec: set_config_field(sec["config"], ("model", "text", "depth"), 0.5),
@@ -350,7 +429,9 @@ def set_config_field(obj: dict, path: tuple, value) -> dict:
     lambda sec: sec.update(adam_m=sec["adam_m"][:-1]),   # log_tau, the last tensor
     lambda sec: sec.update(adam_v=sec["adam_v"].reshape(1, -1)),
 ], ids=["missing-center", "missing-config", "bad-json", "bad-utf8-json",
-        "teacher-one-short", "counters-without-keys", "config-unknown-field",
+        "teacher-one-short", "counters-without-keys", "counters-with-adam_t",
+        "counters-step-negative", "counters-next-epoch-negative",
+        "counters-next-epoch-past-epochs", "counters-step-bool", "config-unknown-field",
         "config-ill-typed", "config-nested-ill-typed", "config-out-of-domain",
         "config-beta-1", "config-adam-eps-0", "config-tau-student-0",
         "config-tau-teacher-negative", "config-weight-decay-negative",
@@ -429,8 +510,7 @@ def test_checkpoint_reads_with_numpy_alone(tmp_path):
     n_teacher = sum(state.student[name].data.size for name in _teacher_names(state.config.model))
     assert out == {"format_version.json": FORMAT_VERSION,
                    "config.json": json.loads(json.dumps(state.config.to_dict())),
-                   "counters.json": {"step": 0, "next_epoch": 0, "adam_t": 0,
-                                     "train_fingerprint": None},
+                   "counters.json": {"step": 0, "next_epoch": 0, "train_fingerprint": None},
                    "center": ["float32", state.config.model.dino.output_dim],
                    "teacher": ["float32", n_teacher],
                    **{g: ["float32", n] for g in ("student", "adam_m", "adam_v")}}
@@ -471,24 +551,28 @@ def test_config_from_dict_fuzzed_raises_only_documented_errors(blob):
 # -------------------------------------------------------------------------
 
 @functools.cache
-def valid_checkpoint() -> bytes:
-    """The bytes of an untrained tiny-config checkpoint, built on first use."""
+def valid_checkpoint(layout: str = "combined") -> bytes:
+    """The bytes of an untrained tiny-config checkpoint in one of LAYOUTS,
+    built on first use."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.ckpt")
-        save_checkpoint(init_train_state(tiny_train_config()), path)
+        save_checkpoint(init_train_state(tiny_train_config(**LAYOUTS[layout])), path)
         with open(path, "rb") as f:
             return f.read()
 
 
-def checkpoint_mutations():
-    return st.deferred(lambda: byte_mutations(valid_checkpoint()))
+def checkpoint_mutations(layout: str = "combined"):
+    return st.deferred(lambda: byte_mutations(valid_checkpoint(layout)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(blob=checkpoint_mutations())
-@example(blob=b"PK\x05\x06" + bytes(18))   # a well-formed empty zip
-def test_checkpoint_fuzzed_raises_only_checkpoint_error(tmp_path, blob):
+@given(case=st.sampled_from(list(LAYOUTS)).flatmap(
+    lambda layout: st.tuples(st.just(layout), checkpoint_mutations(layout))))
+@example(case=("combined", b"PK\x05\x06" + bytes(18)))   # a well-formed empty zip
+def test_checkpoint_fuzzed_raises_only_checkpoint_error(tmp_path, case):
+    """Each of the four layouts' files, mutated."""
+    layout, blob = case
     path = tmp_path / "fuzz.ckpt"
     path.write_bytes(blob)
     try:
@@ -497,7 +581,7 @@ def test_checkpoint_fuzzed_raises_only_checkpoint_error(tmp_path, blob):
         return
     # a flip in a field the reader does not use: the state is unchanged
     save_checkpoint(state, tmp_path / "again.ckpt")
-    assert (tmp_path / "again.ckpt").read_bytes() == valid_checkpoint()
+    assert (tmp_path / "again.ckpt").read_bytes() == valid_checkpoint(layout)
 
 
 def test_checkpoint_cut_and_damaged_end_record_told_apart(tmp_path):
@@ -556,11 +640,12 @@ def test_train_seed_changes_outcome(tiny_records):
                for name, t in a.student.items())
 
 
-def test_resume_equals_uninterrupted(tmp_path, tiny_records):
-    cfg = tiny_train_config(epochs=4)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_resume_equals_uninterrupted(tmp_path, tiny_records, layout):
+    cfg = tiny_train_config(epochs=4, **LAYOUTS[layout])
     full, full_metrics = train(cfg, tiny_records)
 
-    half, half_metrics = train(tiny_train_config(epochs=4), tiny_records,
+    half, half_metrics = train(tiny_train_config(epochs=4, **LAYOUTS[layout]), tiny_records,
                                stop_after_epoch=2)
     mid = tmp_path / "mid.ckpt"
     save_checkpoint(half, mid)
@@ -571,6 +656,7 @@ def test_resume_equals_uninterrupted(tmp_path, tiny_records):
     save_checkpoint(full, pa)
     save_checkpoint(done, pb)
     assert pa.read_bytes() == pb.read_bytes()
+    _assert_same_state(full, done)
     # step-for-step: the resumed half reproduces the tail of the full log
     tail = full_metrics.records[len(half_metrics.records):]
     assert len(rest_metrics.records) == len(tail)
@@ -603,21 +689,53 @@ def test_resume_with_a_different_config_is_refused(tiny_records):
     assert state.step == 0 and state.train_fingerprint is None
 
 
-def test_infonce_only_never_reads_teacher(tiny_records):
-    """Wrecking the teacher changes nothing under loss-mode infonce_only."""
-    cfg = tiny_train_config(epochs=2, loss_mode="infonce_only")
-    a, metrics_a = train(cfg, tiny_records)
+def _members(path) -> set:
+    with zipfile.ZipFile(path) as zf:
+        return set(zf.namelist())
 
-    state = init_train_state(tiny_train_config(epochs=2, loss_mode="infonce_only"))
-    for name, t in state.teacher.params.items():
-        state.teacher.params.tensors[name] = Tensor(np.full_like(t.data, 7.7), name=name)
-    b, metrics_b = train(state.config, tiny_records, resume=state)
 
-    for name, t in a.student.items():
-        assert np.array_equal(t.data, b.student[name].data), name
-    assert [(m["loss_infonce"], m["loss_distill"]) for m in metrics_a.records] == \
-           [(m["loss_infonce"], m["loss_distill"]) for m in metrics_b.records]
-    assert all(m["loss_distill"] is None for m in metrics_a.records)
+def test_infonce_only_holds_no_teacher_and_keeps_its_dino_head(tmp_path, tiny_records,
+                                                               monkeypatch):
+    """Under infonce_only the state and its checkpoint hold no teacher, no
+    center and no DINO-head moment, backward is asked for no DINO tensor,
+    and after training every DINO tensor equals its initial value bit for
+    bit, where weight decay alone used to shrink it."""
+    cfg = tiny_train_config(epochs=3, loss_mode="infonce_only")
+    initial = init_model_params(cfg.model, cfg.seed)
+    asked = []
+
+    def backward_spy(tape, loss, params):
+        params = list(params)
+        asked.append({t.name for t in params})
+        return backward(tape, loss, params=params)
+
+    monkeypatch.setattr(trainer, "backward", backward_spy)
+    state, metrics = train(cfg, tiny_records)
+    dino = {n for n in initial.names() if n.startswith("dino.")}
+    assert len(asked) == 3 and all(names == initial.names() - dino for names in asked)
+    save_checkpoint(state, tmp_path / "a.ckpt")
+    assert _members(tmp_path / "a.ckpt") == {"format_version.json", "config.json",
+                                             "counters.json", "student.npy", "adam_m.npy",
+                                             "adam_v.npy"}
+    for st_ in (state, load_checkpoint(tmp_path / "a.ckpt")):
+        assert st_.teacher is None
+        assert set(st_.adam.m) == set(st_.adam.v) == initial.names() - dino
+        for name in dino:
+            assert np.array_equal(st_.student[name].data, initial[name].data), name
+    assert all(m["loss_distill"] is None for m in metrics.records)
+
+
+def test_freeze_temperature_holds_no_log_tau_moment(tmp_path, tiny_records):
+    """A freeze_temperature run keeps no AdamW moment for log_tau, in the
+    state or the file, and ends at its initial temperature."""
+    cfg = tiny_train_config(epochs=3, freeze_temperature=True)
+    initial = init_model_params(cfg.model, cfg.seed)["log_tau"].data
+    state, _ = train(cfg, tiny_records)
+    save_checkpoint(state, tmp_path / "a.ckpt")
+    for st_ in (state, load_checkpoint(tmp_path / "a.ckpt")):
+        assert "log_tau" not in st_.adam.m and "log_tau" not in st_.adam.v
+        assert set(st_.adam.m) == set(st_.student.names()) - {"log_tau"}
+        assert np.array_equal(st_.student.log_tau.data, initial)
 
 
 def test_frozen_teacher_with_unit_momenta(tiny_records):
