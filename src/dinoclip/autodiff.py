@@ -368,8 +368,9 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return _record("concat", ts, out, backward)
 
 
-def take_index(a, index: int, axis: int) -> Tensor:
-    """Select one slice along an axis, dropping that axis."""
+def take_index(a, index, axis: int) -> Tensor:
+    """Select slices along an axis: an int index takes one and drops the
+    axis, a 1-D array of distinct indices takes those and keeps it."""
     a = _as_tensor(a)
     ad = a.data
     out = np.take(ad, index, axis=axis)
@@ -457,68 +458,79 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", (a, b), ad @ bd, backward)
 
 
-def attention(q, k, v, heads: int, runs) -> Tensor:
+def attention(q, k, v, heads: int, runs, queries: Optional[int] = None) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(W / heads)) v within each sequence,
     as one node.
 
-    The operands are the projected q, k and v, equal-shaped [B, T, W] or
-    [N, W] arrays of W-wide rows.  ``runs`` lists (count, length) pairs:
-    ``count`` consecutive sequences of ``length`` rows each, in row order,
-    covering every row (a [B, T, W] batch is the one run [(B, T)]).  No row
-    attends outside its own sequence.  Each run's arrays are those of the
-    composed reshape/transpose/matmul/mul/softmax chain over a
-    [count, length, W] batch minus the copies, so it gives that chain's
-    bits; with one run k's gradient keeps the chain's strided layout, as the
-    k bias's gradient sums in memory order."""
+    The operands are the projected q, k and v: [B, T, W] or [N, W] arrays
+    of W-wide rows, k and v equal-shaped.  ``runs`` lists (count, length)
+    pairs: ``count`` consecutive sequences of ``length`` rows each, in row
+    order, covering every row of k and v (a [B, T, W] batch is the one run
+    [(B, T)]).  No row attends outside its own sequence.  With a query-row
+    count ``queries`` = n, q holds only the first min(n, length) rows of
+    each sequence, in the same order, and so does the output; without it
+    every row queries.  Each run's arrays are those of the composed
+    reshape/transpose/matmul/mul/softmax chain over a [count, length, W]
+    batch minus the copies, so it gives that chain's bits (for n >= 2 also
+    the bits of those rows when every row queries, as a GEMM row does not
+    depend on the row count from two rows on); with one run k's gradient
+    keeps the chain's strided layout, as the k bias's gradient sums in
+    memory order."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if (q.ndim not in (2, 3) or not q.shape == k.shape == v.shape or heads < 1
-            or q.shape[-1] % heads):
-        raise ShapeError(f"attention needs equal [B, T, W] or [N, W] operands with W "
-                         f"divisible by {heads} heads: {q.shape}, {k.shape}, {v.shape}")
-    if (any(c < 1 or t < 1 for c, t in runs)
-            or sum(c * t for c, t in runs) != math.prod(q.shape[:-1])):
+    if (k.ndim not in (2, 3) or q.ndim != k.ndim or k.shape != v.shape or heads < 1
+            or q.shape[-1] != k.shape[-1] or k.shape[-1] % heads):
+        raise ShapeError(f"attention needs [B, T, W] or [N, W] operands, k and v equal, "
+                         f"with W divisible by {heads} heads: {q.shape}, {k.shape}, {v.shape}")
+    q_lengths = [t if queries is None else min(queries, t) for _, t in runs]
+    if ((queries is not None and queries < 1) or any(c < 1 or t < 1 for c, t in runs)
+            or sum(c * t for c, t in runs) != math.prod(k.shape[:-1])
+            or sum(c * n for (c, _), n in zip(runs, q_lengths)) != math.prod(q.shape[:-1])):
         raise ShapeError(f"attention needs runs of (count, length) pairs >= 1 covering "
-                         f"the operands' rows: got {runs} for {q.shape}")
+                         f"the operands' rows, and queries >= 1 if given: got {runs} "
+                         f"for {q.shape}, {k.shape} with queries={queries}")
     w = q.shape[-1]
     hd = w // heads
     scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.dtype)
     qd, kd, vd = (z.data.reshape(-1, w) for z in (q, k, v))
     out = np.empty_like(qd)
     saved = []                                              # per run: rows, splits, p
-    start = 0
-    for c, t in runs:
-        rows = slice(start, start + c * t)
-        start = rows.stop
-        qs, ks, vs = (np.ascontiguousarray(z[rows].reshape(c, t, heads, hd).swapaxes(1, 2))
-                      for z in (qd, kd, vd))                # [c, H, t, hd]
+    q_start = kv_start = 0
+    for (c, t), n in zip(runs, q_lengths):
+        q_rows = slice(q_start, q_start + c * n)
+        kv_rows = slice(kv_start, kv_start + c * t)
+        q_start, kv_start = q_rows.stop, kv_rows.stop
+        qs = np.ascontiguousarray(qd[q_rows].reshape(c, n, heads, hd).swapaxes(1, 2))
+        ks, vs = (np.ascontiguousarray(z[kv_rows].reshape(c, t, heads, hd).swapaxes(1, 2))
+                  for z in (kd, vd))                        # [c, H, t, hd]
         scores = qs @ np.ascontiguousarray(ks.transpose(0, 1, 3, 2))
         scores *= scale
         _softmax_inplace(scores, -1)
-        out[rows].reshape(c, t, heads, hd)[...] = (scores @ vs).transpose(0, 2, 1, 3)
-        saved.append((rows, qs, ks, vs, scores))
+        out[q_rows].reshape(c, n, heads, hd)[...] = (scores @ vs).transpose(0, 2, 1, 3)
+        saved.append((q_rows, kv_rows, qs, ks, vs, scores))
 
     def backward(g):
         g = g.reshape(-1, w)
         grads = []
-        for rows, qs, ks, vs, p in saved:
-            c, _, t, _ = qs.shape
-            gc = g[rows].reshape(c, t, heads, hd).transpose(0, 2, 1, 3)
+        for q_rows, kv_rows, qs, ks, vs, p in saved:
+            c, _, n, t = p.shape
+            gc = g[q_rows].reshape(c, n, heads, hd).transpose(0, 2, 1, 3)
             gs = gc @ np.ascontiguousarray(vs.swapaxes(-1, -2))
             gv = p.swapaxes(-1, -2) @ gc
             gl = _softmax_adjoint(gs, p, -1)
             gl *= scale
             gq = gl @ ks
             gkt = qs.swapaxes(-1, -2) @ gl                  # [c, H, hd, t]
-            grads.append((gq.transpose(0, 2, 1, 3).reshape(c, t, w),
+            grads.append((gq.transpose(0, 2, 1, 3).reshape(c, n, w),
                           gkt.transpose(0, 3, 1, 2).reshape(c, t, w),
                           gv.transpose(0, 2, 1, 3).reshape(c, t, w)))
+        shapes = (q.shape, k.shape, v.shape)
         if len(grads) == 1:
-            return tuple(x.reshape(q.shape) for x in grads[0])
-        packed = tuple(np.empty_like(qd) for _ in range(3))
-        for (rows, *_), run in zip(saved, grads):
-            for dst, src in zip(packed, run):
+            return tuple(x.reshape(s) for x, s in zip(grads[0], shapes))
+        packed = tuple(np.empty_like(z) for z in (qd, kd, vd))
+        for (q_rows, kv_rows, *_), run in zip(saved, grads):
+            for dst, rows, src in zip(packed, (q_rows, kv_rows, kv_rows), run):
                 dst[rows].reshape(src.shape)[...] = src
-        return tuple(x.reshape(q.shape) for x in packed)
+        return tuple(x.reshape(s) for x, s in zip(packed, shapes))
 
     return _record("attention", (q, k, v), out.reshape(q.shape), backward)
 

@@ -24,6 +24,11 @@ END_ID = 2
 BYTE_OFFSET = 256
 BYTE_VOCAB_SIZE = 512
 
+# Rows per sequence that the last block runs past attention's keys and
+# values: row 0 is pooled, and a second row keeps every product off the
+# one-row BLAS path, whose bits differ from a row of a larger product.
+QUERY_ROWS = 2
+
 INIT_STD = 0.02
 # learnable contrastive temperature starts at 1/14.3
 INIT_LOG_TAU = float(np.log(1.0 / 14.3))
@@ -39,8 +44,9 @@ class VisionEncoderConfig:
     embed_dim: int = 32
 
     def __post_init__(self):
-        if self.patch_size < 1 or self.heads < 1:
-            raise DomainError(f"patch_size {self.patch_size} and heads {self.heads} must be >= 1")
+        if min(self.patch_size, self.heads, self.depth) < 1:
+            raise DomainError(f"patch_size {self.patch_size}, heads {self.heads} and depth "
+                              f"{self.depth} must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise DomainError(f"image_size {self.image_size} not divisible by "
                               f"patch_size {self.patch_size}")
@@ -66,8 +72,9 @@ class TextEncoderConfig:
     embed_dim: int = 32
 
     def __post_init__(self):
-        if self.max_length < 1 or self.heads < 1:
-            raise DomainError(f"max_length {self.max_length} and heads {self.heads} must be >= 1")
+        if min(self.max_length, self.heads, self.depth) < 1:
+            raise DomainError(f"max_length {self.max_length}, heads {self.heads} and depth "
+                              f"{self.depth} must be >= 1")
         if self.width % self.heads != 0:
             raise DomainError(f"width {self.width} not divisible by heads {self.heads}")
 
@@ -199,18 +206,29 @@ def init_model_params(config: ModelConfig, seed: int, dtype=np.float32) -> Model
 # ---------------------------------------------------------------------------
 
 def _transformer(params: ModelParams, prefix: str, x: Tensor, depth: int,
-                 heads: int, runs) -> Tensor:
+                 heads: int, runs, keep: np.ndarray) -> Tensor:
     """Pre-norm transformer over the rows of x ([B, T, W] or packed [N, W]),
-    whose sequences ``runs`` gives as (count, length) pairs.
+    whose sequences ``runs`` gives as (count, length) pairs.  ``keep``
+    indexes the row axis (T or N) at each sequence's first
+    min(QUERY_ROWS, length) rows, the rows the caller pools from; only
+    those rows are returned.
 
     Each block's attention is one ``autodiff.attention`` node over the
-    biased q, k and v projections; every other op is position-wise."""
+    biased q, k and v projections; every other op is position-wise.  In
+    the last block every row is still a key and a value, so layer norm 1
+    and the k and v projections run on all rows, and the rest on the kept
+    rows only."""
+    axis = x.ndim - 2
     for i in range(depth):
         blk = f"{prefix}.blocks.{i}"
+        last = i == depth - 1
         h = ad.layer_norm(x, params[f"{blk}.ln1.gain"], params[f"{blk}.ln1.bias"])
-        q, k, v = (ad.matmul(h, params[f"{blk}.attn.w{p}"]) + params[f"{blk}.attn.b{p}"]
-                   for p in "qkv")
-        attn = ad.attention(q, k, v, heads, runs)
+        hq = h
+        if last:
+            x, hq = ad.take_index(x, keep, axis), ad.take_index(h, keep, axis)
+        q, k, v = (ad.matmul(z, params[f"{blk}.attn.w{p}"]) + params[f"{blk}.attn.b{p}"]
+                   for z, p in zip((hq, h, h), "qkv"))
+        attn = ad.attention(q, k, v, heads, runs, queries=QUERY_ROWS if last else None)
         x = x + ad.matmul(attn, params[f"{blk}.attn.wo"]) + params[f"{blk}.attn.bo"]
 
         h = ad.layer_norm(x, params[f"{blk}.ln2.gain"], params[f"{blk}.ln2.bias"])
@@ -221,7 +239,8 @@ def _transformer(params: ModelParams, prefix: str, x: Tensor, depth: int,
 
 
 def encode_images(params: ModelParams, images: Tensor) -> Tensor:
-    """Batch image encoder: [B, 3, S, S] -> [B, m] class-token embeddings.
+    """Batch image encoder: [B, 3, S, S] -> [B, m] class-token embeddings,
+    pooled at row 0 of the two rows each image keeps from the last block.
 
     S is the configured image_size or any smaller multiple of the patch
     size.  Below image_size the patch positional embeddings are the bicubic
@@ -244,7 +263,8 @@ def encode_images(params: ModelParams, images: Tensor) -> Tensor:
     tokens = ad.matmul(patches, params["vision.patch_embed.w"]) + params["vision.patch_embed.b"]
     cls = Tensor(np.zeros((b, 1, cfg.width), dtype=images.dtype)) + params["vision.cls"]
     x = ad.concat([cls, tokens], axis=1) + pos
-    x = _transformer(params, "vision", x, cfg.depth, cfg.heads, [x.shape[:2]])
+    x = _transformer(params, "vision", x, cfg.depth, cfg.heads, [x.shape[:2]],
+                     np.arange(QUERY_ROWS))                         # [B, 2, W]
     x = ad.layer_norm(x, params["vision.ln_f.gain"], params["vision.ln_f.bias"])
     pooled = ad.take_index(x, 0, axis=1)                            # [B, W]
     return ad.matmul(pooled, params["vision.proj"])                 # [B, m]
@@ -268,9 +288,11 @@ def encode_text(params: ModelParams, token_lists) -> Tensor:
     The sequences are sorted by length (stably) and their tokens packed into
     one [N, W] row block without padding, so every position-wise op runs
     once over all N rows; attention runs within each sequence, per run of
-    equal lengths.  The projection runs on every row before the first rows
-    are gathered, so that no matmul has a single row.  A float32 GEMM row
-    does not depend on how many rows are multiplied with it (at least two;
+    equal lengths.  The last block keeps each sequence's first two rows
+    (one for a length-1 sequence), and the final layer norm and the
+    projection run on those kept rows before the first of each pair is
+    gathered, so that no matmul has a single row.  A float32 GEMM row does
+    not depend on how many rows are multiplied with it (at least two;
     tests/test_encoders.py guards this for the encoder's shapes), so each
     row is bit-identical to its sequence encoded alone.
     """
@@ -298,10 +320,11 @@ def encode_text(params: ModelParams, token_lists) -> Tensor:
          + ad.gather_rows(params["text.pos"], positions))                  # [N, W]
     run_lengths, run_counts = np.unique(sizes, return_counts=True)
     runs = [(int(c), int(t)) for c, t in zip(run_counts, run_lengths)]
-    x = _transformer(params, "text", x, cfg.depth, cfg.heads, runs)
+    keep = np.flatnonzero(positions < QUERY_ROWS)
+    x = _transformer(params, "text", x, cfg.depth, cfg.heads, runs, keep)
     x = ad.layer_norm(x, params["text.ln_f.gain"], params["text.ln_f.bias"])
     first = np.empty_like(starts)
-    first[order] = starts
+    first[order] = np.flatnonzero(positions[keep] == 0)
     return ad.gather_rows(ad.matmul(x, params["text.proj"]), first)        # [B, m]
 
 

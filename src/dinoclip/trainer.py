@@ -307,6 +307,11 @@ def load_checkpoint(path) -> TrainState:
         raise CheckpointError(f"counters section needs exactly an integer step >= 0, an integer "
                               f"next_epoch in [0, {config.epochs}] and a train_fingerprint, "
                               f"got {counters!r}")
+    members = {"config", "counters", "student", "adam_m", "adam_v"}
+    if config.loss_mode == "combined":
+        members |= {"teacher", "center"}
+    if stray := sorted(set(sections) - members):
+        raise CheckpointError(f"members {stray} are not read under {config.loss_mode}")
 
     def params(group, spec, requires_grad):
         return ModelParams(config.model, {
@@ -479,9 +484,12 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
     if state.train_fingerprint not in (None, fingerprint):
         raise ValidationError(f"cannot resume on different train records: the state has "
                               f"{state.train_fingerprint}, the manifest {fingerprint}")
+    steps_per_epoch = len(train_records) // config.batch_size
+    if state.step != state.next_epoch * steps_per_epoch:
+        raise CheckpointError(f"the state is at step {state.step} after {state.next_epoch} "
+                              f"epochs of {steps_per_epoch} steps")
     state.train_fingerprint = fingerprint
 
-    steps_per_epoch = len(train_records) // config.batch_size
     total_steps = config.epochs * steps_per_epoch
     warmup_steps = config.warmup_epochs * steps_per_epoch
     metrics = MetricsLog()

@@ -339,13 +339,64 @@ RUNS = [(2, 3), (1, 1), (3, 2)]      # (count, length): 6 + 1 + 6 packed rows
 @pytest.mark.parametrize("seed", range(3))
 def test_gradcheck_attention(seed):
     """The fused attention over [B, T, W] projections, and over packed rows
-    in runs of unequal length."""
+    in runs of unequal length; with a query-row count n, where q holds each
+    sequence's first min(n, length) rows and k and v all of them, in both
+    forms and with sequences of length 1."""
     rng = np.random.default_rng(430 + seed)
-    for shape, runs in (((2, 3, 8), [(2, 3)]), ((13, 8), RUNS)):
-        m = _mask(rng, shape)
+    for q_shape, kv_shape, runs, n in (((2, 3, 8), (2, 3, 8), [(2, 3)], None),
+                                       ((13, 8), (13, 8), RUNS, None),
+                                       ((2, 2, 8), (2, 3, 8), [(2, 3)], 2),
+                                       ((2, 1, 8), (2, 1, 8), [(2, 1)], 2),
+                                       ((11, 8), (13, 8), RUNS, 2),
+                                       ((6, 8), (13, 8), RUNS, 1),
+                                       ((11, 8), (16, 8), [(1, 4), (2, 1), (2, 5)], 3)):
+        m = _mask(rng, q_shape)
         check_gradients(lambda t: ad.sum_(ad.mul(
-            ad.attention(t["q"], t["k"], t["v"], 2, runs), m)),
-            {name: rng.normal(size=shape) for name in "qkv"})
+            ad.attention(t["q"], t["k"], t["v"], 2, runs, queries=n), m)),
+            {"q": rng.normal(size=q_shape), "k": rng.normal(size=kv_shape),
+             "v": rng.normal(size=kv_shape)})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gradcheck_take_index_rows(seed):
+    """An array of distinct indices keeps the axis: its adjoint scatters the
+    gradient into those slices and leaves zeros elsewhere."""
+    rng = np.random.default_rng(470 + seed)
+    for shape, index, axis in (((2, 4, 3), np.array([0, 1]), 1),
+                               ((7, 3), np.array([0, 1, 3, 5, 6]), 0)):
+        out_shape = list(shape)
+        out_shape[axis] = index.size
+        m = _mask(rng, tuple(out_shape))
+        check_gradients(lambda t: ad.sum_(ad.mul(ad.take_index(t["a"], index, axis), m)),
+                        {"a": rng.normal(size=shape)})
+
+
+@pytest.mark.parametrize("runs", [[(3, 5)], [(2, 1), (3, 2), (4, 7), (1, 64)]])
+def test_attention_query_rows_equal_first_rows_of_all(runs):
+    """float32: each query row's output equals, bit for bit, that row's
+    output when every row queries; the gradients agree with the all-rows
+    node's under an incoming gradient that is zero on the other rows."""
+    rng = np.random.default_rng(460)
+    keep, start = [], 0                             # each sequence's first 2 rows
+    for c, t in runs:
+        for _ in range(c):
+            keep.extend(range(start, start + min(2, t)))
+            start += t
+    keep, n_rows = np.array(keep), start
+    q, k, v = (rng.normal(size=(n_rows, 64)).astype(np.float32) for _ in range(3))
+    g = rng.normal(size=(keep.size, 64)).astype(np.float32)
+    out, bw = _node_of(lambda *t: ad.attention(*t, 4, runs, queries=2),
+                       *(parameter(a, n) for a, n in zip((q[keep], k, v), "qkv")))
+    full, full_bw = _node_of(lambda *t: ad.attention(*t, 4, runs),
+                             *(parameter(a, n) for a, n in zip((q, k, v), "qkv")))
+    _assert_same(out, full[keep])
+    g_full = np.zeros_like(q)
+    g_full[keep] = g
+    (gq, gk, gv), (fq, fk, fv) = bw(g), full_bw(g_full)
+    assert gq.shape == (keep.size, 64) and gk.shape == gv.shape == k.shape
+    assert np.array_equal(np.delete(fq, keep, axis=0), np.zeros((n_rows - keep.size, 64)))
+    for got, want in ((gq, fq[keep]), (gk, fk), (gv, fv)):
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
 def test_attention_packed_runs_equal_each_run_alone():
@@ -383,6 +434,11 @@ def test_attention_rejects_mismatched_operands():
         for operand in (packed, x):       # the same 6 rows in either rank
             with pytest.raises(ShapeError):
                 ad.attention(operand, operand, operand, 2, runs)
+    for n in (0, 1, 3):                   # 4 query rows fit only queries=2
+        with pytest.raises(ShapeError):
+            ad.attention(Tensor(np.zeros((4, 8))), packed, packed, 2, [(2, 3)], queries=n)
+    with pytest.raises(ShapeError):
+        ad.attention(Tensor(np.zeros((2, 2, 8))), packed, packed, 2, [(2, 3)], queries=2)
 
 
 def test_attention_rows_of_either_rank_agree():
@@ -447,6 +503,8 @@ def _purity_cases():
         "transpose": (lambda t: ad.transpose(t["a"], (0, 2, 1)), {"a": (2, 3, 4)}),
         "concat": (lambda t: ad.concat([t["a"], t["b"]], axis=1), {"a": (3, 2), "b": (3, 4)}),
         "take_index": (lambda t: ad.take_index(t["a"], 1, axis=1), {"a": (2, 3, 4)}),
+        "take_index_rows": (lambda t: ad.take_index(t["a"], np.array([0, 2]), axis=1),
+                            {"a": (2, 3, 4)}),
         "gather_rows": (lambda t: ad.gather_rows(t["a"], np.array([0, 2, 2])),
                         {"a": (3, 4)}),
         "extract_patches": (lambda t: ad.extract_patches(t["a"], 2), {"a": (2, 3, 4, 4)}),
@@ -459,6 +517,12 @@ def _purity_cases():
                       {"q": (2, 3, 8), "k": (2, 3, 8), "v": (2, 3, 8)}),
         "attention_runs": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2, RUNS),
                            {"q": (13, 8), "k": (13, 8), "v": (13, 8)}),
+        "attention_queries": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2, [(2, 3)],
+                                                     queries=2),
+                              {"q": (2, 2, 8), "k": (2, 3, 8), "v": (2, 3, 8)}),
+        "attention_runs_queries": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2, RUNS,
+                                                          queries=2),
+                                   {"q": (11, 8), "k": (13, 8), "v": (13, 8)}),
         "weight_norm_linear": (lambda t: ad.weight_norm_linear(t["x"], t["d"], t["s"]),
                                {"x": (2, 3), "d": (5, 3), "s": (5,)}),
         "softmax": (lambda t: ad.softmax(t["a"], axis=-1, temperature=0.07), {"a": (3, 6)}),

@@ -402,6 +402,18 @@ def test_resume_from_damaged_counters_is_io_error(workdir, capsys, counters):
     epoch 2) whose counters are edited: a negative step or next_epoch, or
     an adam_t key, which format 4 does not have, is refused at load, before
     a step runs on it."""
+    _resume_edited_mid_checkpoint(workdir, capsys, counters, "counters section")
+
+
+def test_resume_with_step_off_its_epochs_is_io_error(workdir, capsys):
+    """The same 4-step checkpoint edited to step 5: it loads, since the
+    steps per epoch come from the manifest, but train refuses it before a
+    step runs with the schedule one step ahead."""
+    _resume_edited_mid_checkpoint(workdir, capsys, {"step": 5},
+                                  "step 5 after 2 epochs of 2 steps")
+
+
+def _resume_edited_mid_checkpoint(workdir, capsys, counters, message):
     config = workdir / "config4.json"
     config.write_text(json.dumps(tiny_train_config(epochs=4, batch_size=2).to_dict()))
     good, bad = workdir / "mid.ckpt", workdir / "bad.ckpt"
@@ -415,7 +427,7 @@ def test_resume_from_damaged_counters_is_io_error(workdir, capsys, counters):
     rc = main(["train", "--checkpoint", str(bad), "--manifest", str(workdir / "manifest.jsonl"),
                "--out", str(workdir / "out.ckpt")])
     assert rc == 4
-    assert "counters section" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (workdir / "out.ckpt").exists()
 
 
@@ -515,19 +527,20 @@ def test_train_bad_config_is_validation_error(workdir, capsys, path, value):
     (("learning_rate",), float("nan")), (("tau_student",), float("inf")), (None, None),
     (("betas",), [1.0, 0.98]), (("betas",), [0.9, -0.5]), (("adam_eps",), 0.0),
     (("adam_eps",), -1.0), (("tau_student",), 0), (("tau_teacher",), -1.0),
-    (("weight_decay",), -1.0), (("ema_momentum",), 1.5), (("center_momentum",), -0.1)],
+    (("weight_decay",), -1.0), (("ema_momentum",), 1.5), (("center_momentum",), -0.1),
+    (("model", "vision", "depth"), 0), (("model", "text", "depth"), 0)],
     ids=["patch-size-0", "vision-heads-0", "text-heads-negative", "float-past-range",
          "tuple-item-past-range", "float-nan", "float-inf", "nested-too-deep",
          "beta-1", "beta-negative", "adam-eps-0", "adam-eps-negative", "tau-student-0",
          "tau-teacher-negative", "weight-decay-negative", "ema-momentum-above-1",
-         "center-momentum-negative"])
+         "center-momentum-negative", "vision-depth-0", "text-depth-0"])
 def test_train_degenerate_config_exits_2(workdir, capsys, path, value):
     """A zero divisor, a float field that is not finite (NaN, an infinity,
     an int past float's range), JSON nested past the parser's depth and
     Adam settings that divide by zero (a beta of 1, an eps of 0) or make no
     sense (a negative beta or eps, a temperature <= 0, a negative weight
-    decay, a momentum outside [0, 1]) are validation errors, not tracebacks
-    or a run on non-finite settings."""
+    decay, a momentum outside [0, 1], a tower without blocks) are validation
+    errors, not tracebacks or a run on non-finite settings."""
     bad = workdir / "bad_config.json"
     if path is None:
         bad.write_text("[" * 100_000)

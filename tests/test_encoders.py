@@ -4,16 +4,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dinoclip import autodiff as ad
 from dinoclip import encoders
 from dinoclip.autodiff import Tensor
 from dinoclip.data import AugmentationConfig, make_views
-from dinoclip.encoders import (ModelParams, VisionEncoderConfig, encode_images,
-                               encode_text, init_model_params, project_dino, resize_bicubic)
+from dinoclip.encoders import (ModelParams, TextEncoderConfig, VisionEncoderConfig,
+                               encode_images, encode_text, init_model_params, project_dino,
+                               resize_bicubic)
 from dinoclip.errors import ContractError, DomainError, ShapeError, VocabularyError
 from dinoclip.prng import RandomStream
 
+import encoder_oracle
 from conftest import bicubic_resize_oracle, tiny_model_config
 from gradcheck import check_gradients
 
@@ -32,6 +35,15 @@ def test_sequence_length_after_patchify():
 def test_invalid_patch_division_rejected():
     with pytest.raises(DomainError):
         VisionEncoderConfig(image_size=30, patch_size=8)
+
+
+@pytest.mark.parametrize("config", [VisionEncoderConfig, TextEncoderConfig])
+@pytest.mark.parametrize("depth", [0, -1])
+def test_encoder_config_rejects_depth_below_one(config, depth):
+    """A tower without blocks has no last block to run on the pooled rows
+    only, and its kept-row ids would pool the wrong rows."""
+    with pytest.raises(DomainError, match="depth"):
+        config(depth=depth)
 
 
 def test_encode_image_deterministic(params, rng):
@@ -124,12 +136,14 @@ def test_encode_text_packed_rows_equal_batch_of_one(params, rng):
         assert np.array_equal(batch[i], encode_text(default, [ids]).data[0]), len(ids)
 
 
-@pytest.mark.parametrize("m", [2, 3, 17, 511, 2000])
+@pytest.mark.parametrize("m", [2, 3, 17, 32, 160, 256, 511, 2000])
 @pytest.mark.parametrize("k,n", [(64, 64), (64, 256), (64, 32), (256, 64)])
 def test_gemm_rows_do_not_depend_on_row_count(m, k, n):
     """The packed text encoder's bit-identity rests on this BLAS property: a
     float32 GEMM row does not depend on how many rows are multiplied (at
-    least two), at the encoder's shapes."""
+    least two), at the encoder's shapes.  The last block's products have
+    2B kept rows: 2 (one image), 32 (16 globals), 160 (80 captions) and
+    256 (128 locals), as [2B, W] @ [W, 4W] and [2B, 4W] @ [4W, W]."""
     rng = np.random.default_rng(m * k + n)
     a = rng.normal(size=(2048, k)).astype(np.float32)
     b = rng.normal(size=(k, n)).astype(np.float32)
@@ -137,6 +151,63 @@ def test_gemm_rows_do_not_depend_on_row_count(m, k, n):
     assert np.array_equal(a[:m] @ b, (a @ b)[:m]), (
         f"BLAS {blas.get('name')} {blas.get('version')} gives [{m}, {k}] @ [{k}, {n}] "
         f"rows that depend on the row count; the packed text encoder needs them not to")
+
+
+@pytest.mark.parametrize("t", [2, 5, 17, 35, 64])
+def test_attention_gemm_rows_do_not_depend_on_query_count(t):
+    """The last block's bit-identity rests on the same property for
+    attention's two products at two query rows, head width 16: each equals
+    the first two rows of the product over all t query rows."""
+    rng = np.random.default_rng(t)
+    c, heads, hd = 16, 4, 16
+    q, k, v = (rng.normal(size=(c, heads, t, hd)).astype(np.float32) for _ in range(3))
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))                   # [c, H, hd, t]
+    p = rng.random((c, heads, t, t)).astype(np.float32)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    for two, full in ((np.ascontiguousarray(q[:, :, :2]) @ kt, q @ kt),
+                      (np.ascontiguousarray(p[:, :, :2]) @ v, p @ v)):
+        assert np.array_equal(two, full[:, :, :2]), (
+            f"BLAS {blas.get('name')} {blas.get('version')} gives attention rows at "
+            f"t = {t} that depend on the query count; the encoders' last block needs "
+            f"them not to")
+
+
+@pytest.fixture(scope="module")
+def default_params():
+    return init_model_params(encoders.ModelConfig(), seed=5)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lengths=st.lists(st.one_of(st.sampled_from([1, 2]), st.integers(1, 64)),
+                        min_size=1, max_size=48),
+       seed=st.integers(0, 2**16))
+@example(lengths=[1], seed=0)
+@example(lengths=[2], seed=0)
+@example(lengths=[64], seed=0)
+@example(lengths=[1, 5, 1, 2], seed=1)
+@example(lengths=[2, 64, 3, 63, 2], seed=2)
+@example(lengths=[int(n) for n in np.random.default_rng(3).integers(2, 65, size=80)], seed=3)
+def test_encode_text_equals_all_rows_oracle(default_params, lengths, seed):
+    """Bit for bit on the default config, against every block run on every
+    row, for any mix of lengths 1 to 64, length-1 and length-2 sequences
+    drawn often (a length-1 sequence keeps one row, every other two), and
+    an 80-caption pack as eval embeds."""
+    rng = np.random.default_rng(seed)
+    seqs = [[1, *rng.integers(256, 512, size=n - 2), 2] if n > 1 else [1] for n in lengths]
+    assert np.array_equal(encode_text(default_params, seqs).data,
+                          encoder_oracle.encode_text(default_params, seqs).data)
+
+
+@pytest.mark.parametrize("size,batch", [(32, 16), (32, 1), (16, 128), (16, 3), (16, 1)])
+def test_encode_images_equals_all_rows_oracle(default_params, rng, size, batch):
+    """Bit for bit on the default config at 32 px (globals) and 16 px
+    (locals, interpolated positions), one image included, against every
+    block run on every row."""
+    params = default_params
+    images = Tensor(rng.random((batch, 3, size, size), dtype=np.float32))
+    assert np.array_equal(encode_images(params, images).data,
+                          encoder_oracle.encode_images(params, images).data)
 
 
 def test_encode_text_packed_gradients_match_finite_differences(rng):

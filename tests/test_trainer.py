@@ -7,6 +7,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dinoclip import autodiff as ad
 from dinoclip import checkpoint as ckpt
+from dinoclip import encoders
 from dinoclip import trainer
 from dinoclip.autodiff import Tensor, backward
 from dinoclip.checkpoint import FORMAT_VERSION
@@ -446,6 +448,26 @@ def test_checkpoint_corrupt_section_detected(tmp_path, tiny_records, edit):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("loss_mode,extra", [
+    ("infonce_only", ("teacher", "center")), ("infonce_only", ("stray",)),
+    ("combined", ("stray",))])
+def test_checkpoint_refuses_members_it_does_not_read(tmp_path, tiny_records, loss_mode, extra):
+    """A member outside the set the config implies (config, counters,
+    student, adam_m, adam_v, and teacher and center under combined) is
+    refused, not dropped by the next save: a combined file's teacher and
+    center copied into an infonce_only file, or a stray member."""
+    combined, _ = train(tiny_train_config(epochs=1), tiny_records)
+    state, _ = train(tiny_train_config(epochs=1, loss_mode=loss_mode), tiny_records)
+    donor, path, bad = tmp_path / "donor.ckpt", tmp_path / "c.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(combined, donor)
+    save_checkpoint(state, path)
+    donated = {**ckpt.read_container(donor), "stray": np.zeros(3, np.float32)}
+    _rewrite_sections(path, bad, lambda sec: sec.update({k: donated[k] for k in extra}))
+    load_checkpoint(path)
+    with pytest.raises(CheckpointError, match=re.escape(f"members {sorted(extra)}")):
+        load_checkpoint(bad)
+
+
 def test_checkpoint_write_failing_midway_keeps_old_file(tmp_path, tiny_records):
     state, _ = train(tiny_train_config(epochs=1), tiny_records)
     (tmp_path / "ckpt").mkdir()
@@ -824,6 +846,33 @@ def test_training_step_records_one_attention_node_per_block(tiny_records, monkey
     train(tiny_train_config(epochs=1, loss_mode=loss_mode, model=model), tiny_records)
     assert [n.op for n in nodes].count("attention") == 2 * (image_calls + 1)
     assert not [n for n in nodes if n.op == "transpose" and n.output.ndim == 4]
+
+
+def test_training_step_runs_last_block_on_pooled_rows(tiny_records, monkeypatch):
+    """At depth 2, each student encoder call's first-block MLP holds every
+    row and its last-block MLP (its gelu node) only each sequence's first 2
+    rows: the rows the encoders pool."""
+    calls, transformer = [], encoders._transformer
+
+    def spy(params, prefix, x, depth, heads, runs, keep):
+        tape = ad._active_tape()
+        if tape is None:                            # the teacher's forward
+            return transformer(params, prefix, x, depth, heads, runs, keep)
+        start = len(tape.nodes)
+        out = transformer(params, prefix, x, depth, heads, runs, keep)
+        gelus = [n.output.shape for n in tape.nodes[start:] if n.op == "gelu"]
+        calls.append((prefix, runs, [int(np.prod(s[:-1])) for s in gelus]))
+        return out
+
+    model = tiny_model_config()
+    model = dataclasses.replace(model, vision=dataclasses.replace(model.vision, depth=2),
+                                text=dataclasses.replace(model.text, depth=2))
+    monkeypatch.setattr(encoders, "_transformer", spy)
+    train(tiny_train_config(epochs=1, model=model), tiny_records)
+    assert sorted(prefix for prefix, *_ in calls) == ["text", "vision", "vision"]
+    for prefix, runs, rows in calls:
+        assert all(t >= 2 for _, t in runs), prefix
+        assert rows == [sum(c * t for c, t in runs), 2 * sum(c for c, _ in runs)], prefix
 
 
 # -------------------------------------------------------------------------
