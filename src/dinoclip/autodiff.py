@@ -394,14 +394,13 @@ def gather_rows(table, ids: np.ndarray) -> Tensor:
         raise ShapeError(f"gather_rows ids must be 1-D, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= td.shape[0]):
         raise ContractError(f"gather_rows index out of range for table of {td.shape[0]} rows")
-    out = td[idx]
 
     def backward(g):
         z = np.zeros_like(td)
         np.add.at(z, idx, g)
         return (z,)
 
-    return _record("gather_rows", (table,), out.copy(), backward)
+    return _record("gather_rows", (table,), td[idx], backward)
 
 
 def extract_patches(images, patch: int) -> Tensor:
@@ -462,36 +461,33 @@ def attention(q, k, v, heads: int, runs, queries: Optional[int] = None) -> Tenso
     """Multi-head softmax(q k^T / sqrt(W / heads)) v within each sequence,
     as one node.
 
-    The operands are the projected q, k and v: [B, T, W] or [N, W] arrays
-    of W-wide rows, k and v equal-shaped.  ``runs`` lists (count, length)
+    The operands are the projected q, k and v: packed [N, W] arrays of
+    W-wide rows, k and v equal-shaped.  ``runs`` lists (count, length)
     pairs: ``count`` consecutive sequences of ``length`` rows each, in row
-    order, covering every row of k and v (a [B, T, W] batch is the one run
-    [(B, T)]).  No row attends outside its own sequence.  With a query-row
-    count ``queries`` = n, q holds only the first min(n, length) rows of
-    each sequence, in the same order, and so does the output; without it
-    every row queries.  Each run's arrays are those of the composed
-    reshape/transpose/matmul/mul/softmax chain over a [count, length, W]
-    batch minus the copies, so it gives that chain's bits (for n >= 2 also
-    the bits of those rows when every row queries, as a GEMM row does not
-    depend on the row count from two rows on); with one run k's gradient
-    keeps the chain's strided layout, as the k bias's gradient sums in
-    memory order."""
+    order, covering every row of k and v.  No row attends outside its own
+    sequence.  With a query-row count ``queries`` = n, q holds only the
+    first min(n, length) rows of each sequence, in the same order, and so
+    does the output; without it every row queries.  Each run's arrays are
+    those of the composed reshape/transpose/matmul/mul/softmax chain over a
+    [count, length, W] batch minus the copies, so it gives that chain's bits
+    (for n >= 2 also the bits of those rows when every row queries, as a
+    GEMM row does not depend on the row count from two rows on)."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if (k.ndim not in (2, 3) or q.ndim != k.ndim or k.shape != v.shape or heads < 1
-            or q.shape[-1] != k.shape[-1] or k.shape[-1] % heads):
-        raise ShapeError(f"attention needs [B, T, W] or [N, W] operands, k and v equal, "
-                         f"with W divisible by {heads} heads: {q.shape}, {k.shape}, {v.shape}")
+    if (q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or heads < 1
+            or q.shape[1] != k.shape[1] or k.shape[1] % heads):
+        raise ShapeError(f"attention needs [N, W] operands, k and v equal, with W "
+                         f"divisible by {heads} heads: {q.shape}, {k.shape}, {v.shape}")
     q_lengths = [t if queries is None else min(queries, t) for _, t in runs]
     if ((queries is not None and queries < 1) or any(c < 1 or t < 1 for c, t in runs)
-            or sum(c * t for c, t in runs) != math.prod(k.shape[:-1])
-            or sum(c * n for (c, _), n in zip(runs, q_lengths)) != math.prod(q.shape[:-1])):
+            or sum(c * t for c, t in runs) != k.shape[0]
+            or sum(c * n for (c, _), n in zip(runs, q_lengths)) != q.shape[0]):
         raise ShapeError(f"attention needs runs of (count, length) pairs >= 1 covering "
                          f"the operands' rows, and queries >= 1 if given: got {runs} "
                          f"for {q.shape}, {k.shape} with queries={queries}")
-    w = q.shape[-1]
+    qd, kd, vd = q.data, k.data, v.data
+    w = qd.shape[1]
     hd = w // heads
-    scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.dtype)
-    qd, kd, vd = (z.data.reshape(-1, w) for z in (q, k, v))
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=qd.dtype)
     out = np.empty_like(qd)
     saved = []                                              # per run: rows, splits, p
     q_start = kv_start = 0
@@ -509,30 +505,21 @@ def attention(q, k, v, heads: int, runs, queries: Optional[int] = None) -> Tenso
         saved.append((q_rows, kv_rows, qs, ks, vs, scores))
 
     def backward(g):
-        g = g.reshape(-1, w)
-        grads = []
+        gq, gk, gv = (np.empty_like(z) for z in (qd, kd, vd))
         for q_rows, kv_rows, qs, ks, vs, p in saved:
             c, _, n, t = p.shape
             gc = g[q_rows].reshape(c, n, heads, hd).transpose(0, 2, 1, 3)
             gs = gc @ np.ascontiguousarray(vs.swapaxes(-1, -2))
-            gv = p.swapaxes(-1, -2) @ gc
+            gv[kv_rows].reshape(c, t, heads, hd)[...] = (
+                p.swapaxes(-1, -2) @ gc).transpose(0, 2, 1, 3)
             gl = _softmax_adjoint(gs, p, -1)
             gl *= scale
-            gq = gl @ ks
-            gkt = qs.swapaxes(-1, -2) @ gl                  # [c, H, hd, t]
-            grads.append((gq.transpose(0, 2, 1, 3).reshape(c, n, w),
-                          gkt.transpose(0, 3, 1, 2).reshape(c, t, w),
-                          gv.transpose(0, 2, 1, 3).reshape(c, t, w)))
-        shapes = (q.shape, k.shape, v.shape)
-        if len(grads) == 1:
-            return tuple(x.reshape(s) for x, s in zip(grads[0], shapes))
-        packed = tuple(np.empty_like(z) for z in (qd, kd, vd))
-        for (q_rows, kv_rows, *_), run in zip(saved, grads):
-            for dst, rows, src in zip(packed, (q_rows, kv_rows, kv_rows), run):
-                dst[rows].reshape(src.shape)[...] = src
-        return tuple(x.reshape(s) for x, s in zip(packed, shapes))
+            gq[q_rows].reshape(c, n, heads, hd)[...] = (gl @ ks).transpose(0, 2, 1, 3)
+            gk[kv_rows].reshape(c, t, heads, hd)[...] = (
+                qs.swapaxes(-1, -2) @ gl).transpose(0, 3, 1, 2)    # from [c, H, hd, t]
+        return gq, gk, gv
 
-    return _record("attention", (q, k, v), out.reshape(q.shape), backward)
+    return _record("attention", (q, k, v), out, backward)
 
 
 def weight_norm_linear(x, direction, scale) -> Tensor:

@@ -205,47 +205,63 @@ def init_model_params(config: ModelConfig, seed: int, dtype=np.float32) -> Model
 # forward passes
 # ---------------------------------------------------------------------------
 
-def _transformer(params: ModelParams, prefix: str, x: Tensor, depth: int,
-                 heads: int, runs, keep: np.ndarray) -> Tensor:
-    """Pre-norm transformer over the rows of x ([B, T, W] or packed [N, W]),
-    whose sequences ``runs`` gives as (count, length) pairs.  ``keep``
-    indexes the row axis (T or N) at each sequence's first
-    min(QUERY_ROWS, length) rows, the rows the caller pools from; only
-    those rows are returned.
+def _row_offsets(runs) -> np.ndarray:
+    """Each packed row's position within its sequence, for the sequences
+    ``runs`` gives as (count, length) pairs in row order."""
+    return np.concatenate([np.tile(np.arange(t), c) for c, t in runs])
+
+
+def _transformer(params: ModelParams, prefix: str, x: Tensor, runs,
+                 pick: np.ndarray) -> Tensor:
+    """One tower (``prefix`` "vision" or "text") over packed [N, W] rows,
+    whose sequences ``runs`` gives as (count, length) pairs in row order:
+    its pre-norm blocks, final layer norm and projection.  Returns
+    [len(pick), m], row i the first row of sequence pick[i].
 
     Each block's attention is one ``autodiff.attention`` node over the
-    biased q, k and v projections; every other op is position-wise.  In
-    the last block every row is still a key and a value, so layer norm 1
-    and the k and v projections run on all rows, and the rest on the kept
-    rows only."""
-    axis = x.ndim - 2
-    for i in range(depth):
+    biased q, k and v projections; every other op is position-wise.  Only
+    first rows are pooled, so the last block keeps each sequence's first
+    min(QUERY_ROWS, length) rows: every row is still a key and a value, so
+    layer norm 1 and the k and v projections run on all rows, and the rest
+    of the block, the final layer norm and the projection on the kept rows
+    only.  The pooled rows are gathered after the projection, so no product
+    has a single row unless the one sequence has length 1.  A float32 GEMM
+    row does not depend on how many rows (at least two) are multiplied with
+    it, as tests/test_encoders.py checks for the encoders' shapes, so each
+    returned row has the bits of its sequence encoded alone."""
+    cfg = getattr(params.config, prefix)
+    offsets = _row_offsets(runs)
+    keep = np.flatnonzero(offsets < QUERY_ROWS)
+    for i in range(cfg.depth):
         blk = f"{prefix}.blocks.{i}"
-        last = i == depth - 1
+        last = i == cfg.depth - 1
         h = ad.layer_norm(x, params[f"{blk}.ln1.gain"], params[f"{blk}.ln1.bias"])
         hq = h
         if last:
-            x, hq = ad.take_index(x, keep, axis), ad.take_index(h, keep, axis)
+            x, hq = ad.take_index(x, keep, 0), ad.take_index(h, keep, 0)
         q, k, v = (ad.matmul(z, params[f"{blk}.attn.w{p}"]) + params[f"{blk}.attn.b{p}"]
                    for z, p in zip((hq, h, h), "qkv"))
-        attn = ad.attention(q, k, v, heads, runs, queries=QUERY_ROWS if last else None)
+        attn = ad.attention(q, k, v, cfg.heads, runs, queries=QUERY_ROWS if last else None)
         x = x + ad.matmul(attn, params[f"{blk}.attn.wo"]) + params[f"{blk}.attn.bo"]
 
         h = ad.layer_norm(x, params[f"{blk}.ln2.gain"], params[f"{blk}.ln2.bias"])
         h = ad.matmul(h, params[f"{blk}.mlp.w1"]) + params[f"{blk}.mlp.b1"]
         h = ad.matmul(ad.gelu(h), params[f"{blk}.mlp.w2"]) + params[f"{blk}.mlp.b2"]
         x = x + h
-    return x
+    x = ad.layer_norm(x, params[f"{prefix}.ln_f.gain"], params[f"{prefix}.ln_f.bias"])
+    first = np.flatnonzero(offsets[keep] == 0)
+    return ad.gather_rows(ad.matmul(x, params[f"{prefix}.proj"]), first[pick])
 
 
 def encode_images(params: ModelParams, images: Tensor) -> Tensor:
     """Batch image encoder: [B, 3, S, S] -> [B, m] class-token embeddings,
-    pooled at row 0 of the two rows each image keeps from the last block.
+    each with the bits of its image encoded alone.
 
     S is the configured image_size or any smaller multiple of the patch
     size.  Below image_size the patch positional embeddings are the bicubic
     resize of the configured grid (as DINO interpolates them for its local
-    crops) and the class position is used as is."""
+    crops) and the class position is used as is.  The B sequences of T
+    tokens run through the tower as B * T packed rows."""
     cfg = params.config.vision
     if images.ndim != 4 or images.shape[1] != 3 or images.shape[2] != images.shape[3]:
         raise ShapeError(f"encode_images expects [B, 3, S, S], got {images.shape}")
@@ -262,12 +278,9 @@ def encode_images(params: ModelParams, images: Tensor) -> Tensor:
     patches = ad.extract_patches(images, cfg.patch_size)            # [B, P, 3p^2]
     tokens = ad.matmul(patches, params["vision.patch_embed.w"]) + params["vision.patch_embed.b"]
     cls = Tensor(np.zeros((b, 1, cfg.width), dtype=images.dtype)) + params["vision.cls"]
-    x = ad.concat([cls, tokens], axis=1) + pos
-    x = _transformer(params, "vision", x, cfg.depth, cfg.heads, [x.shape[:2]],
-                     np.arange(QUERY_ROWS))                         # [B, 2, W]
-    x = ad.layer_norm(x, params["vision.ln_f.gain"], params["vision.ln_f.bias"])
-    pooled = ad.take_index(x, 0, axis=1)                            # [B, W]
-    return ad.matmul(pooled, params["vision.proj"])                 # [B, m]
+    x = ad.concat([cls, tokens], axis=1) + pos                      # [B, T, W]
+    x = ad.reshape(x, (-1, cfg.width))                              # [B * T, W]
+    return _transformer(params, "vision", x, [(b, pos.shape[0])], np.arange(b))
 
 
 def _interpolated_positions(pos: Tensor, src: int, dst: int) -> Tensor:
@@ -288,13 +301,8 @@ def encode_text(params: ModelParams, token_lists) -> Tensor:
     The sequences are sorted by length (stably) and their tokens packed into
     one [N, W] row block without padding, so every position-wise op runs
     once over all N rows; attention runs within each sequence, per run of
-    equal lengths.  The last block keeps each sequence's first two rows
-    (one for a length-1 sequence), and the final layer norm and the
-    projection run on those kept rows before the first of each pair is
-    gathered, so that no matmul has a single row.  A float32 GEMM row does
-    not depend on how many rows are multiplied with it (at least two;
-    tests/test_encoders.py guards this for the encoder's shapes), so each
-    row is bit-identical to its sequence encoded alone.
+    equal lengths.  Each row is bit-identical to its sequence encoded alone
+    (see ``_transformer``).
     """
     cfg = params.config.text
     seqs = [np.asarray(ids, dtype=np.int64) for ids in token_lists]
@@ -309,23 +317,15 @@ def encode_text(params: ModelParams, token_lists) -> Tensor:
                                 f"{cfg.max_length}; truncate before encoding")
     lengths = np.array([ids.size for ids in seqs])
     order = np.argsort(lengths, kind="stable")
-    sizes = lengths[order]
-    starts = np.cumsum(sizes) - sizes               # first row of each packed sequence
     flat = np.concatenate([seqs[i] for i in order])
     if flat.min() < 0 or flat.max() >= cfg.vocab_size:
         raise VocabularyError(f"token id out of range [0, {cfg.vocab_size}): "
                               f"{int(flat.min())}..{int(flat.max())}")
-    positions = np.arange(flat.size) - np.repeat(starts, sizes)
-    x = (ad.gather_rows(params["text.tok_embed"], flat)
-         + ad.gather_rows(params["text.pos"], positions))                  # [N, W]
-    run_lengths, run_counts = np.unique(sizes, return_counts=True)
+    run_lengths, run_counts = np.unique(lengths, return_counts=True)
     runs = [(int(c), int(t)) for c, t in zip(run_counts, run_lengths)]
-    keep = np.flatnonzero(positions < QUERY_ROWS)
-    x = _transformer(params, "text", x, cfg.depth, cfg.heads, runs, keep)
-    x = ad.layer_norm(x, params["text.ln_f.gain"], params["text.ln_f.bias"])
-    first = np.empty_like(starts)
-    first[order] = np.flatnonzero(positions[keep] == 0)
-    return ad.gather_rows(ad.matmul(x, params["text.proj"]), first)        # [B, m]
+    x = (ad.gather_rows(params["text.tok_embed"], flat)
+         + ad.gather_rows(params["text.pos"], _row_offsets(runs)))         # [N, W]
+    return _transformer(params, "text", x, runs, np.argsort(order))
 
 
 def project_dino(params: ModelParams, embedding: Tensor) -> Tensor:

@@ -421,7 +421,7 @@ def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict
         u = encode_text(state.student, [tokenize(c, max_len) for c in captions])
         tau = ad.exp(state.student.log_tau)
         emb = encode_images(state.student, Tensor(globals_))   # [n_global*B, m]
-        v_first = ad.gather_rows(emb, np.arange(b))
+        v_first = ad.take_index(emb, np.arange(b), 0)
         if len(locals_):
             emb = ad.concat([emb, encode_images(state.student, Tensor(locals_))])
         loss_nce = info_nce_loss(ContrastiveBatch(captions=u, images=v_first, tau=tau))

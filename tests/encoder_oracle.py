@@ -1,7 +1,7 @@
-"""The all-rows reference for ``dinoclip.encoders``' forwards: every block
-runs on every row, as the encoders did before the last block kept only the
-rows they pool, and the pooling then picks one row per input.  The tests
-require the library's encoders to give these bits exactly."""
+"""The all-rows reference for ``dinoclip.encoders``' forwards: every block,
+the final layer norm and the projection run on every row, and the pooling
+then picks one row per input.  The tests require the library's encoders to
+give these bits exactly."""
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from dinoclip.encoders import _interpolated_positions
 
 
 def transformer(params, prefix, x, depth, heads, runs):
-    """Pre-norm blocks over every row of x ([B, T, W] or packed [N, W])."""
+    """Pre-norm blocks over every packed [N, W] row of x."""
     for i in range(depth):
         blk = f"{prefix}.blocks.{i}"
         h = ad.layer_norm(x, params[f"{blk}.ln1.gain"], params[f"{blk}.ln1.bias"])
@@ -28,7 +28,9 @@ def transformer(params, prefix, x, depth, heads, runs):
 
 
 def encode_images(params, images: Tensor) -> Tensor:
-    """[B, 3, S, S] -> [B, m]: the class row of every image's full stack."""
+    """[B, 3, S, S] -> [B, m]: the B images' T tokens as packed rows, every
+    row through every block, the projection on every row, then each image's
+    class row."""
     cfg = params.config.vision
     b, size = images.shape[0], images.shape[2]
     pos = params["vision.pos"]
@@ -39,9 +41,11 @@ def encode_images(params, images: Tensor) -> Tensor:
     tokens = ad.matmul(patches, params["vision.patch_embed.w"]) + params["vision.patch_embed.b"]
     cls = Tensor(np.zeros((b, 1, cfg.width), dtype=images.dtype)) + params["vision.cls"]
     x = ad.concat([cls, tokens], axis=1) + pos
-    x = transformer(params, "vision", x, cfg.depth, cfg.heads, [x.shape[:2]])
+    t = x.shape[1]
+    x = transformer(params, "vision", ad.reshape(x, (b * t, cfg.width)), cfg.depth,
+                    cfg.heads, [(b, t)])
     x = ad.layer_norm(x, params["vision.ln_f.gain"], params["vision.ln_f.bias"])
-    return ad.matmul(ad.take_index(x, 0, axis=1), params["vision.proj"])
+    return ad.gather_rows(ad.matmul(x, params["vision.proj"]), np.arange(b) * t)
 
 
 def encode_text(params, token_lists) -> Tensor:

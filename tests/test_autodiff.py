@@ -338,15 +338,15 @@ RUNS = [(2, 3), (1, 1), (3, 2)]      # (count, length): 6 + 1 + 6 packed rows
 
 @pytest.mark.parametrize("seed", range(3))
 def test_gradcheck_attention(seed):
-    """The fused attention over [B, T, W] projections, and over packed rows
-    in runs of unequal length; with a query-row count n, where q holds each
-    sequence's first min(n, length) rows and k and v all of them, in both
-    forms and with sequences of length 1."""
+    """The fused attention over packed rows in one run and in runs of
+    unequal length; with a query-row count n, where q holds each sequence's
+    first min(n, length) rows and k and v all of them, in both forms and
+    with sequences of length 1."""
     rng = np.random.default_rng(430 + seed)
-    for q_shape, kv_shape, runs, n in (((2, 3, 8), (2, 3, 8), [(2, 3)], None),
+    for q_shape, kv_shape, runs, n in (((6, 8), (6, 8), [(2, 3)], None),
                                        ((13, 8), (13, 8), RUNS, None),
-                                       ((2, 2, 8), (2, 3, 8), [(2, 3)], 2),
-                                       ((2, 1, 8), (2, 1, 8), [(2, 1)], 2),
+                                       ((4, 8), (6, 8), [(2, 3)], 2),
+                                       ((2, 8), (2, 8), [(2, 1)], 2),
                                        ((11, 8), (13, 8), RUNS, 2),
                                        ((6, 8), (13, 8), RUNS, 1),
                                        ((11, 8), (16, 8), [(1, 4), (2, 1), (2, 5)], 3)):
@@ -401,8 +401,8 @@ def test_attention_query_rows_equal_first_rows_of_all(runs):
 
 def test_attention_packed_runs_equal_each_run_alone():
     """Packed runs give, bit for bit, each run's output rows and q, k and v
-    gradient rows computed as a [count, length, W] batch of its own: no row
-    sees another sequence."""
+    gradient rows computed as a run of its own: no row sees another
+    sequence."""
     rng = np.random.default_rng(420)
     runs = [(3, 2), (2, 5), (1, 7), (4, 1)]
     n = sum(c * t for c, t in runs)
@@ -415,47 +415,31 @@ def test_attention_packed_runs_equal_each_run_alone():
     for c, t in runs:
         rows = slice(start, start + c * t)
         start = rows.stop
-        alone = [parameter(a[rows].reshape(c, t, 16), name)
-                 for a, name in zip((q, k, v), "qkv")]
+        alone = [parameter(a[rows], name) for a, name in zip((q, k, v), "qkv")]
         ref, ref_bw = _node_of(lambda *t_: ad.attention(*t_, 4, [(c, t)]), *alone)
-        _assert_same(out[rows], ref.reshape(c * t, 16))
-        for got, want in zip(grads, ref_bw(g[rows].reshape(c, t, 16))):
-            _assert_same(got[rows], want.reshape(c * t, 16))
+        _assert_same(out[rows], ref)
+        for got, want in zip(grads, ref_bw(g[rows])):
+            _assert_same(got[rows], want)
 
 
 def test_attention_rejects_mismatched_operands():
-    x = Tensor(np.zeros((2, 3, 8)))
-    with pytest.raises(ShapeError):
-        ad.attention(x, Tensor(np.zeros((2, 4, 8))), x, 2, [(2, 3)])
-    with pytest.raises(ShapeError):
-        ad.attention(x, x, x, 3, [(2, 3)])
+    """Operands are packed [N, W] rows only: a [B, T, W] batch is rejected,
+    as are k and v of different shapes, W not divisible by the heads, runs
+    that do not cover the rows and query counts that do not fit q."""
     packed = Tensor(np.zeros((6, 8)))
+    batch = Tensor(np.zeros((2, 3, 8)))               # the same 6 rows as [B, T, W]
+    for q, k in ((packed, Tensor(np.zeros((8, 8)))), (batch, batch),
+                 (batch, packed), (packed, batch)):
+        with pytest.raises(ShapeError):
+            ad.attention(q, k, k, 2, [(2, 3)])
+    with pytest.raises(ShapeError):
+        ad.attention(packed, packed, packed, 3, [(2, 3)])
     for runs in ([], [(2, 2)], [(2, 2), (1, 3)], [(0, 4), (3, 2)]):
-        for operand in (packed, x):       # the same 6 rows in either rank
-            with pytest.raises(ShapeError):
-                ad.attention(operand, operand, operand, 2, runs)
+        with pytest.raises(ShapeError):
+            ad.attention(packed, packed, packed, 2, runs)
     for n in (0, 1, 3):                   # 4 query rows fit only queries=2
         with pytest.raises(ShapeError):
             ad.attention(Tensor(np.zeros((4, 8))), packed, packed, 2, [(2, 3)], queries=n)
-    with pytest.raises(ShapeError):
-        ad.attention(Tensor(np.zeros((2, 2, 8))), packed, packed, 2, [(2, 3)], queries=2)
-
-
-def test_attention_rows_of_either_rank_agree():
-    """[B, T, W] operands are rows like packed [N, W] ones: the same rows
-    and runs, here crossing the batch axis, give the same bits in the
-    operands' shape."""
-    rng = np.random.default_rng(440)
-    q, k, v, g = (rng.normal(size=(2, 3, 16)).astype(np.float32) for _ in range(4))
-    runs = [(1, 4), (2, 1)]
-    out, bw = _node_of(lambda *t: ad.attention(*t, 4, runs),
-                       *(parameter(a, n) for a, n in zip((q, k, v), "qkv")))
-    flat, flat_bw = _node_of(lambda *t: ad.attention(*t, 4, runs),
-                             *(parameter(a.reshape(6, 16), n) for a, n in zip((q, k, v), "qkv")))
-    _assert_same(out, flat.reshape(q.shape))
-    for got, want in zip(bw(g), flat_bw(g.reshape(6, 16))):
-        assert got.shape == q.shape
-        _assert_same(got, want.reshape(q.shape))
 
 
 def test_shared_weight_matmul_float32_adjoints_match_float64():
@@ -514,12 +498,12 @@ def _purity_cases():
         "matmul_batched": (lambda t: ad.matmul(t["a"], ad.transpose(t["b"], (0, 1, 3, 2))),
                            {"a": (2, 2, 3, 4), "b": (2, 2, 3, 4)}),
         "attention": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2, [(2, 3)]),
-                      {"q": (2, 3, 8), "k": (2, 3, 8), "v": (2, 3, 8)}),
+                      {"q": (6, 8), "k": (6, 8), "v": (6, 8)}),
         "attention_runs": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2, RUNS),
                            {"q": (13, 8), "k": (13, 8), "v": (13, 8)}),
         "attention_queries": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2, [(2, 3)],
                                                      queries=2),
-                              {"q": (2, 2, 8), "k": (2, 3, 8), "v": (2, 3, 8)}),
+                              {"q": (4, 8), "k": (6, 8), "v": (6, 8)}),
         "attention_runs_queries": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2, RUNS,
                                                           queries=2),
                                    {"q": (11, 8), "k": (13, 8), "v": (13, 8)}),
@@ -726,21 +710,21 @@ def _ref_attention(q, k, v, heads):
     ((3, 5, 64), 4, None), ((3, 5, 64), 4, [5, 2, 4]), ((80, 9, 64), 4, None),
     ((2, 17, 64), 1, None), ((4, 1, 64), 4, None), ((2, 6, 16), 16, [6, 1])])
 def test_attention_bit_identical_to_composed_chain(shape, heads, lengths):
-    """float32 forward and (gq, gk, gv) equal the composed chain's bits.  A
-    [B, T, W] batch keeps gk's strided layout: the k projection's bias
-    gradient sums it in memory order.  With ``lengths``, sequence i holds the
-    first lengths[i] rows of batch entry i; the sequences are packed, one
-    run each, and every one equals the chain run on it alone."""
+    """float32 forward and (gq, gk, gv) equal the composed chain's bits.
+    Without ``lengths`` the [B, T, W] batch's rows are packed as the one run
+    (B, T).  With ``lengths``, sequence i holds the first lengths[i] rows of
+    batch entry i; the sequences are packed, one run each, and every one
+    equals the chain run on it alone."""
     rng = np.random.default_rng(610)
     q, k, v, g = (rng.normal(size=shape).astype(np.float32) for _ in range(4))
     if lengths is None:
+        rows = lambda z: z.reshape(-1, shape[2])
         out, bw = _node_of(lambda *t: ad.attention(*t, heads, [shape[:2]]),
-                           *(parameter(a, n) for a, n in zip((q, k, v), "qkv")))
+                           *(parameter(rows(a), n) for a, n in zip((q, k, v), "qkv")))
         ref, ref_bw = _ref_attention(q, k, v, heads)
-        _assert_same(out, ref)
-        for got, want in zip(bw(g), ref_bw(g)):
-            _assert_same(got, want)
-            assert got.strides == want.strides
+        _assert_same(out, rows(ref))
+        for got, want in zip(bw(rows(g)), ref_bw(g)):
+            _assert_same(got, rows(want))
         return
     pack = lambda z: np.concatenate([z[i, :n] for i, n in enumerate(lengths)])
     out, bw = _node_of(lambda *t: ad.attention(*t, heads, [(1, n) for n in lengths]),

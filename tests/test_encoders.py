@@ -210,6 +210,17 @@ def test_encode_images_equals_all_rows_oracle(default_params, rng, size, batch):
                           encoder_oracle.encode_images(params, images).data)
 
 
+@pytest.mark.parametrize("size", [32, 16])
+def test_encode_images_rows_equal_each_image_alone(default_params, rng, size):
+    """On the default config, at 32 px (globals) and 16 px (locals), each
+    image encoded alone has the bits of its row in a batch of 8."""
+    images = rng.random((8, 3, size, size), dtype=np.float32)
+    batch = encode_images(default_params, Tensor(images)).data
+    for i in range(len(images)):
+        assert np.array_equal(encode_images(default_params, Tensor(images[i:i + 1])).data[0],
+                              batch[i]), i
+
+
 def test_encode_text_packed_gradients_match_finite_differences(rng):
     cfg = tiny_model_config(vocab=16)
     base = init_model_params(cfg, seed=6, dtype=np.float64)

@@ -854,12 +854,12 @@ def test_training_step_runs_last_block_on_pooled_rows(tiny_records, monkeypatch)
     rows: the rows the encoders pool."""
     calls, transformer = [], encoders._transformer
 
-    def spy(params, prefix, x, depth, heads, runs, keep):
+    def spy(params, prefix, x, runs, pick):
         tape = ad._active_tape()
         if tape is None:                            # the teacher's forward
-            return transformer(params, prefix, x, depth, heads, runs, keep)
+            return transformer(params, prefix, x, runs, pick)
         start = len(tape.nodes)
-        out = transformer(params, prefix, x, depth, heads, runs, keep)
+        out = transformer(params, prefix, x, runs, pick)
         gelus = [n.output.shape for n in tape.nodes[start:] if n.op == "gelu"]
         calls.append((prefix, runs, [int(np.prod(s[:-1])) for s in gelus]))
         return out
@@ -1094,6 +1094,18 @@ def test_embed_texts_rows_equal_each_text_alone(model, monkeypatch):
     assert rows.dtype == np.float32
     for i, text in enumerate(texts):
         assert np.array_equal(rows[i], embed_texts(params, [text])[0]), text
+
+
+def test_embed_record_images_rows_equal_each_record_alone(tmp_path):
+    """On the default config, a one-record list (a one-record split for
+    eval-retrieval or export-embeddings) embeds to the bits of its row in
+    the whole list."""
+    write_synthetic_manifest(tmp_path / "m.jsonl", n=6, size=32)
+    records = load_manifest(tmp_path / "m.jsonl")
+    params = init_model_params(ModelConfig(), seed=1)
+    rows = embed_record_images(params, records)
+    for i, rec in enumerate(records):
+        assert np.array_equal(embed_record_images(params, [rec])[0], rows[i]), i
 
 
 def test_embedding_helpers_shapes(tiny_records):
