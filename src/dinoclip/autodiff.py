@@ -12,11 +12,22 @@ A forward or an adjoint writes in place only into arrays it allocated
 itself.  It never writes into its incoming gradient, its inputs' data or an
 array it captured: ``add``'s adjoint can hand the same array to both of its
 inputs, so :func:`backward` may hold one array as the gradient of two
-tensors, and a captured array may be another node's output.
+tensors, and a captured array may be another node's output or, as
+``reshape`` returns a view, share another node's memory.
+
+The sweep consumes its tape: :func:`backward` pops each node as it runs the
+node's adjoint, so an array that only the tape holds is freed once the
+sweep has passed every node that saved it.  A biased projection is one
+:func:`linear` node, which saves one array.
+
+Where libc has ``mallopt`` (glibc), importing the module fixes malloc's mmap
+and trim thresholds, so the pages a sweep frees stay mapped for the next
+step instead of going back to the kernel and being faulted in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -37,6 +48,25 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # with |error| <= 1.5e-7
 _ERF_P_OVER_SQRT2 = 0.3275911 / math.sqrt(2.0)
 _ERF_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)  # a5..a1
+
+# glibc mallopt parameters (malloc.h), and the values set on import: those
+# glibc's dynamic policy reaches after it frees a 32 MiB block
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_pages_mapped() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no glibc: the allocator's defaults
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+_keep_freed_pages_mapped()
 
 
 class Tensor:
@@ -103,10 +133,12 @@ class Node:
 
 
 class Tape:
-    """Ordered record of forward operations for one differentiation pass."""
+    """Ordered record of forward operations for one differentiation pass;
+    :func:`backward` empties ``nodes`` and sets ``swept``."""
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.swept = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -327,14 +359,14 @@ def mean(a, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
-    out = ad.reshape(shape)
+    out = ad.reshape(shape)                     # a view: the data is C-contiguous
     if out.ndim > MAX_RANK:
         raise ShapeError(f"reshape to rank {out.ndim} exceeds maximum {MAX_RANK}")
 
     def backward(g):
         return (g.reshape(ad.shape),)
 
-    return _record("reshape", (a,), out.copy(), backward)
+    return _record("reshape", (a,), out, backward)
 
 
 def transpose(a, axes: Optional[tuple] = None) -> Tensor:
@@ -455,6 +487,42 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: unsupported stacking: {ad.shape} x {bd.shape}")
 
     return _record("matmul", (a, b), ad @ bd, backward)
+
+
+def linear(x, w, b, residual=None) -> Tensor:
+    """x @ w (+ residual) + b as one node, for a 2-D weight w [I, O], bias b
+    [O] and x [..., I]: the product is computed as ``matmul`` computes it,
+    then ``residual`` (of the output's shape) and then b are added into it
+    in place.  That gives the bits of matmul(x, w) + b and of
+    (residual + matmul(x, w)) + b with one output array for the whole sum.
+    The adjoint skips a constant x, and sums b's gradient as ``add``'s
+    does."""
+    w = _as_tensor(w)
+    b = _as_tensor(b, like=w)
+    x = _as_tensor(x, like=w)
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim < 2 or wd.ndim != 2 or bd.shape != wd.shape[1:] or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear needs x [..., I], w [I, O] and b [O]: "
+                         f"{xd.shape}, {wd.shape}, {bd.shape}")
+    out = xd @ wd
+    inputs = (x, w, b)
+    if residual is not None:
+        residual = _as_tensor(residual, like=w)
+        if residual.shape != out.shape:
+            raise ShapeError(f"linear: residual {residual.shape} vs output {out.shape}")
+        out += residual.data
+        inputs += (residual,)
+    out += bd
+    x_grad = x.requires_grad
+
+    def backward(g):
+        # matmul's adjoint for a 2-D weight: each operand's as one 2-D GEMM
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = (g2 @ wd.T).reshape(xd.shape) if x_grad else None
+        gw = xd.reshape(-1, xd.shape[-1]).T @ g2
+        return (gx, gw, _unbroadcast(g, bd.shape), g)[:len(inputs)]
+
+    return _record("linear", inputs, out, backward)
 
 
 def attention(q, k, v, heads: int, runs, queries: Optional[int] = None) -> Tensor:
@@ -657,11 +725,15 @@ def soft_cross_entropy(target, pred) -> Tensor:
         raise ShapeError(f"soft_cross_entropy: target {target_arr.shape} vs pred {pd.shape}")
     rows = 1 if pd.ndim < 2 else int(np.prod(pd.shape[:-1]))
     clamp = LOG_CLAMP
-    pc = np.maximum(pd, clamp)
-    out = np.asarray(-(target_arr * np.log(pc)).sum() / rows, dtype=pd.dtype)
+    terms = np.asarray(np.maximum(pd, clamp))
+    np.log(terms, out=terms)
+    terms *= target_arr
+    out = np.asarray(-terms.sum() / rows, dtype=pd.dtype)
 
     def backward(g):
-        grad = np.asarray(np.divide(target_arr, pc))
+        # clamped again: a saved copy would hold another array of pred's size
+        grad = np.asarray(np.maximum(pd, clamp))
+        np.divide(target_arr, grad, out=grad)
         np.negative(grad, out=grad)
         grad[~(pd >= clamp)] = 0.0          # clamped entries, NaN included
         grad *= g / rows
@@ -679,12 +751,25 @@ def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor]) -> list[np.ndar
 
     Returns one gradient array per tensor in ``params``, in their order; a
     tensor that the loss does not reach gets zeros of matching shape.
+
+    The sweep consumes the tape: it pops each node as it runs that node's
+    adjoint, so each array the node saved is freed once nothing else holds
+    it, and ``tape.nodes`` is empty afterwards.  Sweeping a swept tape raises
+    ContractError.
     """
+    if tape.swept:
+        raise ContractError("backward on a tape that was already swept")
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    tape.swept = True
+    nodes = tape.nodes
+    # Gradients stay keyed by id although the sweep frees tensors: a tensor
+    # freed here was alive together with every node output and parameter
+    # that is looked up later, so no later key can reuse its id.
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
 
-    for node in reversed(tape.nodes):
+    while nodes:
+        node = nodes.pop()
         gout = grads.pop(id(node.output), None)
         if gout is None:
             continue

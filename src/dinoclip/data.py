@@ -408,7 +408,7 @@ def make_views(images, config: AugmentationConfig, streams,
         if image.ndim != 3 or image.shape[0] != 3:
             raise ContractError(f"expected [3, H, W] image, got shape {image.shape}")
         _, h, w = image.shape
-        if min(h, w) < config.local_crop_size:
+        if config.n_local and min(h, w) < config.local_crop_size:
             raise ContractError(f"image {h}x{w} smaller than local crop size "
                                 f"{config.local_crop_size}")
     draws = substream_outputs(streams, _TAG_VIEWS,

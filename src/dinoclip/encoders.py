@@ -72,9 +72,9 @@ class TextEncoderConfig:
     embed_dim: int = 32
 
     def __post_init__(self):
-        if min(self.max_length, self.heads, self.depth) < 1:
-            raise DomainError(f"max_length {self.max_length}, heads {self.heads} and depth "
-                              f"{self.depth} must be >= 1")
+        if self.max_length < 2 or min(self.heads, self.depth) < 1:
+            raise DomainError(f"max_length {self.max_length} must be >= 2 (a sentinel and an "
+                              f"end id), and heads {self.heads} and depth {self.depth} >= 1")
         if self.width % self.heads != 0:
             raise DomainError(f"width {self.width} not divisible by heads {self.heads}")
 
@@ -219,7 +219,9 @@ def _transformer(params: ModelParams, prefix: str, x: Tensor, runs,
     [len(pick), m], row i the first row of sequence pick[i].
 
     Each block's attention is one ``autodiff.attention`` node over the
-    biased q, k and v projections; every other op is position-wise.  Only
+    biased q, k and v projections.  Every biased projection, the attention
+    output's with its residual included, is one ``autodiff.linear`` node;
+    every other op is position-wise.  Only
     first rows are pooled, so the last block keeps each sequence's first
     min(QUERY_ROWS, length) rows: every row is still a key and a value, so
     layer norm 1 and the k and v projections run on all rows, and the rest
@@ -239,15 +241,15 @@ def _transformer(params: ModelParams, prefix: str, x: Tensor, runs,
         hq = h
         if last:
             x, hq = ad.take_index(x, keep, 0), ad.take_index(h, keep, 0)
-        q, k, v = (ad.matmul(z, params[f"{blk}.attn.w{p}"]) + params[f"{blk}.attn.b{p}"]
+        q, k, v = (ad.linear(z, params[f"{blk}.attn.w{p}"], params[f"{blk}.attn.b{p}"])
                    for z, p in zip((hq, h, h), "qkv"))
         attn = ad.attention(q, k, v, cfg.heads, runs, queries=QUERY_ROWS if last else None)
-        x = x + ad.matmul(attn, params[f"{blk}.attn.wo"]) + params[f"{blk}.attn.bo"]
+        x = ad.linear(attn, params[f"{blk}.attn.wo"], params[f"{blk}.attn.bo"], residual=x)
 
         h = ad.layer_norm(x, params[f"{blk}.ln2.gain"], params[f"{blk}.ln2.bias"])
-        h = ad.matmul(h, params[f"{blk}.mlp.w1"]) + params[f"{blk}.mlp.b1"]
-        h = ad.matmul(ad.gelu(h), params[f"{blk}.mlp.w2"]) + params[f"{blk}.mlp.b2"]
-        x = x + h
+        h = ad.linear(h, params[f"{blk}.mlp.w1"], params[f"{blk}.mlp.b1"])
+        h = ad.linear(ad.gelu(h), params[f"{blk}.mlp.w2"], params[f"{blk}.mlp.b2"])
+        x = x + h                   # x + (m + b2), so not linear's (x + m) + b2
     x = ad.layer_norm(x, params[f"{prefix}.ln_f.gain"], params[f"{prefix}.ln_f.bias"])
     first = np.flatnonzero(offsets[keep] == 0)
     return ad.gather_rows(ad.matmul(x, params[f"{prefix}.proj"]), first[pick])
@@ -276,7 +278,7 @@ def encode_images(params: ModelParams, images: Tensor) -> Tensor:
         pos = _interpolated_positions(pos, cfg.image_size // cfg.patch_size,
                                       size // cfg.patch_size)
     patches = ad.extract_patches(images, cfg.patch_size)            # [B, P, 3p^2]
-    tokens = ad.matmul(patches, params["vision.patch_embed.w"]) + params["vision.patch_embed.b"]
+    tokens = ad.linear(patches, params["vision.patch_embed.w"], params["vision.patch_embed.b"])
     cls = Tensor(np.zeros((b, 1, cfg.width), dtype=images.dtype)) + params["vision.cls"]
     x = ad.concat([cls, tokens], axis=1) + pos                      # [B, T, W]
     x = ad.reshape(x, (-1, cfg.width))                              # [B * T, W]
@@ -335,9 +337,9 @@ def project_dino(params: ModelParams, embedding: Tensor) -> Tensor:
     if embedding.ndim != 2 or embedding.shape[1] != cfg.embed_dim:
         raise ShapeError(f"project_dino expects [B, {cfg.embed_dim}], "
                          f"got {embedding.shape}")
-    h = ad.gelu(ad.matmul(embedding, params["dino.w1"]) + params["dino.b1"])
-    h = ad.gelu(ad.matmul(h, params["dino.w2"]) + params["dino.b2"])
-    h = ad.matmul(h, params["dino.w3"]) + params["dino.b3"]
+    h = ad.gelu(ad.linear(embedding, params["dino.w1"], params["dino.b1"]))
+    h = ad.gelu(ad.linear(h, params["dino.w2"], params["dino.b2"]))
+    h = ad.linear(h, params["dino.w3"], params["dino.b3"])
     h = ad.l2_normalize(h, axis=-1)
     return ad.weight_norm_linear(h, params["dino.last_dir"], params["dino.last_scale"])
 

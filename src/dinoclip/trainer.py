@@ -426,9 +426,11 @@ def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict
             emb = ad.concat([emb, encode_images(state.student, Tensor(locals_))])
         loss_nce = info_nce_loss(ContrastiveBatch(captions=u, images=v_first, tau=tau))
         if distill:
-            probs = ad.softmax(project_dino(state.student, emb), axis=-1,
-                               temperature=config.tau_student)
-            loss_dist = soft_distillation_terms(teacher_dists, probs, config.average_pairs)
+            # no name holds the [V·B, K] probabilities, so the sweep frees them
+            loss_dist = soft_distillation_terms(
+                teacher_dists, ad.softmax(project_dino(state.student, emb), axis=-1,
+                                          temperature=config.tau_student),
+                config.average_pairs)
             loss = combined_loss(loss_nce, loss_dist)
         else:
             loss, loss_dist = loss_nce, None

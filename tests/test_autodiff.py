@@ -1,8 +1,13 @@
 """Engine semantics, tape invariants, and per-op gradient verification."""
 
+import ctypes
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +244,47 @@ def test_backward_returns_one_array_per_param_in_order():
                                            [[1.0, 1.0], [1.0, 1.0]]]
 
 
+def test_backward_frees_the_tape_it_sweeps():
+    """The sweep pops each node: an array that only the tape held is dead
+    once backward returns, and sweeping the same tape again is refused."""
+    p = parameter(np.linspace(-1.0, 1.0, 6, dtype=np.float32), "p")
+    with Tape() as tape:
+        loss = ad.sum_(ad.gelu(ad.mul(p, 2.0)))
+    scaled = weakref.ref(tape.nodes[0].output.data)    # gelu's input, which it saves
+    grads = backward(tape, loss, params=[p])
+    assert scaled() is None
+    assert tape.nodes == []
+    assert grads[0].shape == (6,)
+    with pytest.raises(ContractError, match="swept"):
+        backward(tape, loss, params=[p])
+
+
+def test_importing_the_engine_keeps_freed_pages_mapped():
+    """After import, allocating and freeing 1 MiB arrays reuses mapped
+    pages: glibc's default threshold maps and unmaps each such array, about
+    240 minor faults per array of 4 KiB pages."""
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("libc has no mallopt")
+    code = """if True:
+        import resource
+        import numpy as np
+        import dinoclip.autodiff
+        def faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        np.ones(1 << 20, dtype=np.uint8)
+        before = faults()
+        for _ in range(50):
+            a = np.ones(1 << 20, dtype=np.uint8)
+            b = np.ones(1 << 20, dtype=np.uint8)
+            del a, b
+        print(faults() - before)
+    """
+    src = os.path.dirname(os.path.dirname(ad.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert int(done.stdout) < 50 * 16                  # under 8 faults per pair
+
+
 def test_ops_outside_tape_record_nothing():
     p = parameter(np.ones(3, dtype=np.float32), "p")
     with Tape() as tape:
@@ -355,6 +401,71 @@ def test_gradcheck_attention(seed):
             ad.attention(t["q"], t["k"], t["v"], 2, runs, queries=n), m)),
             {"q": rng.normal(size=q_shape), "k": rng.normal(size=kv_shape),
              "v": rng.normal(size=kv_shape)})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gradcheck_linear(seed):
+    """x @ w + b for [N, I] and stacked [B, T, I] rows, alone and with a
+    residual of the output's shape."""
+    rng = np.random.default_rng(460 + seed)
+    for x_shape in ((5, 4), (2, 3, 4)):
+        out_shape = x_shape[:-1] + (3,)
+        m = _mask(rng, out_shape)
+        arrays = {"x": rng.normal(size=x_shape), "w": rng.normal(size=(4, 3)),
+                  "b": rng.normal(size=3)}
+        check_gradients(lambda t: ad.sum_(ad.mul(ad.linear(t["x"], t["w"], t["b"]), m)),
+                        arrays)
+        check_gradients(lambda t: ad.sum_(ad.mul(
+            ad.linear(t["x"], t["w"], t["b"], residual=t["r"]), m)),
+            {**arrays, "r": rng.normal(size=out_shape)})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(7, 16), (2, 17, 16)])
+def test_linear_bit_identical_to_matmul_add_chain(dtype, x_shape):
+    """Forward and every adjoint equal the chains that linear replaced:
+    matmul(x, w) + b, and (residual + matmul(x, w)) + b."""
+    rng = np.random.default_rng(620)
+    arrays = {"x": rng.normal(size=x_shape), "w": rng.normal(size=(16, 24)),
+              "b": rng.normal(size=24), "r": rng.normal(size=x_shape[:-1] + (24,))}
+    mask = rng.normal(size=x_shape[:-1] + (24,)).astype(dtype)
+    for residual in (False, True):
+        names = "xwbr" if residual else "xwb"
+        outs = []
+        for fused in (True, False):
+            t = {n: Tensor(arrays[n], requires_grad=True, name=n, dtype=dtype) for n in names}
+            with Tape() as tape:
+                if fused:
+                    out = ad.linear(t["x"], t["w"], t["b"], residual=t.get("r"))
+                elif residual:
+                    out = ad.add(ad.add(t["r"], ad.matmul(t["x"], t["w"])), t["b"])
+                else:
+                    out = ad.add(ad.matmul(t["x"], t["w"]), t["b"])
+                loss = ad.sum_(ad.mul(out, mask))
+            outs.append([out.data, *backward(tape, loss, params=[t[n] for n in names])])
+        for got, want in zip(*outs):
+            _assert_same(got, want)
+
+
+def test_linear_skips_the_adjoint_of_a_constant_input():
+    rng = np.random.default_rng(630)
+    x = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float32)
+    w, b = (parameter(rng.normal(size=s).astype(np.float32), n)
+            for s, n in (((4, 5), "w"), ((5,), "b")))
+    with Tape() as tape:
+        ad.linear(x, w, b)
+    gx, gw, gb = tape.nodes[0].backward_fn(np.ones((2, 3, 5), dtype=np.float32))
+    assert gx is None and gw.shape == (4, 5) and gb.shape == (5,)
+
+
+def test_linear_rejects_mismatched_operands():
+    x, w, b = np.zeros((3, 4)), np.zeros((4, 5)), np.zeros(5)
+    for args in ((x, w, np.zeros(4)), (x, np.zeros((5, 4)), b), (np.zeros(4), w, b),
+                 (x, np.zeros((1, 4, 5)), b)):
+        with pytest.raises(ShapeError):
+            ad.linear(*args)
+    with pytest.raises(ShapeError):
+        ad.linear(x, w, b, residual=np.zeros((3, 4)))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -493,6 +604,10 @@ def _purity_cases():
                         {"a": (3, 4)}),
         "extract_patches": (lambda t: ad.extract_patches(t["a"], 2), {"a": (2, 3, 4, 4)}),
         "matmul": (lambda t: ad.matmul(t["a"], t["b"]), {"a": (3, 4), "b": (4, 5)}),
+        "linear": (lambda t: ad.linear(t["x"], t["w"], t["b"]),
+                   {"x": (2, 3, 4), "w": (4, 5), "b": (5,)}),
+        "linear_residual": (lambda t: ad.linear(t["x"], t["w"], t["b"], residual=t["r"]),
+                            {"x": (3, 4), "w": (4, 5), "b": (5,), "r": (3, 5)}),
         "matmul_shared": (lambda t: ad.matmul(t["a"], t["b"]),
                           {"a": (2, 3, 4), "b": (4, 5)}),
         "matmul_batched": (lambda t: ad.matmul(t["a"], ad.transpose(t["b"], (0, 1, 3, 2))),

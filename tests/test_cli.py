@@ -528,12 +528,14 @@ def test_train_bad_config_is_validation_error(workdir, capsys, path, value):
     (("betas",), [1.0, 0.98]), (("betas",), [0.9, -0.5]), (("adam_eps",), 0.0),
     (("adam_eps",), -1.0), (("tau_student",), 0), (("tau_teacher",), -1.0),
     (("weight_decay",), -1.0), (("ema_momentum",), 1.5), (("center_momentum",), -0.1),
-    (("model", "vision", "depth"), 0), (("model", "text", "depth"), 0)],
+    (("model", "vision", "depth"), 0), (("model", "text", "depth"), 0),
+    (("model", "text", "max_length"), 1)],
     ids=["patch-size-0", "vision-heads-0", "text-heads-negative", "float-past-range",
          "tuple-item-past-range", "float-nan", "float-inf", "nested-too-deep",
          "beta-1", "beta-negative", "adam-eps-0", "adam-eps-negative", "tau-student-0",
          "tau-teacher-negative", "weight-decay-negative", "ema-momentum-above-1",
-         "center-momentum-negative", "vision-depth-0", "text-depth-0"])
+         "center-momentum-negative", "vision-depth-0", "text-depth-0",
+         "text-max-length-1"])
 def test_train_degenerate_config_exits_2(workdir, capsys, path, value):
     """A zero divisor, a float field that is not finite (NaN, an infinity,
     an int past float's range), JSON nested past the parser's depth and

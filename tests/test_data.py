@@ -421,6 +421,13 @@ def test_make_views_rejects_too_small_images():
                    [RandomStream(0), RandomStream(1)])
 
 
+def test_make_views_without_local_crops_takes_images_smaller_than_them():
+    """The local-crop size bounds the image only when local views are made."""
+    globals_, locals_ = _views(synthetic_image(0, 6), _plain_config(n_local=0),
+                               RandomStream(0))
+    assert globals_.shape == (2, 3, 16, 16) and locals_.shape == (0, 3, 8, 8)
+
+
 @st.composite
 def _view_cases(draw):
     """An augmentation config, one to three images of their own (not always

@@ -772,6 +772,25 @@ def test_frozen_teacher_with_unit_momenta(tiny_records):
     assert np.array_equal(center_before, done.teacher.center)
 
 
+def test_infonce_only_trains_on_images_smaller_than_local_crops(tiny_records):
+    """infonce_only builds no local view, so its 8 px images need not hold
+    the configured 12 px local crops."""
+    model = tiny_model_config()
+    model = dataclasses.replace(model, vision=dataclasses.replace(model.vision, image_size=16))
+    aug = AugmentationConfig(global_crop_size=16, local_crop_size=12, n_local=2)
+    state, log = train(tiny_train_config(epochs=1, loss_mode="infonce_only",
+                                         augmentation=aug, model=model), tiny_records)
+    assert state.step == 1 and np.isfinite(log.records[-1]["loss_combined"])
+
+
+def test_config_from_dict_refuses_text_max_length_below_two():
+    """tokenize needs room for the sentinel and the end id."""
+    obj = tiny_train_config().to_dict()
+    obj["model"]["text"]["max_length"] = 1
+    with pytest.raises(DomainError, match="max_length"):
+        TrainConfig.from_dict(obj)
+
+
 def test_train_batch_too_large_rejected(tiny_records):
     with pytest.raises(ContractError, match="batch_size"):
         train(tiny_train_config(batch_size=64), tiny_records)
@@ -783,10 +802,9 @@ def test_training_step_stays_float32(tiny_records, monkeypatch):
     seen = []
 
     def spy(tape, loss, params):
-        params = list(params)
-        grads = backward(tape, loss, params=params)
-        seen.append(({t.dtype for n in tape.nodes for t in (n.output, *n.inputs)},
-                     {g.dtype for g in grads}))
+        node_dtypes = {t.dtype for n in tape.nodes for t in (n.output, *n.inputs)}
+        grads = backward(tape, loss, params=list(params))   # empties the tape
+        seen.append((node_dtypes, {g.dtype for g in grads}))
         return grads
 
     monkeypatch.setattr(trainer, "backward", spy)

@@ -93,7 +93,7 @@ def make_views_oracle(image: np.ndarray, config: AugmentationConfig, stream: Ran
     if image.ndim != 3:
         raise ContractError(f"expected [3, H, W] image, got shape {image.shape}")
     _, h, w = image.shape
-    if min(h, w) < config.local_crop_size:
+    if config.n_local and min(h, w) < config.local_crop_size:
         raise ContractError(f"image {h}x{w} smaller than local crop size "
                             f"{config.local_crop_size}")
     views = []
