@@ -21,8 +21,6 @@ from .errors import (AlignmentError, ContractError, DomainError, ManifestParseEr
                      ValidationError)
 from .prng import RandomStream, substream_outputs, unit_floats
 
-SUPPORTED_LANGUAGES = ("en", "de", "fr", "es", "zh", "pt", "it", "ru", "ko", "nl")
-
 LANGUAGE_NAMES = {
     "en": "English", "de": "German", "fr": "French", "es": "Spanish",
     "zh": "Chinese", "pt": "Portuguese", "it": "Italian", "ru": "Russian",
@@ -82,7 +80,7 @@ class ImageCaptionRecord:
             raise ValidationError(f"{label}: captions must be an object mapping "
                                   "language codes to caption lists")
         for lang, texts in self.captions.items():
-            if lang not in SUPPORTED_LANGUAGES:
+            if lang not in LANGUAGE_NAMES:
                 raise ValidationError(f"{label}: unknown language {lang!r}")
             if not isinstance(texts, list):
                 raise ValidationError(f"{label}: captions under {lang!r} must be a list "
@@ -97,9 +95,6 @@ class ImageCaptionRecord:
             for text in texts:
                 if not isinstance(text, str) or not text:
                     raise ValidationError(f"{label}: empty caption under {lang!r}")
-
-    def languages(self) -> list[str]:
-        return sorted(self.captions.keys())
 
 
 def _is_image_ref(ref) -> bool:
@@ -216,7 +211,7 @@ def sample_caption(record: ImageCaptionRecord, epoch: int, policy: EpochSampling
     idx = rng.next_below(len(english))
     if policy.mode == "english_only":
         return english[idx]
-    langs = record.languages()
+    langs = sorted(record.captions)
     if not policy.include_english and len(langs) > 1:
         langs = [l for l in langs if l != "en"]
     lang = langs[rng.next_below(len(langs))]
@@ -487,7 +482,7 @@ def ingest_translations(records, responses_path, language: str):
     The response file must contain exactly one record per English caption;
     any count mismatch aborts before touching the manifest.
     """
-    if language not in SUPPORTED_LANGUAGES or language == "en":
+    if language not in LANGUAGE_NAMES or language == "en":
         raise ValidationError(f"cannot ingest translations for language {language!r}")
     expected = sum(len(rec.captions["en"]) for rec in records)
     blocks = [b.strip("\n") for b in read_record_file(responses_path)]

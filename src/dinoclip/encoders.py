@@ -54,12 +54,8 @@ class VisionEncoderConfig:
             raise DomainError(f"width {self.width} not divisible by heads {self.heads}")
 
     @property
-    def num_patches(self) -> int:
-        return (self.image_size // self.patch_size) ** 2
-
-    @property
     def seq_len(self) -> int:
-        return self.num_patches + 1
+        return (self.image_size // self.patch_size) ** 2 + 1
 
 
 @dataclass
@@ -127,10 +123,6 @@ class ModelParams:
     def items(self):
         return self.tensors.items()
 
-    @property
-    def log_tau(self) -> Tensor:
-        return self.tensors["log_tau"]
-
     def tau(self) -> float:
         return float(np.exp(self.tensors["log_tau"].data))
 
@@ -181,7 +173,7 @@ def _parameter_spec(config: ModelConfig):
     yield "log_tau", ()
 
 
-def init_model_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
+def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
     """Seed-deterministic initialization: truncated normal (std 0.02) for
     weights, zeros for biases, ones for norm gains and weight-norm scales."""
     rng = RandomStream(0x494E4954, seed)
@@ -197,7 +189,7 @@ def init_model_params(config: ModelConfig, seed: int, dtype=np.float32) -> Model
             arr = np.zeros(shape)
         else:
             arr = rng.truncated_normals(int(np.prod(shape)), std=INIT_STD).reshape(shape)
-        tensors[name] = Tensor(arr, requires_grad=True, name=name, dtype=dtype)
+        tensors[name] = Tensor(arr, requires_grad=True, name=name, dtype=np.float32)
     return ModelParams(config, tensors)
 
 

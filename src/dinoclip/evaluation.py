@@ -38,18 +38,6 @@ class RetrievalReport:
     t2i_r10: float
     mean_recall: float
 
-    def __post_init__(self):
-        six = self.as_tuple()[:6]
-        for v in six + (self.mean_recall,):
-            if not 0.0 <= v <= 100.0:
-                raise ValidationError(f"recall value {v} outside [0, 100]")
-        for a, b, c in ((self.i2t_r1, self.i2t_r5, self.i2t_r10),
-                        (self.t2i_r1, self.t2i_r5, self.t2i_r10)):
-            if not a <= b + 1e-9 or not b <= c + 1e-9:
-                raise ValidationError("recall must be nondecreasing in k")
-        if abs(self.mean_recall - sum(six) / 6.0) > 1e-6:
-            raise ValidationError("mean_recall is not the mean of the six recalls")
-
     @classmethod
     def from_recalls(cls, i2t: tuple, t2i: tuple) -> "RetrievalReport":
         six = tuple(i2t) + tuple(t2i)

@@ -34,10 +34,6 @@ class ContrastiveBatch:
         if not tau > 0:
             raise DomainError(f"temperature must be positive, got {tau}")
 
-    @property
-    def n(self) -> int:
-        return self.captions.shape[0]
-
 
 @dataclass
 class TeacherState:
@@ -78,7 +74,7 @@ def info_nce_loss(batch: ContrastiveBatch) -> Tensor:
     matched column (softmax over in-batch negatives at temperature tau);
     the two directions are averaged.
     """
-    n = batch.n
+    n = batch.captions.shape[0]
     if n == 0:
         raise ContractError("empty contrastive batch")
     u = ad.l2_normalize(batch.captions, axis=-1)
@@ -144,17 +140,12 @@ def ema_update(teacher: TeacherState, student: ModelParams) -> TeacherState:
     if missing := t_params.names() - s_params.names():
         raise ContractError(f"student lacks teacher parameter(s) {sorted(missing)}")
     lam = teacher.ema_momentum
-    if lam == 1.0:
-        return teacher
     for name, t_tensor in t_params.items():
         s_tensor = s_params[name]
         if t_tensor.shape != s_tensor.shape:
             raise ContractError(f"parameter {name!r}: teacher shape {t_tensor.shape} "
                                 f"vs student {s_tensor.shape}")
-        if lam == 0.0:
-            new = s_tensor.data.copy()
-        else:
-            new = lam * t_tensor.data + (1.0 - lam) * s_tensor.data
+        new = lam * t_tensor.data + (1.0 - lam) * s_tensor.data
         t_params.tensors[name] = Tensor(new, requires_grad=False, name=name, dtype=new.dtype)
     return teacher
 

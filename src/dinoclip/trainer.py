@@ -419,7 +419,7 @@ def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict
     max_len = config.model.text.max_length
     with Tape() as tape:
         u = encode_text(state.student, [tokenize(c, max_len) for c in captions])
-        tau = ad.exp(state.student.log_tau)
+        tau = ad.exp(state.student["log_tau"])
         emb = encode_images(state.student, Tensor(globals_))   # [n_global*B, m]
         v_first = ad.take_index(emb, np.arange(b), 0)
         if len(locals_):
@@ -447,7 +447,7 @@ def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict
     grads = dict(zip(state.adam.m, backward(tape, loss, params=trained)))
     adamw_step(state.student, grads, state.adam, state.step + 1, lr, config.betas,
                config.adam_eps, config.weight_decay)
-    clamped = np.clip(state.student.log_tau.data, LOG_TAU_MIN, LOG_TAU_MAX)
+    clamped = np.clip(state.student["log_tau"].data, LOG_TAU_MIN, LOG_TAU_MAX)
     tensors["log_tau"] = Tensor(clamped, requires_grad=True, name="log_tau", dtype=clamped.dtype)
 
     if distill:

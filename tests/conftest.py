@@ -48,6 +48,14 @@ def tiny_model_config(k: int = 8, vocab: int = 512) -> ModelConfig:
     )
 
 
+def float64_params(config: ModelConfig, seed: int) -> encoders.ModelParams:
+    """The library's float32 initialization as float64 leaf tensors, for
+    gradient checks."""
+    params = encoders.init_model_params(config, seed)
+    return encoders.ModelParams(config, {k: parameter(v.data, k, dtype=np.float64)
+                                         for k, v in params.items()})
+
+
 def write_synthetic_manifest(path, n: int = 16, size: int = 32, languages=("en", "de"),
                              split: str = "train"):
     """n synthetic images with one distinct caption per language."""

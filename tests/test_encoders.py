@@ -17,7 +17,7 @@ from dinoclip.errors import ContractError, DomainError, ShapeError, VocabularyEr
 from dinoclip.prng import RandomStream
 
 import encoder_oracle
-from conftest import bicubic_resize_oracle, tiny_model_config
+from conftest import bicubic_resize_oracle, float64_params, tiny_model_config
 from gradcheck import check_gradients
 
 
@@ -28,7 +28,6 @@ def params():
 
 def test_sequence_length_after_patchify():
     cfg = VisionEncoderConfig(image_size=32, patch_size=8)
-    assert cfg.num_patches == 16
     assert cfg.seq_len == 17
 
 
@@ -223,7 +222,7 @@ def test_encode_images_rows_equal_each_image_alone(default_params, rng, size):
 
 def test_encode_text_packed_gradients_match_finite_differences(rng):
     cfg = tiny_model_config(vocab=16)
-    base = init_model_params(cfg, seed=6, dtype=np.float64)
+    base = float64_params(cfg, seed=6)
     weights = rng.normal(size=(len(MIXED_LENGTHS), 4))
     probed = ("text.tok_embed", "text.pos", "text.blocks.0.attn.wk",
               "text.blocks.0.attn.wq", "text.proj")
@@ -289,7 +288,7 @@ def test_encoder_gradients_match_finite_differences(rng):
         emb = encode_images(p, Tensor(img, dtype=np.float64))
         return ad.sum_(emb)
 
-    base = init_model_params(cfg, seed=2, dtype=np.float64)
+    base = float64_params(cfg, seed=2)
     arrays = {k: v.data for k, v in base.items()
               if k.startswith("vision.patch_embed")}
     # only the probed tensors vary; the rest are captured constants
@@ -313,7 +312,7 @@ def test_encoder_gradients_match_finite_differences(rng):
 
 def test_project_dino_gradients(rng):
     cfg = tiny_model_config()
-    base = init_model_params(cfg, seed=4, dtype=np.float64)
+    base = float64_params(cfg, seed=4)
     emb = rng.normal(size=(2, 4))
     dino_names = [k for k in base.names() if k.startswith("dino.")]
     fixed = {k: v.data for k, v in base.items()}
@@ -458,7 +457,7 @@ def test_encode_images_reduced_size_gradients_match_finite_differences(rng):
     vision.pos through the resize matrix, and the class token and patch
     embedding as before."""
     cfg = _grid_config(12)
-    base = init_model_params(cfg, seed=3, dtype=np.float64)
+    base = float64_params(cfg, seed=3)
     img = Tensor(rng.random((2, 3, 8, 8)), dtype=np.float64)
     weights = rng.normal(size=(2, 4))
     probed = ("vision.pos", "vision.cls", "vision.patch_embed.w")

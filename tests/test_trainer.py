@@ -39,8 +39,8 @@ from dinoclip.trainer import (AdamState, MetricsLog, TrainConfig, adamw_step,
                               load_checkpoint, lr_schedule, save_checkpoint, train)
 from dinoclip.prng import RandomStream
 
-from conftest import (DistributionSet, byte_mutations, flip_bit, self_distillation_loss,
-                      tiny_model_config, write_synthetic_manifest)
+from conftest import (DistributionSet, byte_mutations, flip_bit, float64_params,
+                      self_distillation_loss, tiny_model_config, write_synthetic_manifest)
 from gradcheck import reverse_mode_gradients
 from view_oracle import make_views_oracle
 
@@ -757,7 +757,7 @@ def test_freeze_temperature_holds_no_log_tau_moment(tmp_path, tiny_records):
     for st_ in (state, load_checkpoint(tmp_path / "a.ckpt")):
         assert "log_tau" not in st_.adam.m and "log_tau" not in st_.adam.v
         assert set(st_.adam.m) == set(st_.student.names()) - {"log_tau"}
-        assert np.array_equal(st_.student.log_tau.data, initial)
+        assert np.array_equal(st_.student["log_tau"].data, initial)
 
 
 def test_frozen_teacher_with_unit_momenta(tiny_records):
@@ -1055,7 +1055,7 @@ def test_batched_distillation_matches_per_view_reference(rng, average_pairs):
     the per-view form: one encode_images and project_dino call per view and
     the conftest scalar oracle per record, averaged over the batch."""
     cfg = tiny_model_config()
-    params = init_model_params(cfg, seed=11, dtype=np.float64)
+    params = float64_params(cfg, seed=11)
     b, n_local, tau = 3, 2, 0.1
     globals_ = rng.random((2, b, 3, 8, 8))
     locals_ = rng.random((n_local, b, 3, 4, 4))
