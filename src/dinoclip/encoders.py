@@ -212,8 +212,8 @@ def _transformer(params: ModelParams, prefix: str, x: Tensor, runs,
 
     Each block's attention is one ``autodiff.attention`` node over the
     biased q, k and v projections.  Every biased projection, the attention
-    output's with its residual included, is one ``autodiff.linear`` node;
-    every other op is position-wise.  Only
+    output's and the second MLP layer's with their residuals included, is
+    one ``autodiff.linear`` node; every other op is position-wise.  Only
     first rows are pooled, so the last block keeps each sequence's first
     min(QUERY_ROWS, length) rows: every row is still a key and a value, so
     layer norm 1 and the k and v projections run on all rows, and the rest
@@ -240,8 +240,7 @@ def _transformer(params: ModelParams, prefix: str, x: Tensor, runs,
 
         h = ad.layer_norm(x, params[f"{blk}.ln2.gain"], params[f"{blk}.ln2.bias"])
         h = ad.linear(h, params[f"{blk}.mlp.w1"], params[f"{blk}.mlp.b1"])
-        h = ad.linear(ad.gelu(h), params[f"{blk}.mlp.w2"], params[f"{blk}.mlp.b2"])
-        x = x + h                   # x + (m + b2), so not linear's (x + m) + b2
+        x = ad.linear(ad.gelu(h), params[f"{blk}.mlp.w2"], params[f"{blk}.mlp.b2"], residual=x)
     x = ad.layer_norm(x, params[f"{prefix}.ln_f.gain"], params[f"{prefix}.ln_f.bias"])
     first = np.flatnonzero(offsets[keep] == 0)
     return ad.gather_rows(ad.matmul(x, params[f"{prefix}.proj"]), first[pick])

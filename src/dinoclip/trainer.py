@@ -155,7 +155,12 @@ def adamw_step(params: ModelParams, grads: dict, moments: AdamState, t: int, lr:
                betas: tuple, eps: float, weight_decay: float):
     """Decoupled-weight-decay Adam update of each tensor named in ``grads``
     (parameter name -> gradient array), with bias correction for update
-    ``t`` (1 at the first); mutates and returns (params, moments)."""
+    ``t`` (1 at the first); mutates and returns (params, moments).
+
+    Only tensors of rank >= 2 decay: biases, norm gains, ``log_tau`` and
+    ``dino.last_scale`` do not, as DINO's and CLIP's parameter groups
+    exempt them.  A Python float ``lr`` keeps the update in the tensors'
+    dtype."""
     b1, b2 = betas
     if grads.keys() != moments.m.keys() or not grads.keys() <= params.names():
         raise ContractError("optimizer state does not match parameter tree")
@@ -169,9 +174,10 @@ def adamw_step(params: ModelParams, grads: dict, moments: AdamState, t: int, lr:
         m = moments.m[name] = b1 * moments.m[name] + (1.0 - b1) * g
         v = moments.v[name] = b2 * moments.v[name] + (1.0 - b2) * (g * g)
         update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        new = p.data - lr * update - lr * weight_decay * p.data
-        params.tensors[name] = Tensor(new.astype(p.dtype), requires_grad=True,
-                                      name=name, dtype=p.dtype)
+        new = p.data - lr * update
+        if p.ndim >= 2:
+            new -= lr * weight_decay * p.data
+        params.tensors[name] = Tensor(new, requires_grad=True, name=name, dtype=p.dtype)
     return params, moments
 
 
@@ -183,7 +189,7 @@ def lr_schedule(step: int, total_steps: int, warmup_steps: int, base_lr: float) 
         return base_lr * step / warmup_steps
     span = max(1, total_steps - warmup_steps)
     progress = (step - warmup_steps) / span
-    return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
+    return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 # ---------------------------------------------------------------------------

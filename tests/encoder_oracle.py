@@ -22,8 +22,7 @@ def transformer(params, prefix, x, depth, heads, runs):
 
         h = ad.layer_norm(x, params[f"{blk}.ln2.gain"], params[f"{blk}.ln2.bias"])
         h = ad.matmul(h, params[f"{blk}.mlp.w1"]) + params[f"{blk}.mlp.b1"]
-        h = ad.matmul(ad.gelu(h), params[f"{blk}.mlp.w2"]) + params[f"{blk}.mlp.b2"]
-        x = x + h
+        x = x + ad.matmul(ad.gelu(h), params[f"{blk}.mlp.w2"]) + params[f"{blk}.mlp.b2"]
     return x
 
 

@@ -134,20 +134,42 @@ def test_adamw_decoupled_weight_decay_only():
 
 def test_adamw_steps_only_the_tensors_named_in_grads():
     """A tensor without a gradient or moment entry keeps its bits, weight
-    decay included; grads and moments naming different tensors are refused."""
+    decay included; of the stepped tensors only those of rank >= 2 decay;
+    grads and moments naming different tensors are refused."""
     params = _scalar_params(1.0)
     before = {k: v.data.copy() for k, v in params.items()}
     stepped = {k: v for k, v in params.items() if not k.startswith("dino.")}
     zero = {k: np.zeros_like(v.data) for k, v in stepped.items()}
     adamw_step(params, zero, _zero_moments(stepped), 1, lr=1.0, weight_decay=0.1, **ADAM)
     for name, arr in before.items():
-        if name.startswith("dino."):
+        if name.startswith("dino.") or arr.ndim < 2:
             assert np.array_equal(arr, params[name].data), name
         else:
             assert np.allclose(params[name].data, 0.9 * arr, atol=1e-6), name
     with pytest.raises(ContractError, match="does not match"):
         adamw_step(params, {**zero, "dino.w1": params["dino.w1"].data},
                    _zero_moments(stepped), 1, lr=1.0, weight_decay=0.1, **ADAM)
+
+
+def test_adamw_decays_only_tensors_of_rank_two_or_more():
+    """With a zero gradient one step keeps a rank-1 tensor's bits and
+    shrinks a rank-2 tensor by lr * weight_decay, in float32."""
+    params = _scalar_params(1.0)
+    names = ("vision.ln_f.gain", "vision.blocks.0.mlp.b1", "log_tau", "dino.last_scale",
+             "vision.proj", "dino.last_dir")
+    stepped = {k: params[k] for k in names}
+    before = {k: v.data.copy() for k, v in stepped.items()}
+    lr, wd = 0.5, 0.1
+    adamw_step(params, {k: np.zeros_like(v.data) for k, v in stepped.items()},
+               _zero_moments(stepped), 1, lr=lr, weight_decay=wd, **ADAM)
+    for name, arr in before.items():
+        got = params[name].data
+        assert got.dtype == np.float32, name
+        if arr.ndim < 2:
+            assert np.array_equal(got, arr), name
+        else:
+            assert np.allclose(got, arr * (1 - lr * wd), rtol=1e-6, atol=0), name
+            assert not np.array_equal(got, arr), name
 
 
 def test_adamw_structural_mismatch_rejected():
@@ -175,6 +197,13 @@ def test_lr_schedule_linear_ramp():
 
 def test_lr_schedule_cosine_midpoint():
     assert abs(lr_schedule(55, 100, 10, 2.0) - 1.0) < 1e-9
+
+
+def test_lr_schedule_returns_a_python_float():
+    """A Python float on both sides of warm-up, so that AdamW's update stays
+    in float32 (an np.float64 rate would promote it)."""
+    for step in (0, 5, 10, 55, 100):
+        assert type(lr_schedule(step, 100, 10, 2.0)) is float, step
 
 
 def test_lr_schedule_rejects_out_of_range():
