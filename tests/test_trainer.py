@@ -820,6 +820,61 @@ def test_config_from_dict_refuses_text_max_length_below_two():
         TrainConfig.from_dict(obj)
 
 
+# -------------------------------------------------------------------------
+# a config that from_dict accepts runs: one epoch of train, a checkpoint
+# round trip and both embedding paths, on 8 px images
+# -------------------------------------------------------------------------
+
+def _tower(draw, **fields) -> dict:
+    heads = draw(st.integers(1, 4))
+    return dict(fields, width=heads * draw(st.integers(1, 32 // heads)), heads=heads,
+                depth=draw(st.integers(1, 2)))
+
+
+@st.composite
+def small_configs(draw) -> dict:
+    """A TrainConfig dict over small models for 8 px images, some of which
+    construction refuses (a patch of 3, max_length 1, embedding widths that
+    differ)."""
+    patch, embed = draw(st.sampled_from((1, 2, 4, 8, 3))), draw(st.integers(1, 8))
+    return {
+        "batch_size": draw(st.integers(1, 4)), "epochs": 1,
+        "warmup_epochs": draw(st.integers(0, 1)),
+        "sampling": {"mode": draw(st.sampled_from(("english_only", "one_translation")))},
+        "augmentation": {"global_crop_size": 8, "n_local": draw(st.integers(0, 2)),
+                         "local_crop_size": draw(st.sampled_from(range(patch, 9, patch)))},
+        "model": {
+            "vision": _tower(draw, image_size=8, patch_size=patch, embed_dim=embed),
+            "text": _tower(draw, max_length=draw(st.integers(1, 8)),
+                           embed_dim=draw(st.sampled_from((embed, embed, embed + 1)))),
+            "dino": {"hidden_dim": draw(st.integers(1, 8)),
+                     "bottleneck_dim": draw(st.integers(1, 8)),
+                     "output_dim": draw(st.integers(1, 8))}}}
+
+
+@pytest.mark.parametrize("loss_mode", ["combined", "infonce_only"])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=small_configs())
+def test_an_accepted_config_trains_checkpoints_and_embeds(tiny_records, loss_mode, obj):
+    try:
+        config = TrainConfig.from_dict({**obj, "loss_mode": loss_mode})
+    except (ValidationError, DomainError):
+        return
+    state, log = train(config, tiny_records)
+    assert state.next_epoch == 1 and len(log.records) == 4 // config.batch_size
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.ckpt")
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+    for name, t in state.student.items():
+        assert np.array_equal(loaded.student[name].data, t.data), name
+    texts = [t for rec in tiny_records for caps in rec.captions.values() for t in caps]
+    assert embed_texts(loaded.student, texts).shape == (len(texts), config.model.embed_dim)
+    images = embed_record_images(loaded.student, tiny_records)
+    assert images.shape == (len(tiny_records), config.model.embed_dim)
+
+
 def test_train_batch_too_large_rejected(tiny_records):
     with pytest.raises(ContractError, match="batch_size"):
         train(tiny_train_config(batch_size=64), tiny_records)
