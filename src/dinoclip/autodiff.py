@@ -591,23 +591,40 @@ def attention(q, k, v, heads: int, runs, queries: Optional[int] = None) -> Tenso
 
 
 def weight_norm_linear(x, direction, scale) -> Tensor:
-    """Linear map whose rows are scale[j] * direction[j] / ||direction[j]||.
+    """x @ w^T for the rows w[j] = scale[j] * direction[j] / ||direction[j]||,
+    as one node: direction [K, D], scale [K], x [B, D] -> [B, K].
 
-    direction: [K, D], scale: [K]; x: [B, D] -> [B, K].
-    Composed from primitives so adjoints come for free.
-    """
+    The row norms, the coefficient scale / norm and w are computed as the
+    composed sqrt/sum/mul/div chain computed them, and the product takes w's
+    transposed view, which gives the bits of a product with a contiguous
+    w^T (OpenBLAS packs both alike) without building one.  The node keeps w
+    [K, D] for the adjoint: with gw = g^T x, the gradient of w,
+    d(direction) = coeff * (gw - direction * <gw, direction> / norm^2) and
+    d(scale) = <gw, direction> / norm, row by row.  A constant x gets no
+    gradient."""
     direction = _as_tensor(direction)
-    scale = _as_tensor(scale)
+    scale = _as_tensor(scale, like=direction)
     x = _as_tensor(x, like=direction)
     k, d = direction.shape
     if scale.shape != (k,):
         raise ShapeError(f"weight_norm_linear: scale {scale.shape} vs direction {direction.shape}")
-    if x.shape[-1] != d:
+    if x.ndim != 2 or x.shape[1] != d:
         raise ShapeError(f"weight_norm_linear: input {x.shape} vs direction {direction.shape}")
-    norms = sqrt(sum_(mul(direction, direction), axis=1))        # [K]
-    coeff = reshape(div(scale, norms), (k, 1))                   # [K, 1]
-    w = mul(direction, coeff)                                    # [K, D]
-    return matmul(x, transpose(w))
+    xd, dd = x.data, direction.data
+    norms = np.sqrt((dd * dd).sum(axis=1))                       # [K]
+    coeff = (scale.data / norms).reshape(k, 1)                   # [K, 1]
+    w = dd * coeff                                               # [K, D]
+    x_grad = x.requires_grad
+
+    def backward(g):
+        gx = g @ w if x_grad else None
+        gd = g.T @ xd                                            # of w, [K, D]
+        dot = np.einsum("kd,kd->k", gd, dd)                      # of coeff, [K]
+        gd -= dd * (dot / (norms * norms)).reshape(k, 1)
+        gd *= coeff
+        return gx, gd, dot / norms
+
+    return _record("weight_norm_linear", (x, direction, scale), xd @ w.T, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +757,48 @@ def soft_cross_entropy(target, pred) -> Tensor:
         return (grad,)
 
     return _record("soft_cross_entropy", (pred,), out, backward)
+
+
+def soft_cross_entropy_logits(target, logits, temperature: float = 1.0) -> Tensor:
+    """-sum(target * log_softmax(logits / temperature)) along the last axis,
+    mean over the rows of a rank >= 2 input, as one node: the cross entropy
+    from target to the softmax of the logits, with no clamp.
+
+    The target is consumed as plain values, as soft_cross_entropy consumes
+    it.  The node keeps each row's log partition, not the probabilities p:
+    its adjoint recomputes p from the logits and returns
+    (p * rowsum(target) - target) / (rows * temperature), one array of the
+    logits' size."""
+    if not temperature > 0:
+        raise DomainError(f"cross entropy temperature must be positive, got {temperature}")
+    logits = _as_tensor(logits)
+    ld = logits.data
+    target_arr = np.asarray(target, dtype=ld.dtype)
+    if ld.ndim < 1 or target_arr.shape != ld.shape:
+        raise ShapeError(f"soft_cross_entropy_logits: target {target_arr.shape} vs "
+                         f"logits {ld.shape}")
+    rows = math.prod(ld.shape[:-1])
+    z = ld / temperature
+    shift = z.max(axis=-1, keepdims=True)
+    z -= shift
+    dots = np.einsum("...k,...k->...", target_arr, z)      # no temporary of z's size
+    np.exp(z, out=z)
+    lse = np.log(z.sum(axis=-1, keepdims=True))
+    shift += lse                                # the log partition of logits / T
+    mass = target_arr.sum(axis=-1, keepdims=True)
+    # -sum(target * (z - lse)) as two sums of non-negative terms for target >= 0
+    out = np.asarray(((mass * lse).sum() - dots.sum()) / rows, dtype=ld.dtype)
+
+    def backward(g):
+        grad = ld / temperature
+        grad -= shift
+        np.exp(grad, out=grad)                  # p
+        grad *= mass
+        grad -= target_arr
+        grad *= g / (rows * temperature)
+        return (grad,)
+
+    return _record("soft_cross_entropy_logits", (logits,), out, backward)
 
 
 # ---------------------------------------------------------------------------

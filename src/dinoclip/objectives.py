@@ -101,27 +101,28 @@ def teacher_distribution(z: np.ndarray, center: np.ndarray, tau_teacher: float) 
                       temperature=tau_teacher).data
 
 
-def soft_distillation_terms(teacher_dists, student_probs: Tensor,
+def soft_distillation_terms(teacher_dists, student_logits: Tensor, tau_student: float,
                             average_pairs: bool = True) -> Tensor:
-    """Cross entropy from each of the two teacher global views to every
-    other student view, averaged over the pairs (raw sum when average_pairs
-    is False).
+    """Cross entropy from each of the two teacher global views to the
+    student's softmax(z / tau_s) on every other view, averaged over the
+    pairs (raw sum when average_pairs is False).
 
     ``teacher_dists`` holds the two global views' plain [B, K] blocks;
-    ``student_probs`` is one view-major [V * B, K] tensor on the tape, the
+    ``student_logits`` is one view-major [V * B, K] tensor on the tape, the
     two global views first.  Each pair term is the batch-mean cross
     entropy, which is linear in its target, so student view v takes the
     sum of the teacher views other than v as target (T1 for view 0, T0 for
     view 1, T0 + T1 for every local view) and one cross entropy over all
     V * B rows, scaled by V, is the sum over the 2 * (V - 1) pairs:
-    2 global + 8 local views make 18."""
+    2 global + 8 local views make 18.  The cross entropy takes DINO's
+    log_softmax of the logits, so no student probability is clamped."""
     if len(teacher_dists) != 2:
         raise ContractError(f"need 2 teacher (global) view blocks, got {len(teacher_dists)}")
     t0, t1 = (np.asarray(t) for t in teacher_dists)
-    v = student_probs.shape[0] // t0.shape[0]
+    v = student_logits.shape[0] // t0.shape[0]
     # a row count that is not V >= 2 views of B fails the shape check here
-    ce = ad.soft_cross_entropy(np.concatenate([t1, t0] + [t0 + t1] * (v - 2)),
-                               student_probs)                         # sum / (V * B)
+    ce = ad.soft_cross_entropy_logits(np.concatenate([t1, t0] + [t0 + t1] * (v - 2)),
+                                      student_logits, tau_student)    # sum / (V * B)
     return ad.mul(ce, v / (2 * (v - 1)) if average_pairs else float(v))
 
 

@@ -382,11 +382,6 @@ def embed_texts(params: ModelParams, texts: list[str]) -> np.ndarray:
 # the training loop
 # ---------------------------------------------------------------------------
 
-def _entropy(dist: np.ndarray) -> float:
-    p = np.clip(dist.astype(np.float64), 1e-12, None)
-    return float(-(p * np.log(p)).sum())
-
-
 def _epoch_batches(records, batch_size: int, seed: int, epoch: int) -> list[list]:
     """The epoch's batches in step order, shuffled on (seed, epoch); the last
     incomplete batch is dropped."""
@@ -420,7 +415,8 @@ def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict
         dists = teacher_distribution(teacher_logits, state.teacher.center,
                                      config.tau_teacher)               # [2B, K]
         teacher_dists = dists.reshape(2, b, -1)
-        teacher_entropy = _entropy(dists.mean(axis=0))
+        mean = dists.mean(axis=0).astype(np.float64)
+        teacher_entropy = ad.soft_cross_entropy(mean, Tensor(mean)).item()   # H(p) = CE(p, p)
 
     max_len = config.model.text.max_length
     with Tape() as tape:
@@ -432,11 +428,9 @@ def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict
             emb = ad.concat([emb, encode_images(state.student, Tensor(locals_))])
         loss_nce = info_nce_loss(ContrastiveBatch(captions=u, images=v_first, tau=tau))
         if distill:
-            # no name holds the [V·B, K] probabilities, so the sweep frees them
-            loss_dist = soft_distillation_terms(
-                teacher_dists, ad.softmax(project_dino(state.student, emb), axis=-1,
-                                          temperature=config.tau_student),
-                config.average_pairs)
+            # no name holds the [V·B, K] logits, so the sweep frees them
+            loss_dist = soft_distillation_terms(teacher_dists, project_dino(state.student, emb),
+                                                config.tau_student, config.average_pairs)
             loss = combined_loss(loss_nce, loss_dist)
         else:
             loss, loss_dist = loss_nce, None

@@ -137,10 +137,11 @@ def encode_text(params, token_ids) -> Tensor:
 
 
 def soft_distillation_terms(teacher_dists, student_blocks, average_pairs: bool = True):
-    """Per-view [B, K] student blocks, global views first -> the library's
-    distillation term on their view-major concatenation."""
-    return objectives.soft_distillation_terms(teacher_dists, ad.concat(student_blocks, axis=0),
-                                              average_pairs)
+    """Per-view [B, K] student probability blocks, global views first -> the
+    library's distillation term on the logs of their view-major
+    concatenation at tau_s = 1, whose softmax gives back the blocks."""
+    return objectives.soft_distillation_terms(
+        teacher_dists, ad.log(ad.concat(student_blocks, axis=0)), 1.0, average_pairs)
 
 
 def detokenize(ids) -> str:

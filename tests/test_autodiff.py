@@ -327,6 +327,115 @@ def test_gradcheck_weight_norm_linear(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
+def test_gradcheck_soft_cross_entropy_logits(seed):
+    """Rows whose target mass is not 1 (the distillation's T0 + T1 rows),
+    at DINO's student temperature and at 1, and a single row of rank 1."""
+    rng = np.random.default_rng(150 + seed)
+    target = rng.dirichlet(np.ones(6), size=4) * np.array([[1.0], [1.0], [2.0], [2.0]])
+    for temperature in (0.1, 1.0):
+        check_gradients(lambda t: ad.soft_cross_entropy_logits(target, t["z"], temperature),
+                        {"z": rng.normal(size=(4, 6))})
+    check_gradients(lambda t: ad.soft_cross_entropy_logits(target[0], t["z"], 0.3),
+                    {"z": rng.normal(size=6)})
+
+
+def _composed_weight_norm_linear(x, d, s):
+    """The chain of primitives that weight_norm_linear replaced."""
+    norms = ad.sqrt(ad.sum_(ad.mul(d, d), axis=1))
+    coeff = ad.reshape(ad.div(s, norms), (d.shape[0], 1))
+    return ad.matmul(x, ad.transpose(ad.mul(d, coeff)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b,d,k", [(2, 3, 5), (160, 64, 4096)])
+def test_weight_norm_linear_forward_bits_equal_composed_chain(dtype, b, d, k):
+    """The one node gives the composed chain's forward bits (so the
+    teacher's logits keep theirs), and its gradients agree with the chain's
+    to rounding."""
+    rng = np.random.default_rng(640)
+    arrays = {"x": rng.normal(size=(b, d)), "d": rng.normal(size=(k, d)),
+              "s": 1.0 + 0.2 * rng.normal(size=k)}
+    mask = rng.normal(size=(b, k)).astype(dtype)
+    outs = []
+    for head in (ad.weight_norm_linear, _composed_weight_norm_linear):
+        t = {n: Tensor(a, requires_grad=True, name=n, dtype=dtype) for n, a in arrays.items()}
+        with Tape() as tape:
+            out = head(t["x"], t["d"], t["s"])
+            loss = ad.sum_(ad.mul(out, mask))
+        outs.append([out.data, *backward(tape, loss, params=list(t.values()))])
+    (got, *got_grads), (want, *want_grads) = outs
+    _assert_same(got, want)
+    rtol = 1e-4 if dtype == np.float32 else 1e-10
+    for g, w in zip(got_grads, want_grads):
+        assert g.dtype == dtype
+        assert relative_error(g, w) < rtol
+
+
+def test_weight_norm_linear_skips_the_adjoint_of_a_constant_input():
+    rng = np.random.default_rng(650)
+    x = Tensor(rng.normal(size=(2, 3)), dtype=np.float32)
+    d, s = (parameter(rng.normal(size=shape).astype(np.float32), n)
+            for shape, n in (((5, 3), "d"), ((5,), "s")))
+    with Tape() as tape:
+        ad.weight_norm_linear(x, d, s)
+    gx, gd, gs = tape.nodes[0].backward_fn(np.ones((2, 5), dtype=np.float32))
+    assert gx is None and gd.shape == (5, 3) and gs.shape == (5,)
+
+
+def test_weight_norm_linear_rejects_mismatched_operands():
+    x, d, s = np.zeros((2, 3)), np.ones((5, 3)), np.ones(5)
+    for args in ((x, d, np.ones(4)), (np.zeros((2, 4)), d, s), (np.zeros(3), d, s),
+                 (np.zeros((2, 2, 3)), d, s)):
+        with pytest.raises(ShapeError):
+            ad.weight_norm_linear(*args)
+
+
+def _ref_log_softmax_cross_entropy(target, logits, temperature):
+    """Value and logits gradient in float64 through scipy-free log-softmax."""
+    z = np.asarray(logits, dtype=np.float64) / temperature
+    t = np.asarray(target, dtype=np.float64)
+    lse = np.log(np.exp(z - z.max(axis=-1, keepdims=True)).sum(axis=-1, keepdims=True))
+    log_p = z - z.max(axis=-1, keepdims=True) - lse
+    rows = math.prod(z.shape[:-1])
+    grad = (np.exp(log_p) * t.sum(axis=-1, keepdims=True) - t) / (rows * temperature)
+    return -(t * log_p).sum() / rows, grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_soft_cross_entropy_logits_matches_float64_log_softmax(dtype):
+    """Value and gradient against a float64 log-softmax, on rows whose
+    target mass is 1 or 2, at the student's temperature and at 1, with
+    logits spread wide enough that some probabilities underflow float32.
+    The tolerance is what rounding logits / T to the dtype allows: a few
+    epsilons of its largest magnitude."""
+    rng = np.random.default_rng(660)
+    for shape, temperature, scale in (((160, 64), 0.1, 3.0), ((5, 7), 1.0, 1.0),
+                                      ((9,), 0.04, 1.0), ((3, 4, 8), 0.1, 20.0)):
+        logits = (rng.normal(size=shape) * scale).astype(dtype)
+        target = (rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+                  * rng.integers(1, 3, size=shape[:-1] + (1,))).astype(dtype)
+        z = parameter(logits, "z", dtype=dtype)
+        with Tape() as tape:
+            loss = ad.soft_cross_entropy_logits(target, z, temperature)
+        (grad,) = backward(tape, loss, params=[z])
+        want, want_grad = _ref_log_softmax_cross_entropy(target, logits, temperature)
+        tol = 8 * np.finfo(dtype).eps * max(1.0, np.abs(logits).max() / temperature)
+        assert loss.dtype == grad.dtype == dtype
+        assert abs(loss.item() - want) <= tol * max(1.0, abs(want))
+        assert np.abs(grad - want_grad).max() <= tol * np.abs(want_grad).max()
+
+
+def test_soft_cross_entropy_logits_rejects_bad_operands():
+    with pytest.raises(ShapeError):
+        ad.soft_cross_entropy_logits(np.ones((2, 3)), Tensor(np.zeros((2, 4))))
+    with pytest.raises(ShapeError):
+        ad.soft_cross_entropy_logits(1.0, Tensor(np.zeros(())))
+    for temperature in (0.0, -0.1, float("nan")):
+        with pytest.raises(DomainError):
+            ad.soft_cross_entropy_logits(np.ones(3), Tensor(np.zeros(3)), temperature)
+
+
+@pytest.mark.parametrize("seed", range(5))
 def test_gradcheck_layer_norm_and_xent(seed):
     rng = np.random.default_rng(200 + seed)
     m = _mask(rng, (3, 6))
@@ -634,6 +743,11 @@ def _purity_cases():
                                {"p": probs}),
         "soft_cross_entropy_rank0": (lambda t: ad.soft_cross_entropy(0.3, t["p"]),
                                      {"p": pos()}),
+        "soft_cross_entropy_logits": (
+            lambda t: ad.soft_cross_entropy_logits(2.0 * probs[::-1], t["z"], 0.1),
+            {"z": (3, 6)}),
+        "soft_cross_entropy_logits_rank1": (
+            lambda t: ad.soft_cross_entropy_logits(probs[1], t["z"]), {"z": (6,)}),
     }
 
 

@@ -176,7 +176,8 @@ def test_teacher_distribution_rejects_a_non_positive_temperature(tau_teacher):
                              tau_teacher)
 
 
-# The student distribution is softmax(z / tau_s), computed by ad.softmax.
+# softmax(z / tau), computed by ad.softmax: the teacher's distribution at
+# tau_t, and the student's at tau_s inside the distillation cross entropy.
 
 def test_student_distribution_uniform_and_identity(rng):
     assert np.allclose(ad.softmax(Tensor(np.zeros(6)), temperature=0.1).data, 1 / 6,
@@ -209,23 +210,26 @@ def _rows(dists):
 
 def _stacked(dists):
     """[K] distributions, one per view -> one view-major [V, K] float64
-    student tensor (batch 1) for soft_distillation_terms."""
-    return Tensor(np.concatenate(_rows(dists)), dtype=np.float64)
+    tensor of their logs (batch 1): student logits for
+    soft_distillation_terms at tau_s = 1, whose softmax gives back the
+    distributions."""
+    return Tensor(np.log(np.concatenate(_rows(dists))), dtype=np.float64)
 
 
 def test_pair_count_formula(rng):
     for n_views, pairs in ((10, 18), (3, 4)):
         teacher = [rng.dirichlet(np.ones(4)) for _ in range(2)]
         student = _stacked(rng.dirichlet(np.ones(4)) for _ in range(n_views))
-        avg = soft_distillation_terms(_rows(teacher), student).item()
-        raw = soft_distillation_terms(_rows(teacher), student, average_pairs=False).item()
+        avg = soft_distillation_terms(_rows(teacher), student, 1.0).item()
+        raw = soft_distillation_terms(_rows(teacher), student, 1.0,
+                                      average_pairs=False).item()
         assert abs(raw - pairs * avg) < 1e-9
 
 
 def test_self_distillation_uniform_equals_log_k():
     k, n_views = 8, 5
     u = np.full(k, 1.0 / k)
-    loss = soft_distillation_terms(_rows([u] * 2), _stacked([u] * n_views))
+    loss = soft_distillation_terms(_rows([u] * 2), _stacked([u] * n_views), 1.0)
     assert abs(loss.item() - np.log(k)) < 1e-6
 
 
@@ -233,7 +237,7 @@ def test_self_distillation_matches_brute_force(rng):
     k, n_views = 6, 4
     teacher = [rng.dirichlet(np.ones(k)) for _ in range(2)]
     student = [rng.dirichlet(np.ones(k)) for _ in range(n_views)]
-    got = soft_distillation_terms(_rows(teacher), _stacked(student)).item()
+    got = soft_distillation_terms(_rows(teacher), _stacked(student), 1.0).item()
 
     total, pairs = 0.0, 0
     for ti in range(2):
@@ -250,27 +254,48 @@ def test_self_distillation_raw_sum_variant(rng):
     k = 5
     teacher = _rows(rng.dirichlet(np.ones(k)) for _ in range(2))
     student = _stacked(rng.dirichlet(np.ones(k)) for _ in range(3))
-    avg = soft_distillation_terms(teacher, student, average_pairs=True).item()
-    raw = soft_distillation_terms(teacher, student, average_pairs=False).item()
+    avg = soft_distillation_terms(teacher, student, 1.0, average_pairs=True).item()
+    raw = soft_distillation_terms(teacher, student, 1.0, average_pairs=False).item()
     assert abs(raw - avg * 4) < 1e-9
 
 
 def test_self_distillation_needs_two_globals():
     u = np.full(4, 0.25)
     with pytest.raises(ContractError):
-        soft_distillation_terms(_rows([u]), _stacked([u] * 3))
+        soft_distillation_terms(_rows([u]), _stacked([u] * 3), 1.0)
 
 
 def test_self_distillation_lower_bound_is_teacher_entropy(rng):
     k = 7
     p = rng.dirichlet(np.ones(k))
     entropy = -(p * np.log(p)).sum()
-    got = soft_distillation_terms(_rows([p] * 2), _stacked([p] * 4)).item()
+    got = soft_distillation_terms(_rows([p] * 2), _stacked([p] * 4), 1.0).item()
     assert abs(got - entropy) < 1e-9
     # any other student distribution can only increase the loss
     q = rng.dirichlet(np.ones(k))
-    worse = soft_distillation_terms(_rows([p] * 2), _stacked([q] * 4)).item()
+    worse = soft_distillation_terms(_rows([p] * 2), _stacked([q] * 4), 1.0).item()
     assert worse >= got - 1e-12
+
+
+def test_student_logit_below_the_log_clamp_gets_its_gradient():
+    """DINO's -q . log_softmax(s / tau_s) in float32: student logits whose
+    probability at tau_s = 0.1 is below 1e-12 (about 4e-31), or underflows
+    to 0, still get the gradient (p * rowsum(q) - q) / (rows * tau_s) of the
+    teacher mass q on them, which pulls them up.  Through a clamped
+    log(max(p, 1e-12)) the first got a positive gradient of the order of p
+    and the second exactly 0."""
+    tau, v = 0.1, 3
+    logits = parameter(np.tile(np.float32([4.0, 0.0, 1.0, -3.0, -20.0]), (v, 1)), "z")
+    teacher = [np.float32([[0.2, 0.2, 0.2, 0.2, 0.2]]), np.float32([[0.4, 0.1, 0.1, 0.2, 0.2]])]
+    with Tape() as tape:
+        loss = soft_distillation_terms(teacher, logits, tau)
+    (grad,) = backward(tape, loss, params=[logits])
+    p = np.exp(logits.data[0] / tau - (logits.data[0] / tau).max())
+    assert p[3] / p.sum() < 1e-12 and np.float32(p[4]) == 0.0
+    targets = np.concatenate([teacher[1], teacher[0], teacher[0] + teacher[1]])
+    want = -targets[:, 3:] / (v * tau) * (v / (2 * (v - 1)))  # p's share is below 1e-30
+    assert (grad[:, 3:] < 0).all()
+    assert np.allclose(grad[:, 3:], want, rtol=1e-6, atol=0)
 
 
 def test_batched_terms_match_scalar_form(rng):
@@ -278,8 +303,8 @@ def test_batched_terms_match_scalar_form(rng):
     k, b = 5, 3
     teacher = [rng.dirichlet(np.ones(k), size=b) for _ in range(2)]
     student = [rng.dirichlet(np.ones(k), size=b) for _ in range(4)]
-    batched = soft_distillation_terms(teacher, Tensor(np.concatenate(student),
-                                                      dtype=np.float64)).item()
+    batched = soft_distillation_terms(teacher, Tensor(np.log(np.concatenate(student)),
+                                                      dtype=np.float64), 1.0).item()
     per_item = []
     for i in range(b):
         dists = DistributionSet(teacher=[Tensor(t[i], dtype=np.float64) for t in teacher],
@@ -418,7 +443,7 @@ def test_combined_loss_recomposition(rng):
     nce = info_nce_loss(ContrastiveBatch(u, v, tau=0.1))
     teacher = _rows(rng.dirichlet(np.ones(5)) for _ in range(2))
     student = _stacked(rng.dirichlet(np.ones(5)) for _ in range(3))
-    dist = soft_distillation_terms(teacher, student)
+    dist = soft_distillation_terms(teacher, student, 1.0)
     got = combined_loss(nce, dist).item()
     assert abs(got - 0.5 * (nce.item() + dist.item())) < 1e-6
 
@@ -465,8 +490,7 @@ def test_contrastive_branch_ignores_local_views(rng):
         nce = info_nce_loss(ContrastiveBatch(Tensor(texts, dtype=np.float64),
                                              ad.gather_rows(emb, np.arange(2)), tau=0.1))
         emb = ad.concat([emb, encode_images(student, Tensor(local, dtype=np.float64))])
-        s_dists = ad.softmax(project_dino(student, emb), temperature=1.0)
-        dist = soft_distillation_terms(t_dists, s_dists)
+        dist = soft_distillation_terms(t_dists, project_dino(student, emb), 1.0)
         return nce.item(), dist.item()
 
     nce_a, dist_a = losses(local_a)

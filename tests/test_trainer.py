@@ -907,7 +907,8 @@ def test_training_step_batches_views_by_resolution(tiny_records, monkeypatch, lo
                                                    images, heads, cross_entropies):
     """Batch 4, 2 global views at 8 px and 1 local at 4 px: the teacher
     encodes the view-major globals once, the student once per resolution,
-    each side makes one head call, and the tape holds one cross entropy."""
+    each side makes one head call, and the tape holds one cross entropy on
+    the student's logits and no softmax."""
     calls = {"images": [], "heads": [], "ops": []}
 
     def spy(fn, key):
@@ -926,7 +927,9 @@ def test_training_step_batches_views_by_resolution(tiny_records, monkeypatch, lo
     train(tiny_train_config(epochs=1, loss_mode=loss_mode), tiny_records)
     assert calls["images"] == images
     assert calls["heads"] == heads
-    assert calls["ops"].count("soft_cross_entropy") == cross_entropies
+    assert calls["ops"].count("soft_cross_entropy_logits") == cross_entropies
+    assert calls["ops"].count("weight_norm_linear") == cross_entropies
+    assert not {"softmax", "soft_cross_entropy"} & set(calls["ops"])
 
 
 @pytest.mark.parametrize("loss_mode,image_calls", [("combined", 2), ("infonce_only", 1)])
@@ -1135,9 +1138,10 @@ def test_image_load_error_reaches_caller_with_type_message_and_fields(tiny_recor
 @pytest.mark.parametrize("average_pairs", [True, False])
 def test_batched_distillation_matches_per_view_reference(rng, average_pairs):
     """In float64, the step's distillation term (one encoder call per
-    resolution, one head call, one cross entropy) and its gradients equal
-    the per-view form: one encode_images and project_dino call per view and
-    the conftest scalar oracle per record, averaged over the batch."""
+    resolution, one head call, one cross entropy on the logits) and its
+    gradients equal the per-view form: one encode_images and project_dino
+    call per view, its softmax, and the conftest scalar oracle per record,
+    averaged over the batch."""
     cfg = tiny_model_config()
     params = float64_params(cfg, seed=11)
     b, n_local, tau = 3, 2, 0.1
@@ -1153,8 +1157,7 @@ def test_batched_distillation_matches_per_view_reference(rng, average_pairs):
         p = ModelParams(cfg, {**params.tensors, **tensors})
         emb = ad.concat([encode_images(p, Tensor(v.reshape(-1, *v.shape[2:]), dtype=np.float64))
                          for v in (globals_, locals_)])
-        student = ad.softmax(project_dino(p, emb), axis=-1, temperature=tau)
-        return soft_distillation_terms(teacher, student, average_pairs)
+        return soft_distillation_terms(teacher, project_dino(p, emb), tau, average_pairs)
 
     def per_view(tensors):
         p = ModelParams(cfg, {**params.tensors, **tensors})
