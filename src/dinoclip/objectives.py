@@ -38,7 +38,8 @@ class ContrastiveBatch:
 @dataclass
 class TeacherState:
     """EMA copy of the student's image tower and DINO head, its center, and
-    the EMA momentum lambda."""
+    the momentum lambda of its next EMA update (the trainer sets it from
+    its schedule before each update)."""
 
     params: ModelParams
     center: np.ndarray                                   # [K]

@@ -1,6 +1,7 @@
 """Optimization loop tying together encoders, objectives, and the data
-pipeline: AdamW with linear warmup and cosine decay, EMA teacher updates,
-centering, metrics logging, and checkpoint persistence.
+pipeline: AdamW with linear warmup and cosine decay, EMA teacher updates
+whose momentum follows DINO's cosine to 1, centering, metrics logging, and
+checkpoint persistence.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class TrainConfig:
     weight_decay: float = 0.05
     betas: tuple = (0.9, 0.98)
     adam_eps: float = 1e-6
-    ema_momentum: float = 0.996
+    ema_momentum: float = 0.996             # the base; the schedule ends at 1
     tau_student: float = 0.1
     tau_teacher: float = 0.04
     center_momentum: float = 0.9
@@ -190,6 +191,17 @@ def lr_schedule(step: int, total_steps: int, warmup_steps: int, base_lr: float) 
     span = max(1, total_steps - warmup_steps)
     progress = (step - warmup_steps) / span
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
+
+
+def momentum_schedule(step: int, total_steps: int, base: float) -> float:
+    """DINO's teacher momentum for EMA update ``step`` (1 at the first) of
+    ``total_steps``: a cosine from ``base`` at the first update to 1 at the
+    last, base + (1 - base) * (1 - cos(pi * (step - 1) / (total_steps - 1))) / 2.
+    A run of one update uses ``base``."""
+    if not 1 <= step <= total_steps:
+        raise ContractError(f"update {step} outside [1, {total_steps}]")
+    progress = (step - 1) / max(1, total_steps - 1)
+    return base + (1.0 - base) * 0.5 * (1.0 - math.cos(math.pi * progress))
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +402,15 @@ def _epoch_batches(records, batch_size: int, seed: int, epoch: int) -> list[list
             for start in range(0, len(order) - batch_size + 1, batch_size)]
 
 
-def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict:
+def _train_step(state: TrainState, batch, images, epoch: int, lr: float,
+                momentum: float) -> dict:
     """One optimization step on ``batch`` and its loaded ``images``: builds
     the batch's view-major views in one make_views call (under infonce_only
     only global view 0, the one the contrastive loss encodes), runs the
     teacher (under combined) outside the tape and the student on it, then
     backward and AdamW over the tensors the state's moments hold, the
-    log-temperature clamp and the EMA and center updates.  Advances
-    ``state.step`` and returns the step's metrics record."""
+    log-temperature clamp, and the EMA update at ``momentum`` and the center
+    update.  Advances ``state.step`` and returns the step's metrics record."""
     config = state.config
     distill = config.loss_mode == "combined"
     aug, n_global = config.augmentation, 2
@@ -451,6 +464,7 @@ def _train_step(state: TrainState, batch, images, epoch: int, lr: float) -> dict
     tensors["log_tau"] = Tensor(clamped, requires_grad=True, name="log_tau", dtype=clamped.dtype)
 
     if distill:
+        state.teacher.ema_momentum = momentum
         ema_update(state.teacher, state.student)
         update_center(state.teacher, teacher_logits, config.center_momentum)
 
@@ -505,8 +519,9 @@ def train(config: TrainConfig, records, *, data_root=None, resume: TrainState = 
                 if rec.index not in images:
                     images[rec.index] = load_record_image(rec, root=data_root)
             lr = lr_schedule(state.step, total_steps, warmup_steps, config.learning_rate)
+            momentum = momentum_schedule(state.step + 1, total_steps, config.ema_momentum)
             metrics.append(_train_step(state, batch, [images[rec.index] for rec in batch],
-                                       epoch, lr))
+                                       epoch, lr, momentum))
         state.next_epoch = epoch + 1
         if epoch_callback is not None and epoch_callback(state, metrics):
             break

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dinoclip import autodiff as ad
 from dinoclip import checkpoint as ckpt
-from dinoclip import encoders
+from dinoclip import encoders, objectives
 from dinoclip import trainer
 from dinoclip.autodiff import Tensor, backward
 from dinoclip.checkpoint import FORMAT_VERSION
@@ -36,7 +36,8 @@ from dinoclip.errors import (CheckpointError, CheckpointShapeError,
 from dinoclip.objectives import soft_distillation_terms
 from dinoclip.trainer import (AdamState, MetricsLog, TrainConfig, adamw_step,
                               embed_record_images, embed_texts, init_train_state,
-                              load_checkpoint, lr_schedule, save_checkpoint, train)
+                              load_checkpoint, lr_schedule, momentum_schedule,
+                              save_checkpoint, train)
 from dinoclip.prng import RandomStream
 
 from conftest import (DistributionSet, byte_mutations, flip_bit, float64_params,
@@ -209,6 +210,65 @@ def test_lr_schedule_returns_a_python_float():
 def test_lr_schedule_rejects_out_of_range():
     with pytest.raises(ContractError):
         lr_schedule(101, 100, 10, 1.0)
+
+
+# -------------------------------------------------------------------------
+# teacher momentum schedule
+# -------------------------------------------------------------------------
+
+def test_momentum_schedule_runs_from_the_base_to_one():
+    for base in (0.9, 0.996):
+        values = [momentum_schedule(t, 10, base) for t in range(1, 11)]
+        assert values[0] == base and values[-1] == 1.0
+        assert (np.diff(values) > 0).all()
+        assert abs(momentum_schedule(5, 9, base) - (1.0 + base) / 2) < 1e-15   # midpoint
+        assert type(values[3]) is float
+    assert momentum_schedule(1, 1, 0.996) == 0.996
+    for step in (0, 11):
+        with pytest.raises(ContractError):
+            momentum_schedule(step, 10, 0.996)
+
+
+def _momenta_seen(monkeypatch) -> list:
+    """The teacher momentum of every EMA update train makes, in order."""
+    seen = []
+
+    def spy(teacher, student):
+        seen.append(teacher.ema_momentum)
+        return objectives.ema_update(teacher, student)
+
+    monkeypatch.setattr(trainer, "ema_update", spy)
+    return seen
+
+
+def test_ema_updates_follow_the_schedule_from_the_base_to_one(tiny_records, monkeypatch):
+    """Update 1 uses the configured ema_momentum and the last update of the
+    run 1, DINO's cosine between."""
+    seen = _momenta_seen(monkeypatch)
+    cfg = tiny_train_config(epochs=3, batch_size=2)          # 2 steps per epoch
+    train(cfg, tiny_records)
+    assert seen == [momentum_schedule(t, 6, cfg.ema_momentum) for t in range(1, 7)]
+    assert seen[0] == cfg.ema_momentum == 0.996 and seen[-1] == 1.0
+
+
+def test_scheduled_run_stopped_and_resumed_equals_uninterrupted(tmp_path, tiny_records,
+                                                                monkeypatch):
+    """The momentum comes from the step count and the run's length, so a run
+    stopped with stop_after_epoch, checkpointed and resumed makes the same
+    updates and ends in the same bytes as the uninterrupted run."""
+    seen = _momenta_seen(monkeypatch)
+    cfg = tiny_train_config(epochs=3, batch_size=2)
+    full, _ = train(cfg, tiny_records)
+    full_momenta = seen[:]
+    seen.clear()
+    half, _ = train(cfg, tiny_records, stop_after_epoch=1)
+    save_checkpoint(half, tmp_path / "mid.ckpt")
+    resumed = load_checkpoint(tmp_path / "mid.ckpt")
+    done, _ = train(resumed.config, tiny_records, resume=resumed)
+    assert seen == full_momenta and len(seen) == 6
+    save_checkpoint(full, tmp_path / "full.ckpt")
+    save_checkpoint(done, tmp_path / "resumed.ckpt")
+    assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "resumed.ckpt").read_bytes()
 
 
 # -------------------------------------------------------------------------
