@@ -57,31 +57,41 @@ def _write_flat(out, arrays: list):
         out.write(np.ascontiguousarray(a, dtype=dtype))
 
 
-def write_container(path, sections: dict):
-    """Write ``sections`` (name -> array, list of arrays or JSON value) to a
-    temporary file beside ``path``, sync it, then rename it into place, so a
-    write that fails midway leaves any old file intact."""
+def write_atomic(path, write):
+    """Call ``write`` on a binary file opened under a temporary name beside
+    ``path``, sync the file, then rename it into place, so a write that
+    fails midway leaves any old file at ``path`` intact and no temporary
+    file behind."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            with zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as zf:
-                for name, value in {_VERSION: FORMAT_VERSION, **sections}.items():
-                    if isinstance(value, np.ndarray):
-                        with zf.open(zipfile.ZipInfo(f"{name}.npy", _DATE_TIME), "w") as out:
-                            np.lib.format.write_array(out, value, allow_pickle=False)
-                    elif isinstance(value, list) and value and all(
-                            isinstance(a, (np.ndarray, np.generic)) for a in value):
-                        with zf.open(zipfile.ZipInfo(f"{name}.npy", _DATE_TIME), "w") as out:
-                            _write_flat(out, value)
-                    else:
-                        zf.writestr(zipfile.ZipInfo(f"{name}.json", _DATE_TIME),
-                                    json.dumps(value, sort_keys=True, separators=(",", ":")))
+            write(f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_container(path, sections: dict):
+    """Write ``sections`` (name -> array, list of arrays or JSON value) to
+    ``path`` through write_atomic."""
+    def write(f):
+        with zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as zf:
+            for name, value in {_VERSION: FORMAT_VERSION, **sections}.items():
+                if isinstance(value, np.ndarray):
+                    with zf.open(zipfile.ZipInfo(f"{name}.npy", _DATE_TIME), "w") as out:
+                        np.lib.format.write_array(out, value, allow_pickle=False)
+                elif isinstance(value, list) and value and all(
+                        isinstance(a, (np.ndarray, np.generic)) for a in value):
+                    with zf.open(zipfile.ZipInfo(f"{name}.npy", _DATE_TIME), "w") as out:
+                        _write_flat(out, value)
+                else:
+                    zf.writestr(zipfile.ZipInfo(f"{name}.json", _DATE_TIME),
+                                json.dumps(value, sort_keys=True, separators=(",", ":")))
+
+    write_atomic(path, write)
 
 
 def read_container(path) -> dict:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .data import (LANGUAGE_NAMES, ImageCaptionRecord, build_translation_prompts,
                    ingest_translations, load_manifest, parse_json, save_manifest,
                    split_records, tokenize, write_record_file, read_record_file)
@@ -92,6 +93,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _write_text(path, text: str):
+    write_atomic(path, lambda f: f.write(text.encode("utf-8")))
+
+
 def _caption_rows(records, language: str):
     """(texts, owner image row) for every caption of one language."""
     texts, owners = [], []
@@ -119,7 +124,7 @@ def cmd_eval_retrieval(args) -> int:
     print(report.to_json())
     print(report.to_csv_row())
     if args.out:
-        Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
+        _write_text(args.out, report.to_json() + "\n")
     return EXIT_OK
 
 
@@ -150,7 +155,7 @@ def cmd_zero_shot(args) -> int:
               "predictions": [class_names[p] for p in predictions]}
     print(json.dumps({"accuracy": result["accuracy"], "n": result["n"]}))
     if args.out:
-        Path(args.out).write_text(json.dumps(result, indent=2), encoding="utf-8")
+        _write_text(args.out, json.dumps(result, indent=2))
     return EXIT_OK
 
 
@@ -169,9 +174,9 @@ def cmd_export_embeddings(args) -> int:
         matrix = embed_texts(state.student, texts)
         ids = [f"record{records[o].index}:cap{i}" for i, o in enumerate(owners)]
     matrix = np.ascontiguousarray(matrix.astype("<f4"))
-    Path(args.out).write_bytes(matrix.tobytes())
+    write_atomic(args.out, lambda f: f.write(matrix))
     sidecar = {"count": int(matrix.shape[0]), "dim": int(matrix.shape[1]), "ids": ids}
-    Path(str(args.out) + ".json").write_text(json.dumps(sidecar), encoding="utf-8")
+    _write_text(str(args.out) + ".json", json.dumps(sidecar))
     print(f"wrote {matrix.shape[0]} x {matrix.shape[1]} embeddings -> {args.out}")
     return EXIT_OK
 

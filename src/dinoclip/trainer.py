@@ -219,10 +219,9 @@ class MetricsLog:
         self.records.append(record)
 
     def write_jsonl(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for rec in self.records:
-                f.write(json.dumps(rec, sort_keys=True))
-                f.write("\n")
+        """One JSON line per record, written through checkpoint.write_atomic."""
+        lines = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in self.records)
+        ckpt.write_atomic(path, lambda f: f.write(lines.encode("utf-8")))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,53 @@ def test_export_embeddings_binary_and_sidecar(workdir):
     assert sidecar["count"] == 4 and len(sidecar["ids"]) == 4
 
 
+def _refuse_renames_onto(monkeypatch, *targets):
+    """os.replace fails with OSError when it would rename onto a target."""
+    real = ckpt.os.replace
+
+    def replace(src, dst):
+        if Path(dst) in targets:
+            raise OSError(f"rename onto {dst} refused")
+        return real(src, dst)
+
+    monkeypatch.setattr(ckpt.os, "replace", replace)
+
+
+@pytest.mark.parametrize("command", ["metrics-log", "eval-retrieval", "zero-shot",
+                                     "export-embeddings"])
+def test_cli_output_survives_a_failed_rename(workdir, monkeypatch, command):
+    """Each output goes to a temporary file renamed into place: a failed
+    rename exits 4, leaves the old output (and export's old sidecar) intact
+    and leaves no temporary file behind."""
+    ckpt_path = _train(workdir)
+    out = workdir / "out"
+    manifest = ["--manifest", str(workdir / "manifest.jsonl")]
+    argv = {
+        "metrics-log": ["train", "--config", str(workdir / "config.json"), *manifest,
+                        "--out", str(workdir / "again.ckpt"), "--metrics-log", str(out)],
+        "eval-retrieval": ["eval-retrieval", "--checkpoint", str(ckpt_path), *manifest,
+                           "--split", "test", "--out", str(out)],
+        "zero-shot": ["zero-shot", "--checkpoint", str(ckpt_path), "--class-index",
+                      str(workdir / "cls.json"), "--data-root", str(workdir),
+                      "--template", "{class name}", "--out", str(out)],
+        "export-embeddings": ["export-embeddings", "--checkpoint", str(ckpt_path), *manifest,
+                              "--split", "train", "--kind", "images", "--out", str(out)],
+    }[command]
+    for i, cls in enumerate(("river", "forest")):
+        write_ppm(workdir / f"{cls}.ppm", np.full((3, 8, 8), 0.3 * i, np.float32))
+    (workdir / "cls.json").write_text(json.dumps({"river": ["river.ppm"],
+                                                  "forest": ["forest.ppm"]}))
+    out.write_bytes(b"old output")
+    (workdir / "out.json").write_bytes(b"old sidecar")
+    before = sorted(p.name for p in workdir.iterdir())
+    _refuse_renames_onto(monkeypatch, out)
+    assert main(argv) == 4
+    assert out.read_bytes() == b"old output"
+    assert (workdir / "out.json").read_bytes() == b"old sidecar"
+    assert not [p.name for p in workdir.iterdir() if p.name.endswith(".tmp")]
+    assert set(before) <= {p.name for p in workdir.iterdir()}
+
+
 def test_build_translation_prompts_and_ingest(workdir):
     prompts_path = workdir / "prompts.txt"
     rc = main(["build-translation-prompts", "--manifest", str(workdir / "manifest.jsonl"),

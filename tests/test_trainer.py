@@ -570,6 +570,27 @@ def test_checkpoint_write_failing_midway_keeps_old_file(tmp_path, tiny_records):
     assert [p.name for p in path.parent.iterdir()] == ["c.ckpt"]
 
 
+def test_write_atomic_failed_rename_keeps_old_file_and_no_temporary(tmp_path, monkeypatch):
+    """The write reaches a temporary file and the rename fails: the old file
+    keeps its bytes and the temporary file is removed.  MetricsLog writes
+    through the same helper."""
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(ckpt.os, "replace", refuse)
+    log = MetricsLog()
+    log.append({"step": 1})
+    for write in (lambda: ckpt.write_atomic(path, lambda f: f.write(b"new")),
+                  lambda: log.write_jsonl(path)):
+        with pytest.raises(OSError, match="rename refused"):
+            write()
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
 def test_checkpoint_saves_seconds_apart_are_identical(tmp_path):
     """Zip timestamps have a 2 s resolution; none from the clock is stored."""
     state = init_train_state(tiny_train_config())
