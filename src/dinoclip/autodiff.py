@@ -596,8 +596,9 @@ def weight_norm_linear(x, direction, scale) -> Tensor:
 
     The row norms, the coefficient scale / norm and w are computed as the
     composed sqrt/sum/mul/div chain computed them, and the product takes w's
-    transposed view, which gives the bits of a product with a contiguous
-    w^T (OpenBLAS packs both alike) without building one.  The node keeps w
+    transposed view.  With OpenBLAS that gives the chain's bits, those of a
+    product with a contiguous w^T, in less time than building w^T takes
+    (a test checks the bits).  The node keeps w
     [K, D] for the adjoint: with gw = g^T x, the gradient of w,
     d(direction) = coeff * (gw - direction * <gw, direction> / norm^2) and
     d(scale) = <gw, direction> / norm, row by row.  A constant x gets no
@@ -759,7 +760,7 @@ def soft_cross_entropy(target, pred) -> Tensor:
     return _record("soft_cross_entropy", (pred,), out, backward)
 
 
-def soft_cross_entropy_logits(target, logits, temperature: float = 1.0) -> Tensor:
+def soft_cross_entropy_logits(target, logits, temperature: float) -> Tensor:
     """-sum(target * log_softmax(logits / temperature)) along the last axis,
     mean over the rows of a rank >= 2 input, as one node: the cross entropy
     from target to the softmax of the logits, with no clamp.

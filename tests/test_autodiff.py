@@ -427,9 +427,9 @@ def test_soft_cross_entropy_logits_matches_float64_log_softmax(dtype):
 
 def test_soft_cross_entropy_logits_rejects_bad_operands():
     with pytest.raises(ShapeError):
-        ad.soft_cross_entropy_logits(np.ones((2, 3)), Tensor(np.zeros((2, 4))))
+        ad.soft_cross_entropy_logits(np.ones((2, 3)), Tensor(np.zeros((2, 4))), 1.0)
     with pytest.raises(ShapeError):
-        ad.soft_cross_entropy_logits(1.0, Tensor(np.zeros(())))
+        ad.soft_cross_entropy_logits(1.0, Tensor(np.zeros(())), 1.0)
     for temperature in (0.0, -0.1, float("nan")):
         with pytest.raises(DomainError):
             ad.soft_cross_entropy_logits(np.ones(3), Tensor(np.zeros(3)), temperature)
@@ -747,7 +747,7 @@ def _purity_cases():
             lambda t: ad.soft_cross_entropy_logits(2.0 * probs[::-1], t["z"], 0.1),
             {"z": (3, 6)}),
         "soft_cross_entropy_logits_rank1": (
-            lambda t: ad.soft_cross_entropy_logits(probs[1], t["z"]), {"z": (6,)}),
+            lambda t: ad.soft_cross_entropy_logits(probs[1], t["z"], 1.0), {"z": (6,)}),
     }
 
 
