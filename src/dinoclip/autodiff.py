@@ -8,6 +8,14 @@ single reverse sweep that visits each node exactly once.  Operations run with
 no active tape are forward-only, which is how teacher evaluations stay out of
 the gradient.
 
+An op is recorded when a tape is active and one of its inputs requires
+grad (``_recording``).  Only a recorded op keeps arrays for its adjoint.
+An op that is not recorded, such as the teacher's forward, an evaluation
+forward or a finite-difference probe, keeps nothing once it returns.  As
+its adjoint never runs, ``gelu`` and ``layer_norm`` then reuse arrays that
+the adjoint would have kept, and ``attention`` keeps no probabilities.
+Both cases run one forward body and give the same bits.
+
 A forward or an adjoint writes in place only into arrays it allocated
 itself.  It never writes into its incoming gradient, its inputs' data or an
 array it captured: ``add``'s adjoint can hand the same array to both of its
@@ -164,21 +172,29 @@ def _as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _record(op: str, inputs: Sequence[Tensor], out_arr: np.ndarray,
-            backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
-    requires = False
+def _requires_grad(inputs: Sequence[Tensor]) -> bool:
     for t in inputs:
         if t.requires_grad:
-            requires = True
-            break
+            return True
+    return False
+
+
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` is recorded: a tape is active and an input
+    requires grad.  An op whose inputs fail this test keeps no array for an
+    adjoint and may reuse the arrays it allocated."""
+    return bool(_TAPE_STACK) and _requires_grad(inputs)
+
+
+def _record(op: str, inputs: Sequence[Tensor], out_arr: np.ndarray,
+            backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
     # The op made out_arr itself from valid tensors: a C-contiguous float
     # array of rank <= MAX_RANK, or a numpy scalar from 0-d operands, so
     # Tensor.__init__'s checks are skipped.
     out = Tensor.__new__(Tensor)
-    out.data, out.requires_grad, out.name = np.asarray(out_arr), requires, None
-    tape = _active_tape()
-    if tape is not None and requires:
-        tape.nodes.append(Node(op, tuple(inputs), out, backward_fn))
+    out.data, out.requires_grad, out.name = np.asarray(out_arr), _requires_grad(inputs), None
+    if _recording(inputs):
+        _active_tape().nodes.append(Node(op, tuple(inputs), out, backward_fn))
     return out
 
 
@@ -283,14 +299,12 @@ def gelu(a) -> Tensor:
     error of at most 1.5e-7 bounds the float64 output's error by
     7.5e-8 * max(1, |x|).  No branch: gelu(0) is exactly 0, and in float32
     the output is exactly 0 for x <= -6 and exactly x for x >= 6.  The
-    forward allocates three arrays: e and erf, which the adjoint keeps, and
-    t, which becomes the output.
+    forward allocates three arrays: t, which becomes the output, and e and
+    erf, which the adjoint keeps.  An unrecorded op computes e in t's array
+    once the polynomial is done with t, so it allocates two.
     """
     a = _as_tensor(a)
     x = a.data
-    e = np.multiply(x, x, out=np.empty_like(x))
-    e *= -0.5
-    np.exp(e, out=e)
     t = np.abs(x, out=np.empty_like(x))
     t *= _ERF_P_OVER_SQRT2
     t += 1.0
@@ -299,6 +313,9 @@ def gelu(a) -> Tensor:
     for coef in _ERF_A[1:]:
         erf -= coef
         erf *= t
+    e = np.multiply(x, x, out=np.empty_like(x) if _recording((a,)) else t)
+    e *= -0.5
+    np.exp(e, out=e)
     erf *= e
     erf += 1.0                                  # erf(|x| / sqrt(2))
     out = np.abs(x, out=t)
@@ -539,7 +556,10 @@ def attention(q, k, v, heads: int, runs, queries: Optional[int] = None) -> Tenso
     those of the composed reshape/transpose/matmul/mul/softmax chain over a
     [count, length, W] batch minus the copies, so it gives that chain's bits
     (for n >= 2 also the bits of those rows when every row queries, as a
-    GEMM row does not depend on the row count from two rows on)."""
+    GEMM row does not depend on the row count from two rows on).  The one
+    copy is k transposed; every other operand is a view.  A recorded node
+    keeps every run's probabilities, in one buffer; an unrecorded one keeps
+    nothing."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or heads < 1
             or q.shape[1] != k.shape[1] or k.shape[1] % heads):
@@ -556,35 +576,57 @@ def attention(q, k, v, heads: int, runs, queries: Optional[int] = None) -> Tenso
     w = qd.shape[1]
     hd = w // heads
     scale = np.asarray(1.0 / np.sqrt(hd), dtype=qd.dtype)
+    # A run's q and v [c, H, rows, hd] are views of the packed rows and its
+    # keys [c, H, hd, t] views of one [H, hd, N] copy of k, so BLAS reads
+    # every operand in place.
+    kh = np.ascontiguousarray(kd.T).reshape(heads, hd, -1)
+
+    def rows_of(z, start, c, t):                            # [c, H, t, hd]
+        return z[start:start + c * t].reshape(c, t, heads, hd).transpose(0, 2, 1, 3)
+
+    def keys_of(start, c, t):                               # [c, H, hd, t]
+        return kh[:, :, start:start + c * t].reshape(heads, hd, c, t).transpose(2, 0, 1, 3)
+
+    # Every run's scores [c, H, n, t] in one buffer, so that the scale, the
+    # row maxima and exp each run once over all runs.
+    q_starts = np.cumsum([0] + [c * n for (c, _), n in zip(runs, q_lengths)])
+    kv_starts = np.cumsum([0] + [c * t for c, t in runs])
+    row_counts = [heads * c * n for (c, _), n in zip(runs, q_lengths)]
+    flat = np.empty(sum(r * t for r, (_, t) in zip(row_counts, runs)), dtype=qd.dtype)
+    blocks, start = [], 0
+    for (c, t), n, q0, kv0 in zip(runs, q_lengths, q_starts, kv_starts):
+        kt = keys_of(kv0, c, t)
+        if n == 1:      # a one-row product takes numpy's vector path, whose bits
+            kt = np.ascontiguousarray(kt)       # depend on the keys' stride
+        size = heads * c * n * t
+        blocks.append(np.matmul(rows_of(qd, q0, c, n), kt,
+                                out=flat[start:start + size].reshape(c, heads, n, t)))
+        start += size
+    flat *= scale
+    # The row maxima of _softmax_inplace: a maximum is exact in any order,
+    # so one reduceat over all rows gives each row's max(axis=-1).
+    row_lengths = np.repeat([t for _, t in runs], row_counts)
+    flat -= np.repeat(np.maximum.reduceat(flat, np.cumsum(row_lengths) - row_lengths),
+                      row_lengths)
+    np.exp(flat, out=flat)
     out = np.empty_like(qd)
-    saved = []                                              # per run: rows, splits, p
-    q_start = kv_start = 0
-    for (c, t), n in zip(runs, q_lengths):
-        q_rows = slice(q_start, q_start + c * n)
-        kv_rows = slice(kv_start, kv_start + c * t)
-        q_start, kv_start = q_rows.stop, kv_rows.stop
-        qs = np.ascontiguousarray(qd[q_rows].reshape(c, n, heads, hd).swapaxes(1, 2))
-        ks, vs = (np.ascontiguousarray(z[kv_rows].reshape(c, t, heads, hd).swapaxes(1, 2))
-                  for z in (kd, vd))                        # [c, H, t, hd]
-        scores = qs @ np.ascontiguousarray(ks.transpose(0, 1, 3, 2))
-        scores *= scale
-        _softmax_inplace(scores, -1)
-        out[q_rows].reshape(c, n, heads, hd)[...] = (scores @ vs).transpose(0, 2, 1, 3)
-        saved.append((q_rows, kv_rows, qs, ks, vs, scores))
+    for (c, t), n, p, q0, kv0 in zip(runs, q_lengths, blocks, q_starts, kv_starts):
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, rows_of(vd, kv0, c, t), out=rows_of(out, q0, c, n))
+    saved = list(zip(q_starts, kv_starts, blocks)) if _recording((q, k, v)) else None
 
     def backward(g):
         gq, gk, gv = (np.empty_like(z) for z in (qd, kd, vd))
-        for q_rows, kv_rows, qs, ks, vs, p in saved:
+        for q0, kv0, p in saved:
             c, _, n, t = p.shape
-            gc = g[q_rows].reshape(c, n, heads, hd).transpose(0, 2, 1, 3)
-            gs = gc @ np.ascontiguousarray(vs.swapaxes(-1, -2))
-            gv[kv_rows].reshape(c, t, heads, hd)[...] = (
-                p.swapaxes(-1, -2) @ gc).transpose(0, 2, 1, 3)
+            gc = rows_of(g, q0, c, n)
+            gs = gc @ np.ascontiguousarray(rows_of(vd, kv0, c, t).swapaxes(-1, -2))
+            np.matmul(p.swapaxes(-1, -2), gc, out=rows_of(gv, kv0, c, t))
             gl = _softmax_adjoint(gs, p, -1)
             gl *= scale
-            gq[q_rows].reshape(c, n, heads, hd)[...] = (gl @ ks).transpose(0, 2, 1, 3)
-            gk[kv_rows].reshape(c, t, heads, hd)[...] = (
-                qs.swapaxes(-1, -2) @ gl).transpose(0, 3, 1, 2)    # from [c, H, hd, t]
+            np.matmul(gl, np.ascontiguousarray(rows_of(kd, kv0, c, t)), out=rows_of(gq, q0, c, n))
+            gk[kv0:kv0 + c * t].reshape(c, t, heads, hd)[...] = (
+                rows_of(qd, q0, c, n).swapaxes(-1, -2) @ gl).transpose(0, 3, 1, 2)
         return gq, gk, gv
 
     return _record("attention", (q, k, v), out, backward)
@@ -710,7 +752,8 @@ def layer_norm(x, gain, bias) -> Tensor:
     xhat = xd - xd.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
     xhat *= inv
-    out = xhat * gd
+    # unrecorded, no adjoint reads xhat: the affine runs in its array
+    out = np.multiply(xhat, gd, out=None if _recording((x, gain, bias)) else xhat)
     out += bd
 
     def backward(g):

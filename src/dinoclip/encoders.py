@@ -200,15 +200,19 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
 def _row_offsets(runs) -> np.ndarray:
     """Each packed row's position within its sequence, for the sequences
     ``runs`` gives as (count, length) pairs in row order."""
-    return np.concatenate([np.tile(np.arange(t), c) for c, t in runs])
+    counts, lengths = np.array(runs, dtype=np.int64).T
+    seq_lengths = np.repeat(lengths, counts)
+    starts = np.cumsum(seq_lengths) - seq_lengths
+    return np.arange(seq_lengths.sum()) - np.repeat(starts, seq_lengths)
 
 
-def _transformer(params: ModelParams, prefix: str, x: Tensor, runs,
+def _transformer(params: ModelParams, prefix: str, x: Tensor, runs, offsets: np.ndarray,
                  pick: np.ndarray) -> Tensor:
     """One tower (``prefix`` "vision" or "text") over packed [N, W] rows,
-    whose sequences ``runs`` gives as (count, length) pairs in row order:
-    its pre-norm blocks, final layer norm and projection.  Returns
-    [len(pick), m], row i the first row of sequence pick[i].
+    whose sequences ``runs`` gives as (count, length) pairs in row order
+    and ``offsets`` as each row's position (``_row_offsets(runs)``): its
+    pre-norm blocks, final layer norm and projection.  Returns [len(pick),
+    m], row i the first row of sequence pick[i].
 
     Each block's attention is one ``autodiff.attention`` node over the
     biased q, k and v projections.  Every biased projection, the attention
@@ -224,7 +228,6 @@ def _transformer(params: ModelParams, prefix: str, x: Tensor, runs,
     it, as tests/test_encoders.py checks for the encoders' shapes, so each
     returned row has the bits of its sequence encoded alone."""
     cfg = getattr(params.config, prefix)
-    offsets = _row_offsets(runs)
     keep = np.flatnonzero(offsets < QUERY_ROWS)
     for i in range(cfg.depth):
         blk = f"{prefix}.blocks.{i}"
@@ -273,7 +276,8 @@ def encode_images(params: ModelParams, images: Tensor) -> Tensor:
     cls = Tensor(np.zeros((b, 1, cfg.width), dtype=images.dtype)) + params["vision.cls"]
     x = ad.concat([cls, tokens], axis=1) + pos                      # [B, T, W]
     x = ad.reshape(x, (-1, cfg.width))                              # [B * T, W]
-    return _transformer(params, "vision", x, [(b, pos.shape[0])], np.arange(b))
+    runs = [(b, pos.shape[0])]
+    return _transformer(params, "vision", x, runs, _row_offsets(runs), np.arange(b))
 
 
 def _interpolated_positions(pos: Tensor, src: int, dst: int) -> Tensor:
@@ -316,9 +320,10 @@ def encode_text(params: ModelParams, token_lists) -> Tensor:
                               f"{int(flat.min())}..{int(flat.max())}")
     run_lengths, run_counts = np.unique(lengths, return_counts=True)
     runs = [(int(c), int(t)) for c, t in zip(run_counts, run_lengths)]
+    offsets = _row_offsets(runs)
     x = (ad.gather_rows(params["text.tok_embed"], flat)
-         + ad.gather_rows(params["text.pos"], _row_offsets(runs)))         # [N, W]
-    return _transformer(params, "text", x, runs, np.argsort(order))
+         + ad.gather_rows(params["text.pos"], offsets))                    # [N, W]
+    return _transformer(params, "text", x, runs, offsets, np.argsort(order))
 
 
 def project_dino(params: ModelParams, embedding: Tensor) -> Tensor:

@@ -803,6 +803,47 @@ def test_adjoints_write_only_into_their_own_arrays(case, dtype):
 
 
 # -------------------------------------------------------------------------
+# recorded and unrecorded forwards: one body, the same bits
+# -------------------------------------------------------------------------
+
+def _untaped_cases():
+    """The purity cases, plus attention over more runs of distinct lengths
+    (one of length 1) with and without query rows."""
+    runs = [(2, 5), (1, 1), (3, 9), (1, 17), (2, 2)]
+    n, n_q = sum(c * t for c, t in runs), sum(c * min(2, t) for c, t in runs)
+    return {**_purity_cases(),
+            "attention_long_runs": (lambda t: ad.attention(t["q"], t["k"], t["v"], 4, runs),
+                                    {"q": (n, 16), "k": (n, 16), "v": (n, 16)}),
+            "attention_long_runs_queries": (
+                lambda t: ad.attention(t["q"], t["k"], t["v"], 4, runs, queries=2),
+                {"q": (n_q, 16), "k": (n, 16), "v": (n, 16)})}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_untaped_cases()))
+def test_unrecorded_forward_bits_equal_recorded(case, dtype):
+    """Every op gives the same output bits with a recording tape, with no
+    tape, and on a tape with constant inputs; the last two record nothing,
+    and no forward changes its inputs' bytes."""
+    build, spec = _untaped_cases()[case]
+    inputs = _purity_inputs(spec, np.random.default_rng(700), dtype)
+    constants = {k: Tensor(t.data, dtype=dtype) for k, t in inputs.items()}
+    before = {k: t.data.copy() for k, t in inputs.items()}
+    with Tape() as tape:
+        recorded = build(inputs).data
+    assert tape.nodes
+    unrecorded = [build(inputs).data]
+    with Tape() as tape:
+        unrecorded.append(build(constants).data)
+    assert tape.nodes == []
+    for out in unrecorded:
+        assert out.dtype == recorded.dtype == dtype
+        assert out.tobytes() == recorded.tobytes(), case
+    for k, t in inputs.items():
+        assert t.data.tobytes() == before[k].tobytes(), k
+
+
+# -------------------------------------------------------------------------
 # the in-place rewrites against the expressions they replaced
 # -------------------------------------------------------------------------
 

@@ -1040,12 +1040,12 @@ def test_training_step_runs_last_block_on_pooled_rows(tiny_records, monkeypatch)
     rows: the rows the encoders pool."""
     calls, transformer = [], encoders._transformer
 
-    def spy(params, prefix, x, runs, pick):
+    def spy(params, prefix, x, runs, *rest):
         tape = ad._active_tape()
         if tape is None:                            # the teacher's forward
-            return transformer(params, prefix, x, runs, pick)
+            return transformer(params, prefix, x, runs, *rest)
         start = len(tape.nodes)
-        out = transformer(params, prefix, x, runs, pick)
+        out = transformer(params, prefix, x, runs, *rest)
         gelus = [n.output.shape for n in tape.nodes[start:] if n.op == "gelu"]
         calls.append((prefix, runs, [int(np.prod(s[:-1])) for s in gelus]))
         return out
