@@ -223,8 +223,8 @@ def cmd_build_lmcap_prompts(args) -> int:
 def cmd_make_splits(args) -> int:
     class_index = _read_class_index(args.class_index)
     train_set, test_set = split_80_20(class_index, seed=args.seed)
-    Path(args.out).write_text(json.dumps({"train": train_set, "test": test_set},
-                                         indent=2, sort_keys=True), encoding="utf-8")
+    _write_text(args.out, json.dumps({"train": train_set, "test": test_set},
+                                     indent=2, sort_keys=True))
     sizes = {c: (len(train_set[c]), len(test_set[c])) for c in sorted(class_index)}
     print(json.dumps({"classes": len(sizes), "sizes": sizes}))
     return EXIT_OK

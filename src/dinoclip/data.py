@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .encoders import END_ID, SENTINEL_ID, BYTE_OFFSET, resize_bicubic
 from .errors import (AlignmentError, ContractError, DomainError, ManifestParseError,
                      ValidationError)
@@ -187,11 +188,14 @@ def load_manifest(path) -> list[ImageCaptionRecord]:
 
 
 def save_manifest(records: list[ImageCaptionRecord], path):
-    with open(path, "w", encoding="utf-8") as f:
+    """One JSON line per record, written through checkpoint.write_atomic."""
+    def write(f):
         for rec in records:
-            f.write(json.dumps({"image": rec.image_ref, "captions": rec.captions,
-                                "split": rec.split}, ensure_ascii=False))
-            f.write("\n")
+            line = json.dumps({"image": rec.image_ref, "captions": rec.captions,
+                               "split": rec.split}, ensure_ascii=False)
+            f.write(f"{line}\n".encode("utf-8"))
+
+    write_atomic(path, write)
 
 
 def split_records(records, split: str) -> list[ImageCaptionRecord]:
@@ -443,11 +447,13 @@ def build_translation_prompt(caption: str, target_language_name: str) -> str:
 
 def write_record_file(path, blocks: list[str]):
     """Write text blocks separated by a line holding only the record
-    separator (every block is terminated, including the last)."""
-    with open(path, "w", encoding="utf-8") as f:
+    separator (every block is terminated, including the last), through
+    checkpoint.write_atomic."""
+    def write(f):
         for block in blocks:
-            f.write(block)
-            f.write("\n" + RECORD_SEPARATOR + "\n")
+            f.write(f"{block}\n{RECORD_SEPARATOR}\n".encode("utf-8"))
+
+    write_atomic(path, write)
 
 
 def read_record_file(path) -> list[str]:

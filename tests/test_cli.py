@@ -15,7 +15,7 @@ from dinoclip import cli, errors, trainer
 from dinoclip.autodiff import Tensor
 from dinoclip.cli import main
 from dinoclip.data import (ImageCaptionRecord, load_manifest, read_record_file,
-                           write_record_file)
+                           save_manifest, write_record_file)
 from dinoclip.errors import CheckpointError
 from dinoclip.evaluation import ZeroShotTemplate, build_lmcap_prompt, zero_shot_classify
 from dinoclip.trainer import TrainConfig, embed_record_images, embed_texts, load_checkpoint
@@ -272,6 +272,38 @@ def test_make_splits(workdir):
     for cls in index:
         assert len(splits["train"][cls]) == 8
         assert len(splits["test"][cls]) == 2
+
+
+@pytest.mark.parametrize("writer", ["save_manifest", "save_manifest_bad_record",
+                                    "write_record_file", "make_splits"])
+def test_file_writers_failing_midway_keep_old_file(tmp_path, monkeypatch, writer):
+    """The manifest, record-file and make-splits writers go through
+    checkpoint.write_atomic: a write that raises after some of its bytes
+    reached the temporary file (a record json cannot encode, or a failing
+    fsync) leaves the old file's bytes and no temporary file."""
+    index = tmp_path / "classes.json"
+    index.write_text(json.dumps({"a": ["a0.ppm", "a1.ppm"]}))
+    path = tmp_path / "out"
+    path.write_bytes(b"old")
+    good = ImageCaptionRecord({"synthetic": {"seed": 0, "size": 8}}, {"en": ["a"]}, "train")
+    bad = ImageCaptionRecord({"synthetic": {"seed": 1, "size": 8}}, {"en": {"b"}}, "train")
+    splits_args = cli.build_parser().parse_args(
+        ["make-splits", "--class-index", str(index), "--seed", "1", "--out", str(path)])
+    write, error = {
+        "save_manifest": (lambda: save_manifest([good], path), OSError),
+        "save_manifest_bad_record": (lambda: save_manifest([good, bad], path), TypeError),
+        "write_record_file": (lambda: write_record_file(path, ["block"]), OSError),
+        "make_splits": (lambda: cli.cmd_make_splits(splits_args), OSError),
+    }[writer]
+
+    def refuse(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ckpt.os, "fsync", refuse)
+    with pytest.raises(error):
+        write()
+    assert path.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["classes.json", "out"]
 
 
 def test_zero_shot_command(workdir):
