@@ -37,6 +37,8 @@ _TAG_ORDER = 0x4F524452
 # Tokens per encode_text call in embed_texts.  Larger packed blocks cost
 # more in page faults than they save in calls (BENCH_text_pack.json).
 TEXT_CHUNK_TOKENS = 512
+# Most images per encode_images call in embed_record_images
+IMAGE_CHUNK_IMAGES = 64
 
 
 @dataclass
@@ -354,16 +356,24 @@ def load_checkpoint(path) -> TrainState:
 # ---------------------------------------------------------------------------
 
 def embed_record_images(params: ModelParams, records, data_root=None) -> np.ndarray:
-    """Embed each record's full image, resized to the model input size."""
+    """Embed each record's full image, resized to the model input size.
+
+    The images are loaded and encoded in chunks of at most
+    IMAGE_CHUNK_IMAGES, so memory is bounded by the chunk, not by the list.
+    The chunks differ in size by at most one, so none holds a single image
+    unless the list does."""
     size = params.config.vision.image_size
-    rows = []
-    for rec in records:
-        img = load_record_image(rec, root=data_root)
-        if img.shape[1] != size or img.shape[2] != size:
-            img = resize_bicubic(img, size)
-        rows.append(img)
-    images = Tensor(np.stack(rows))
-    return encode_images(params, images).data
+    out = []
+    for chunk in np.array_split(np.arange(len(records)),
+                                max(1, -(-len(records) // IMAGE_CHUNK_IMAGES))):
+        rows = []
+        for i in chunk:
+            img = load_record_image(records[i], root=data_root)
+            if img.shape[1] != size or img.shape[2] != size:
+                img = resize_bicubic(img, size)
+            rows.append(img)
+        out.append(encode_images(params, Tensor(np.stack(rows))).data)
+    return np.concatenate(out)
 
 
 def embed_texts(params: ModelParams, texts: list[str]) -> np.ndarray:

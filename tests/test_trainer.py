@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -1292,6 +1293,40 @@ def test_embed_record_images_rows_equal_each_record_alone(tmp_path):
     rows = embed_record_images(params, records)
     for i, rec in enumerate(records):
         assert np.array_equal(embed_record_images(params, [rec])[0], rows[i]), i
+
+
+def test_embed_record_images_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch):
+    """Embedding 2N records (N = 2 chunks) peaks at about the memory of
+    embedding N: the images are loaded and encoded chunk by chunk.  Every
+    chunk holds 2 to IMAGE_CHUNK_IMAGES images, and the rows equal the
+    whole list encoded in one call."""
+    n = 2 * trainer.IMAGE_CHUNK_IMAGES
+    model = tiny_model_config()
+    params = init_model_params(model, seed=1)
+    write_synthetic_manifest(tmp_path / "m.jsonl", n=2 * n + 1, size=model.vision.image_size)
+    records = load_manifest(tmp_path / "m.jsonl")
+    peaks = []
+    for count in (n, 2 * n):
+        tracemalloc.start()
+        try:
+            embed_record_images(params, records[:count])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+    sizes = []
+
+    def spy(p, images):
+        sizes.append(images.shape[0])
+        return encode_images(p, images)
+
+    monkeypatch.setattr(trainer, "encode_images", spy)
+    rows = embed_record_images(params, records)
+    assert sum(sizes) == len(records) and len(sizes) > 1
+    assert all(2 <= s <= trainer.IMAGE_CHUNK_IMAGES for s in sizes), sizes
+    whole = encode_images(params, Tensor(np.stack([load_record_image(r) for r in records])))
+    assert np.array_equal(rows, whole.data)
 
 
 def test_embedding_helpers_shapes(tiny_records):
