@@ -1,3 +1,11 @@
+import os
+
+# BLAS runs on one thread for the whole session, as the benchmark runs it.
+# Set before numpy is first imported, which is here: pytest and hypothesis
+# load without it.  A value set in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import json
 import math
 from dataclasses import dataclass
