@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -589,8 +590,8 @@ def attention(q, k, v, heads: int, runs, queries: Optional[int] = None) -> Tenso
 
     # Every run's scores [c, H, n, t] in one buffer, so that the scale, the
     # row maxima and exp each run once over all runs.
-    q_starts = np.cumsum([0] + [c * n for (c, _), n in zip(runs, q_lengths)])
-    kv_starts = np.cumsum([0] + [c * t for c, t in runs])
+    q_starts = list(accumulate((c * n for (c, _), n in zip(runs, q_lengths)), initial=0))
+    kv_starts = list(accumulate((c * t for c, t in runs), initial=0))
     row_counts = [heads * c * n for (c, _), n in zip(runs, q_lengths)]
     flat = np.empty(sum(r * t for r, (_, t) in zip(row_counts, runs)), dtype=qd.dtype)
     blocks, start = [], 0

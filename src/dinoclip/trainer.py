@@ -365,7 +365,7 @@ def embed_record_images(params: ModelParams, records, data_root=None) -> np.ndar
     size = params.config.vision.image_size
     out = []
     for chunk in np.array_split(np.arange(len(records)),
-                                max(1, -(-len(records) // IMAGE_CHUNK_IMAGES))):
+                                max(1, math.ceil(len(records) / IMAGE_CHUNK_IMAGES))):
         rows = []
         for i in chunk:
             img = load_record_image(records[i], root=data_root)
