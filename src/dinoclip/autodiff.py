@@ -9,12 +9,12 @@ no active tape are forward-only, which is how teacher evaluations stay out of
 the gradient.
 
 An op is recorded when a tape is active and one of its inputs requires
-grad (``_recording``).  Only a recorded op keeps arrays for its adjoint.
-An op that is not recorded, such as the teacher's forward, an evaluation
-forward or a finite-difference probe, keeps nothing once it returns.  As
-its adjoint never runs, ``gelu`` and ``layer_norm`` then reuse arrays that
-the adjoint would have kept, and ``attention`` keeps no probabilities.
-Both cases run one forward body and give the same bits.
+grad; :func:`_record` alone decides.  An op allocates and keeps the same
+arrays whether or not it is recorded: its forward builds its output and
+an adjoint closure over what that adjoint reads, and :func:`_record` drops
+at once the closure of an op it does not record.  So the teacher's
+forward, an evaluation forward or a finite-difference probe keeps nothing
+once it returns.
 
 A forward or an adjoint writes in place only into arrays it allocated
 itself.  It never writes into its incoming gradient, its inputs' data or an
@@ -180,13 +180,6 @@ def _requires_grad(inputs: Sequence[Tensor]) -> bool:
     return False
 
 
-def _recording(inputs: Sequence[Tensor]) -> bool:
-    """Whether an op on ``inputs`` is recorded: a tape is active and an input
-    requires grad.  An op whose inputs fail this test keeps no array for an
-    adjoint and may reuse the arrays it allocated."""
-    return bool(_TAPE_STACK) and _requires_grad(inputs)
-
-
 def _record(op: str, inputs: Sequence[Tensor], out_arr: np.ndarray,
             backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
     # The op made out_arr itself from valid tensors: a C-contiguous float
@@ -194,8 +187,10 @@ def _record(op: str, inputs: Sequence[Tensor], out_arr: np.ndarray,
     # Tensor.__init__'s checks are skipped.
     out = Tensor.__new__(Tensor)
     out.data, out.requires_grad, out.name = np.asarray(out_arr), _requires_grad(inputs), None
-    if _recording(inputs):
-        _active_tape().nodes.append(Node(op, tuple(inputs), out, backward_fn))
+    if out.requires_grad:
+        tape = _active_tape()
+        if tape is not None:
+            tape.nodes.append(Node(op, tuple(inputs), out, backward_fn))
     return out
 
 
@@ -300,9 +295,9 @@ def gelu(a) -> Tensor:
     error of at most 1.5e-7 bounds the float64 output's error by
     7.5e-8 * max(1, |x|).  No branch: gelu(0) is exactly 0, and in float32
     the output is exactly 0 for x <= -6 and exactly x for x >= 6.  The
-    forward allocates three arrays: t, which becomes the output, and e and
-    erf, which the adjoint keeps.  An unrecorded op computes e in t's array
-    once the polynomial is done with t, so it allocates two.
+    forward allocates two arrays: t, in which e and then the output are
+    computed once the polynomial is done with t, and erf, which the adjoint
+    keeps.  The adjoint recomputes e from x by the forward's three steps.
     """
     a = _as_tensor(a)
     x = a.data
@@ -314,7 +309,7 @@ def gelu(a) -> Tensor:
     for coef in _ERF_A[1:]:
         erf -= coef
         erf *= t
-    e = np.multiply(x, x, out=np.empty_like(x) if _recording((a,)) else t)
+    e = np.multiply(x, x, out=t)
     e *= -0.5
     np.exp(e, out=e)
     erf *= e
@@ -325,7 +320,10 @@ def gelu(a) -> Tensor:
     out *= 0.5
 
     def backward(g):
-        pdf = np.multiply(x, e, out=np.empty_like(x))
+        pdf = np.multiply(x, x, out=np.empty_like(x))
+        pdf *= -0.5
+        np.exp(pdf, out=pdf)                    # e
+        pdf *= x
         pdf *= _INV_SQRT_2PI
         d = _copysign(erf, x)
         d += 1.0
@@ -558,9 +556,8 @@ def attention(q, k, v, heads: int, runs, queries: Optional[int] = None) -> Tenso
     [count, length, W] batch minus the copies, so it gives that chain's bits
     (for n >= 2 also the bits of those rows when every row queries, as a
     GEMM row does not depend on the row count from two rows on).  The one
-    copy is k transposed; every other operand is a view.  A recorded node
-    keeps every run's probabilities, in one buffer; an unrecorded one keeps
-    nothing."""
+    copy is k transposed; every other operand is a view.  The node keeps
+    every run's probabilities, in one buffer."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or heads < 1
             or q.shape[1] != k.shape[1] or k.shape[1] % heads):
@@ -614,11 +611,10 @@ def attention(q, k, v, heads: int, runs, queries: Optional[int] = None) -> Tenso
     for (c, t), n, p, q0, kv0 in zip(runs, q_lengths, blocks, q_starts, kv_starts):
         p /= p.sum(axis=-1, keepdims=True)
         np.matmul(p, rows_of(vd, kv0, c, t), out=rows_of(out, q0, c, n))
-    saved = list(zip(q_starts, kv_starts, blocks)) if _recording((q, k, v)) else None
 
     def backward(g):
         gq, gk, gv = (np.empty_like(z) for z in (qd, kd, vd))
-        for q0, kv0, p in saved:
+        for q0, kv0, p in zip(q_starts, kv_starts, blocks):
             c, _, n, t = p.shape
             gc = rows_of(g, q0, c, n)
             gs = gc @ np.ascontiguousarray(rows_of(vd, kv0, c, t).swapaxes(-1, -2))
@@ -753,8 +749,7 @@ def layer_norm(x, gain, bias) -> Tensor:
     xhat = xd - xd.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
     xhat *= inv
-    # unrecorded, no adjoint reads xhat: the affine runs in its array
-    out = np.multiply(xhat, gd, out=None if _recording((x, gain, bias)) else xhat)
+    out = xhat * gd
     out += bd
 
     def backward(g):
@@ -867,21 +862,19 @@ def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor]) -> list[np.ndar
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     tape.swept = True
     nodes = tape.nodes
-    # Gradients stay keyed by id although the sweep frees tensors: a tensor
-    # freed here was alive together with every node output and parameter
-    # that is looked up later, so no later key can reuse its id.
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # keyed by the tensors, which hash by identity and stay alive as keys
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
 
     while nodes:
         node = nodes.pop()
-        gout = grads.pop(id(node.output), None)
+        gout = grads.pop(node.output, None)
         if gout is None:
             continue
         input_grads = node.backward_fn(gout)
         for t, g in zip(node.inputs, input_grads):
             if g is None or not t.requires_grad:
                 continue
-            acc = grads.get(id(t))
-            grads[id(t)] = g if acc is None else acc + g
+            acc = grads.get(t)
+            grads[t] = g if acc is None else acc + g
 
-    return [grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in params]
+    return [grads[p] if p in grads else np.zeros_like(p.data) for p in params]

@@ -360,15 +360,13 @@ def embed_record_images(params: ModelParams, records, data_root=None) -> np.ndar
 
     The images are loaded and encoded in chunks of at most
     IMAGE_CHUNK_IMAGES, so memory is bounded by the chunk, not by the list.
-    The chunks differ in size by at most one, so none holds a single image
-    unless the list does."""
+    An image's row has the same bits in any chunk, alone included."""
     size = params.config.vision.image_size
     out = []
-    for chunk in np.array_split(np.arange(len(records)),
-                                max(1, math.ceil(len(records) / IMAGE_CHUNK_IMAGES))):
+    for start in range(0, len(records), IMAGE_CHUNK_IMAGES):
         rows = []
-        for i in chunk:
-            img = load_record_image(records[i], root=data_root)
+        for record in records[start:start + IMAGE_CHUNK_IMAGES]:
+            img = load_record_image(record, root=data_root)
             if img.shape[1] != size or img.shape[2] != size:
                 img = resize_bicubic(img, size)
             rows.append(img)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -189,6 +190,69 @@ def test_gelu_matches_float64_erf(dtype, forward_tol, backward_tol):
         assert np.all(np.abs(grad - (cdf + x64 * pdf)) <= backward_tol)
 
 
+def _ref_gelu(x):
+    """gelu as the same steps compute it with e = exp(-x^2 / 2) in an array
+    of its own, which the adjoint reads: (output, adjoint)."""
+    t = np.abs(x) * ad._ERF_P_OVER_SQRT2 + 1.0
+    np.reciprocal(t, out=t)
+    erf = t * -ad._ERF_A[0]
+    for coef in ad._ERF_A[1:]:
+        erf -= coef
+        erf *= t
+    e = x * x
+    e *= -0.5
+    np.exp(e, out=e)
+    erf *= e
+    erf += 1.0
+    out = np.abs(x) * erf
+    out += x
+    out *= 0.5
+
+    def backward(g):
+        d = np.copysign(erf, x) + 1.0
+        d *= 0.5
+        d += x * e * ad._INV_SQRT_2PI
+        return d * g
+
+    return out, backward
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_bits_equal_a_saved_exponential(dtype):
+    """Recomputing e = exp(-x^2 / 2) in the adjoint gives the bits of the
+    adjoint that read e saved by the forward, at 0, around and past +-6 and
+    on random activations."""
+    rng = np.random.default_rng(602)
+    edges = np.array([0.0, -0.0, 6.0, -6.0, 6.5, -6.5, 40.0, -40.0, 1e4, -1e4])
+    x = np.concatenate([edges, 3.0 * rng.normal(size=500)]).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    out, bw = _node_of(ad.gelu, Tensor(x, requires_grad=True, dtype=dtype))
+    ref, ref_bw = _ref_gelu(x)
+    _assert_same(out, ref)
+    _assert_same(bw(g)[0], ref_bw(g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_recorded_gelu_keeps_only_its_output_and_erf(dtype):
+    """Between its forward and the sweep a recorded gelu on [64, 256] holds
+    two arrays of the input's size, its output and erf; its adjoint's
+    closure holds the input's array and erf, no third array."""
+    x = Tensor(np.random.default_rng(603).normal(size=(64, 256)), requires_grad=True,
+               dtype=dtype)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            y = ad.gelu(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 2 * x.data.nbytes <= held < 2.5 * x.data.nbytes, held
+    cells = [c.cell_contents for c in tape.nodes[-1].backward_fn.__closure__]
+    arrays = [c for c in cells if isinstance(c, np.ndarray)]
+    assert len(arrays) == 2 and any(a is x.data for a in arrays)
+    assert not any(a is y.data for a in arrays)
+
+
 def test_rank_limit_enforced():
     with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 2, 2, 2, 2)))
@@ -207,12 +271,18 @@ def test_backward_sum_gives_unit_gradients():
 
 
 def test_backward_disconnected_parameter_gets_zero():
+    """A tensor the loss does not reach, requiring grad or not, gets zeros
+    of its shape and dtype, and so does the loss, whose gradient the sweep
+    consumed."""
     p = parameter(np.ones(3, dtype=np.float32), "p")
-    q = parameter(np.ones(3, dtype=np.float32), "q")
+    q = parameter(np.ones(3), "q", dtype=np.float64)
+    constant = Tensor(np.ones((2, 2), dtype=np.float32))
     with Tape() as tape:
         loss = ad.sum_(p)
-    grads = backward(tape, loss, params=[p, q])
-    assert np.array_equal(grads[1], np.zeros(3, dtype=np.float32))
+    grads = backward(tape, loss, params=[p, q, constant, loss])
+    for g, want in zip(grads[1:], (np.zeros(3), np.zeros((2, 2), np.float32),
+                                   np.zeros((), np.float32))):
+        assert g.dtype == want.dtype and np.array_equal(g, want)
 
 
 def test_backward_rejects_nonscalar_loss():

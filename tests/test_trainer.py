@@ -592,11 +592,16 @@ def test_write_atomic_failed_rename_keeps_old_file_and_no_temporary(tmp_path, mo
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
-def test_checkpoint_saves_seconds_apart_are_identical(tmp_path):
-    """Zip timestamps have a 2 s resolution; none from the clock is stored."""
+def test_checkpoint_saves_seconds_apart_are_identical(tmp_path, monkeypatch):
+    """Zip timestamps have a 2 s resolution; none from the clock is stored.
+    The second save runs on a clock moved 2.1 s forward, the clock zipfile
+    reads for a member's default timestamp."""
     state = init_train_state(tiny_train_config())
     save_checkpoint(state, tmp_path / "a.ckpt")
-    time.sleep(2.1)
+    now, localtime = time.time, time.localtime
+    monkeypatch.setattr(time, "time", lambda: now() + 2.1)
+    monkeypatch.setattr(time, "localtime",
+                        lambda secs=None: localtime(time.time() if secs is None else secs))
     save_checkpoint(state, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
@@ -1298,8 +1303,9 @@ def test_embed_record_images_rows_equal_each_record_alone(tmp_path):
 def test_embed_record_images_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch):
     """Embedding 2N records (N = 2 chunks) peaks at about the memory of
     embedding N: the images are loaded and encoded chunk by chunk.  Every
-    chunk holds 2 to IMAGE_CHUNK_IMAGES images, and the rows equal the
-    whole list encoded in one call."""
+    chunk holds 1 to IMAGE_CHUNK_IMAGES images (the 2N + 1 records end in a
+    one-image chunk), and the rows equal the whole list encoded in one
+    call."""
     n = 2 * trainer.IMAGE_CHUNK_IMAGES
     model = tiny_model_config()
     params = init_model_params(model, seed=1)
@@ -1324,7 +1330,7 @@ def test_embed_record_images_memory_is_bounded_by_the_chunk(tmp_path, monkeypatc
     monkeypatch.setattr(trainer, "encode_images", spy)
     rows = embed_record_images(params, records)
     assert sum(sizes) == len(records) and len(sizes) > 1
-    assert all(2 <= s <= trainer.IMAGE_CHUNK_IMAGES for s in sizes), sizes
+    assert all(1 <= s <= trainer.IMAGE_CHUNK_IMAGES for s in sizes), sizes
     whole = encode_images(params, Tensor(np.stack([load_record_image(r) for r in records])))
     assert np.array_equal(rows, whole.data)
 
