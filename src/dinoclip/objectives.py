@@ -69,12 +69,12 @@ def make_teacher(student: ModelParams, ema_momentum: float) -> TeacherState:
 # ---------------------------------------------------------------------------
 
 def info_nce_loss(batch: ContrastiveBatch) -> Tensor:
-    """Symmetric InfoNCE over the N x N cosine-similarity matrix.
-
-    Per direction the loss is the mean negative log-probability of the
-    matched column (softmax over in-batch negatives at temperature tau);
-    the two directions are averaged.
-    """
+    """Symmetric InfoNCE over the N x N cosine logits at temperature tau: the
+    cross entropy from identity targets to the softmax of their rows (caption
+    to image) and of their columns (image to caption), averaged, as one
+    soft_cross_entropy_logits node over the 2N rows of [logits; logits^T],
+    the node the distillation term uses.  A learnable tau gets its gradient
+    through the division."""
     n = batch.captions.shape[0]
     if n == 0:
         raise ContractError("empty contrastive batch")
@@ -83,9 +83,8 @@ def info_nce_loss(batch: ContrastiveBatch) -> Tensor:
     sims = ad.matmul(u, ad.transpose(v))                      # [N, N], row i = caption i
     logits = ad.div(sims, batch.tau)
     eye = np.eye(n, dtype=logits.dtype)
-    t2i = ad.neg(ad.mul(ad.sum_(ad.mul(ad.log_softmax(logits, axis=1), eye)), 1.0 / n))
-    i2t = ad.neg(ad.mul(ad.sum_(ad.mul(ad.log_softmax(logits, axis=0), eye)), 1.0 / n))
-    return ad.mul(ad.add(t2i, i2t), 0.5)
+    return ad.soft_cross_entropy_logits(np.concatenate([eye, eye]),
+                                        ad.concat([logits, ad.transpose(logits)]), 1.0)
 
 
 def teacher_distribution(z: np.ndarray, center: np.ndarray, tau_teacher: float) -> np.ndarray:

@@ -356,13 +356,14 @@ def load_checkpoint(path) -> TrainState:
 # ---------------------------------------------------------------------------
 
 def embed_record_images(params: ModelParams, records, data_root=None) -> np.ndarray:
-    """Embed each record's full image, resized to the model input size.
+    """[N, m] embeddings of the records' full images at the model input
+    size, in the encoder's dtype.
 
     The images are loaded and encoded in chunks of at most
     IMAGE_CHUNK_IMAGES, so memory is bounded by the chunk, not by the list.
     An image's row has the same bits in any chunk, alone included."""
     size = params.config.vision.image_size
-    out = []
+    out = np.empty((len(records), params.config.embed_dim), dtype=params["vision.proj"].dtype)
     for start in range(0, len(records), IMAGE_CHUNK_IMAGES):
         rows = []
         for record in records[start:start + IMAGE_CHUNK_IMAGES]:
@@ -370,8 +371,8 @@ def embed_record_images(params: ModelParams, records, data_root=None) -> np.ndar
             if img.shape[1] != size or img.shape[2] != size:
                 img = resize_bicubic(img, size)
             rows.append(img)
-        out.append(encode_images(params, Tensor(np.stack(rows))).data)
-    return np.concatenate(out)
+        out[start:start + len(rows)] = encode_images(params, Tensor(np.stack(rows))).data
+    return out
 
 
 def embed_texts(params: ModelParams, texts: list[str]) -> np.ndarray:

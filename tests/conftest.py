@@ -274,6 +274,20 @@ def distillation_pair_count(n_global: int, n_views: int) -> int:
     return n_global * (n_views - 1)
 
 
+def composed_info_nce(batch: objectives.ContrastiveBatch) -> Tensor:
+    """Symmetric InfoNCE composed op by op: per direction, the negative mean
+    of the diagonal of log_softmax over the rows (caption to image) or the
+    columns (image to caption) of the cosine logits; the two averaged."""
+    n = batch.captions.shape[0]
+    u = ad.l2_normalize(batch.captions, axis=-1)
+    v = ad.l2_normalize(batch.images, axis=-1)
+    logits = ad.div(ad.matmul(u, ad.transpose(v)), batch.tau)
+    eye = np.eye(n, dtype=logits.dtype)
+    t2i = ad.neg(ad.mul(ad.sum_(ad.mul(ad.log_softmax(logits, axis=1), eye)), 1.0 / n))
+    i2t = ad.neg(ad.mul(ad.sum_(ad.mul(ad.log_softmax(logits, axis=0), eye)), 1.0 / n))
+    return ad.mul(ad.add(t2i, i2t), 0.5)
+
+
 @pytest.fixture
 def synthetic_manifest(tmp_path):
     path = tmp_path / "manifest.jsonl"

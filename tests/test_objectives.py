@@ -11,9 +11,10 @@ from dinoclip.evaluation import cosine_matrix
 from dinoclip.objectives import (ContrastiveBatch, combined_loss, ema_update,
                                  info_nce_loss, make_teacher, soft_distillation_terms,
                                  teacher_distribution, update_center)
+from dinoclip.trainer import LOG_TAU_MIN
 
-from conftest import (DistributionSet, float64_params, parameter, self_distillation_loss,
-                      tiny_model_config)
+from conftest import (DistributionSet, composed_info_nce, float64_params, parameter,
+                      self_distillation_loss, tiny_model_config)
 
 
 # -------------------------------------------------------------------------
@@ -125,6 +126,64 @@ def test_info_nce_gradient_reaches_learnable_temperature(rng):
         loss = info_nce_loss(ContrastiveBatch(u, v, tau=ad.exp(log_tau)))
     grads = backward(tape, loss, params=[log_tau, u])
     assert grads[0] != 0.0
+
+
+def _nce_and_grads(loss_fn, u, v, log_tau, dtype):
+    """The loss and its gradients w.r.t. u, v and log_tau (tau = exp(log_tau))."""
+    leaves = [parameter(u, "u", dtype=dtype), parameter(v, "v", dtype=dtype),
+              parameter(np.asarray(log_tau), "log_tau", dtype=dtype)]
+    with Tape() as tape:
+        loss = loss_fn(ContrastiveBatch(leaves[0], leaves[1], tau=ad.exp(leaves[2])))
+    return loss.item(), backward(tape, loss, params=leaves)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_info_nce_matches_composed_log_softmax_chain(rng, dtype, tol):
+    """Loss and the gradients of u, v and log_tau equal the two-direction
+    log_softmax chain's, relative to the chain's scale, for N = 1..20; a
+    single pair still gives exactly 0."""
+    for n in range(1, 21):
+        u, v = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
+        log_tau = rng.uniform(np.log(0.02), 0.0)
+        got, got_grads = _nce_and_grads(info_nce_loss, u, v, log_tau, dtype)
+        want, want_grads = _nce_and_grads(composed_info_nce, u, v, log_tau, dtype)
+        assert abs(got - want) <= tol * abs(want), n
+        for name, g, w in zip(("u", "v", "log_tau"), got_grads, want_grads):
+            assert g.dtype == dtype
+            assert np.max(np.abs(g - w)) <= tol * np.max(np.abs(w)), (n, name)
+        if n == 1:
+            assert got == 0.0
+
+
+def test_info_nce_stays_finite_where_float32_softmax_underflows(rng):
+    """At tau = 0.005 (LOG_TAU_MIN) anti-aligned pairs put each matched
+    logit ~250 below its row and column maxima, so its float32 softmax is
+    0; the loss and the gradients stay finite and match float64."""
+    v = rng.normal(size=(6, 8))
+    u = -v
+    got, grads = _nce_and_grads(info_nce_loss, u, v, LOG_TAU_MIN, np.float32)
+    vn = v / np.linalg.norm(v, axis=1, keepdims=True)
+    logits = -(vn @ vn.T) / np.exp(LOG_TAU_MIN)                   # symmetric
+    assert np.all(np.exp((logits - logits.max(axis=1, keepdims=True)).astype(np.float32))
+                  .diagonal() == 0.0)
+    assert np.isfinite(got) and got > 100.0
+    assert all(np.all(np.isfinite(g)) for g in grads)
+    want, want_grads = _nce_and_grads(composed_info_nce, u, v, LOG_TAU_MIN, np.float64)
+    assert abs(got - want) <= 1e-5 * want
+    for g, w in zip(grads, want_grads):
+        assert np.max(np.abs(g - w)) <= 1e-5 * np.max(np.abs(w))
+
+
+def test_info_nce_records_one_cross_entropy_node(rng):
+    """Normalize, cosine logits, their transpose and one cross entropy over
+    both directions: 8 nodes, none of the composed chain's."""
+    u = parameter(rng.normal(size=(4, 6)), "u")
+    v = parameter(rng.normal(size=(4, 6)), "v")
+    with Tape() as tape:
+        info_nce_loss(ContrastiveBatch(u, v, tau=0.07))
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("soft_cross_entropy_logits") == 1 and len(ops) == 8
+    assert not {"log_softmax", "neg", "sum"} & set(ops)
 
 
 # -------------------------------------------------------------------------

@@ -986,16 +986,16 @@ def test_training_step_stays_float32(tiny_records, monkeypatch):
     assert grad_dtypes == {np.dtype(np.float32)}
 
 
-@pytest.mark.parametrize("loss_mode,images,heads,cross_entropies", [
+@pytest.mark.parametrize("loss_mode,images,heads,student_heads", [
     ("combined", [(8, 3, 8, 8), (8, 3, 8, 8), (4, 3, 4, 4)], [(8, 4), (12, 4)], 1),
     ("infonce_only", [(4, 3, 8, 8)], [], 0),
 ])
 def test_training_step_batches_views_by_resolution(tiny_records, monkeypatch, loss_mode,
-                                                   images, heads, cross_entropies):
+                                                   images, heads, student_heads):
     """Batch 4, 2 global views at 8 px and 1 local at 4 px: the teacher
     encodes the view-major globals once, the student once per resolution,
-    each side makes one head call, and the tape holds one cross entropy on
-    the student's logits and no softmax."""
+    each side makes one head call, and the tape holds one cross entropy per
+    recorded head call plus InfoNCE's, and no softmax or log_softmax."""
     calls = {"images": [], "heads": [], "ops": []}
 
     def spy(fn, key):
@@ -1014,9 +1014,9 @@ def test_training_step_batches_views_by_resolution(tiny_records, monkeypatch, lo
     train(tiny_train_config(epochs=1, loss_mode=loss_mode), tiny_records)
     assert calls["images"] == images
     assert calls["heads"] == heads
-    assert calls["ops"].count("soft_cross_entropy_logits") == cross_entropies
-    assert calls["ops"].count("weight_norm_linear") == cross_entropies
-    assert not {"softmax", "soft_cross_entropy"} & set(calls["ops"])
+    assert calls["ops"].count("soft_cross_entropy_logits") == student_heads + 1
+    assert calls["ops"].count("weight_norm_linear") == student_heads
+    assert not {"softmax", "soft_cross_entropy", "log_softmax"} & set(calls["ops"])
 
 
 @pytest.mark.parametrize("loss_mode,image_calls", [("combined", 2), ("infonce_only", 1)])
@@ -1341,3 +1341,13 @@ def test_embedding_helpers_shapes(tiny_records):
     txt = embed_texts(state.student, ["a", "bb"])
     assert img.shape == (4, 4)
     assert txt.shape == (2, 4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_helpers_on_an_empty_list(dtype):
+    """Both helpers embed no input to a [0, m] array in the encoder's dtype."""
+    model = tiny_model_config()
+    params = (float64_params(model, seed=1) if dtype == np.float64
+              else init_model_params(model, seed=1))
+    for rows in (embed_record_images(params, []), embed_texts(params, [])):
+        assert rows.shape == (0, model.embed_dim) and rows.dtype == dtype
